@@ -73,46 +73,37 @@ void PrioritySampler::SerializeTo(ByteWriter& w) const {
   sketch_.SerializeTo(w);  // the nested BottomK frame carries the sample
 }
 
-std::optional<PrioritySampler> PrioritySampler::Deserialize(ByteReader& r) {
-  if (!ReadSketchHeader(r, kPrioritySamplerMagic,
-                        kPrioritySamplerVersion)) {
+std::optional<PrioritySampler::FrameView> PrioritySampler::ViewBody(
+    ByteReader& r) {
+  if (!ReadSketchHeader(r, kPrioritySamplerMagic, kPrioritySamplerVersion)) {
     return std::nullopt;
   }
   const auto coordinated = r.ReadU32();
-  if (!coordinated) return std::nullopt;
+  if (!coordinated || *coordinated > 1) return std::nullopt;
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  auto sketch = BottomK<Item>::Deserialize(r);
-  if (!sketch) return std::nullopt;
-  PrioritySampler sampler(sketch->k(), /*seed=*/1, *coordinated != 0);
-  sampler.sketch_ = std::move(*sketch);
-  sampler.rng_.SetState(*rng_state);
+  // The rest of the body is exactly the embedded bottom-k sample region.
+  auto sample = BottomK<Item>::ViewBody(r);
+  if (!sample) return std::nullopt;
+  FrameView view;
+  view.coordinated_ = *coordinated != 0;
+  view.rng_state_ = *rng_state;
+  view.sample_ = *sample;
+  return view;
+}
+
+std::optional<PrioritySampler> PrioritySampler::Deserialize(ByteReader& r) {
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  PrioritySampler sampler(view->k(), /*seed=*/1, view->coordinated());
+  sampler.sketch_ = BottomK<Item>::FromValidatedView(view->sample_);
+  sampler.rng_.SetState(view->rng_state_);
   return sampler;
 }
 
 FrameFault PrioritySampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kPrioritySamplerMagic,
-                                          kPrioritySamplerVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<PrioritySampler::FrameView> PrioritySampler::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kPrioritySamplerMagic,
-                            kPrioritySamplerVersion);
-  if (!r) return std::nullopt;
-  const auto coordinated = r->ReadU32();
-  if (!coordinated) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  // The rest of the body is exactly the embedded bottom-k sample region.
-  auto sample = BottomK<Item>::ViewBody(r->Rest());
-  if (!sample) return std::nullopt;
-  FrameView view;
-  view.coordinated_ = *coordinated != 0;
-  view.sample_ = *sample;
-  return view;
+  return DiagnoseSketchFrame<PrioritySampler>(frame, kPrioritySamplerMagic,
+                                              kPrioritySamplerVersion);
 }
 
 bool PrioritySampler::MergeManyFrames(

@@ -15,6 +15,7 @@
 #ifndef ATS_CORE_BOTTOM_K_H_
 #define ATS_CORE_BOTTOM_K_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -171,26 +172,11 @@ class BottomK {
     }
   }
 
+  // Eager parse: the frame view, materialized (see ViewBody).
   static std::optional<BottomK> Deserialize(ByteReader& r) {
-    if (!ReadSketchHeader(r, kMagic, kVersion)) return std::nullopt;
-    const auto k = r.ReadU64();
-    const auto threshold = r.ReadDouble();
-    const auto count = r.ReadU64();
-    if (!k || !threshold || !count) return std::nullopt;
-    // Priorities live on the whole real line (e.g. log-space keys in the
-    // time-decay sampler), so only NaN thresholds are invalid here.
-    if (*k < 1 || std::isnan(*threshold) || *count > *k) return std::nullopt;
-    BottomK sketch(static_cast<size_t>(*k));
-    for (uint64_t i = 0; i < *count; ++i) {
-      const auto priority = r.ReadDouble();
-      const auto payload = PayloadCodec<Payload>::Read(r);
-      if (!priority || !payload.has_value()) return std::nullopt;
-      if (!(*priority < *threshold)) return std::nullopt;
-      sketch.Offer(*priority, *payload);
-    }
-    if (sketch.size() != *count) return std::nullopt;
-    sketch.LowerThreshold(*threshold);
-    return sketch;
+    const auto view = ViewBody(r);
+    if (!view) return std::nullopt;
+    return FromValidatedView(*view);
   }
 
   std::string SerializeToString() const { return SerializeSketch(*this); }
@@ -198,27 +184,22 @@ class BottomK {
     return DeserializeSketch<BottomK>(bytes);
   }
 
-  // Typed rejection reason for a frame Deserialize would refuse:
-  // structural cause first (truncated / foreign magic / future version /
-  // checksum), kCorruptBody for field- or entry-level violations, kNone
-  // iff the frame parses. Per-cause rejection counters in the transport
-  // tier are built on this.
+  // Typed rejection reason via DiagnoseSketchFrame (util/serialize.h);
+  // per-cause rejection counters in the transport tier are built on it.
   static FrameFault DiagnoseFrame(std::string_view frame) {
-    const FrameFault f = ClassifyFrameBytes(frame, kMagic, kVersion);
-    if (f != FrameFault::kNone) return f;
-    return Deserialize(frame).has_value() ? FrameFault::kNone
-                                          : FrameFault::kCorruptBody;
+    return DiagnoseSketchFrame<BottomK>(frame, kMagic, kVersion);
   }
 
   // Zero-copy read-only view over a whole serialized frame (the
   // SerializeToString layout, trailing checksum included). Parsing
-  // validates everything Deserialize validates -- checksum, header,
-  // field ranges, every entry -- but materializes nothing: the entry
-  // region stays a bounds-checked span over the caller's bytes, decoded
-  // lazily per access. This is what lets MergeManyFrames aggregate a
-  // large fan-in of wire sketches without ever building the per-frame
-  // vectors a Deserialize+Merge chain would (each frame's bytes are
-  // copied at most once: accepted survivors into the accumulator).
+  // validates the checksum, header, field ranges and every entry -- the
+  // one BTK2 validator, which Deserialize materializes -- but copies
+  // nothing: the entry region stays a bounds-checked span over the
+  // caller's bytes, decoded lazily per access. This is what lets
+  // MergeManyFrames aggregate a large fan-in of wire sketches without
+  // ever building the per-frame vectors a Deserialize+Merge chain would
+  // (each frame's bytes are copied at most once: accepted survivors into
+  // the accumulator).
   //
   // The view borrows the frame's storage; it must not outlive the bytes.
   class FrameView {
@@ -238,7 +219,7 @@ class BottomK {
       ATS_DCHECK(i < size());
       ByteReader r(entries_.substr(i * kStride + sizeof(double),
                                    PayloadCodec<Payload>::kWireSize));
-      return *PayloadCodec<Payload>::Read(r);  // validated by Parse
+      return *PayloadCodec<Payload>::Read(r);  // validated by ViewBody
     }
 
    private:
@@ -251,46 +232,37 @@ class BottomK {
     std::string_view entries_;
   };
 
-  // Parses `frame` (a SerializeToString buffer) into a FrameView.
-  // Returns nullopt on exactly the inputs Deserialize rejects: bad
-  // checksum, truncation, foreign magic or future version, k < 1, NaN
-  // threshold, count > k, an entry at/above the threshold, an invalid
-  // payload, or trailing bytes. A frame declaring a huge k is fine as
-  // long as its entry count is consistent -- the view allocates nothing,
-  // so hostile capacity claims cannot reserve memory here (the
-  // kMaxEagerReserve cap protects the Deserialize path the same way).
+  // Parses `frame` (a SerializeToString buffer) into a FrameView;
+  // nullopt on bad checksum or anything ViewBody rejects, or trailing
+  // bytes. A frame declaring a huge k is fine as long as its entry count
+  // is consistent -- the view allocates nothing, so hostile capacity
+  // claims cannot reserve memory here (the kMaxEagerReserve cap protects
+  // the materializing path the same way).
   static std::optional<FrameView> DeserializeView(std::string_view frame) {
-    const auto body = CheckedFrameBody(frame);
-    if (!body) return std::nullopt;
-    return ViewBody(*body);
+    return ViewSketchFrame<BottomK>(frame);
   }
 
-  // Parses a bare (un-checksummed) BottomK body -- exactly the bytes
-  // SerializeTo appends, which must span the whole of `body` -- into a
-  // FrameView. For container formats that embed the sample region inside
-  // their own checked frame (TimeDecaySampler): the container's
-  // DeserializeView verifies the outer checksum and hands the tail here.
-  // Validation is identical to DeserializeView's.
-  static std::optional<FrameView> ViewBody(std::string_view body) {
-    ByteReader r(body);
+  // The BTK2 validator: parses one bare (un-checksummed) body -- exactly
+  // the bytes SerializeTo appends -- off `r` into a FrameView. Rejects
+  // truncation, foreign magic or future version, k < 1, NaN threshold,
+  // count > k, an entry at/above the threshold, or an invalid payload.
+  // Container formats embedding a sample region (PrioritySampler,
+  // TimeDecaySampler, MultiObjectiveSampler) hand their nested bytes here.
+  static std::optional<FrameView> ViewBody(ByteReader& r) {
     if (!ReadSketchHeader(r, kMagic, kVersion)) return std::nullopt;
     const auto k = r.ReadU64();
     const auto threshold = r.ReadDouble();
     const auto count = r.ReadU64();
     if (!k || !threshold || !count) return std::nullopt;
+    // Priorities live on the whole real line (e.g. log-space keys in the
+    // time-decay sampler), so only NaN thresholds are invalid here.
     if (*k < 1 || std::isnan(*threshold) || *count > *k) return std::nullopt;
+    const auto entries = r.ReadRegion(*count, FrameView::kStride);
+    if (!entries) return std::nullopt;
     FrameView view;
     view.k_ = *k;
     view.threshold_ = *threshold;
-    // Fixed-stride entry region: one size comparison bounds-checks every
-    // entry (an oversized or truncated region is a framing error); the
-    // first clause keeps the multiplication overflow-free.
-    const std::string_view entries = r.Rest();
-    if (*count > entries.size() / FrameView::kStride ||
-        entries.size() != *count * FrameView::kStride) {
-      return std::nullopt;
-    }
-    view.entries_ = entries;
+    view.entries_ = *entries;
     for (size_t i = 0; i < view.size(); ++i) {
       const double p = view.priority(i);
       if (!(p < view.threshold_)) return std::nullopt;  // NaN included
@@ -302,6 +274,17 @@ class BottomK {
     return view;
   }
 
+  // Rebuilds a sketch from a view ViewBody accepted: the entries offered
+  // in wire order, then the wire threshold.
+  static BottomK FromValidatedView(const FrameView& view) {
+    BottomK sketch(view.k());
+    for (size_t i = 0; i < view.size(); ++i) {
+      sketch.Offer(view.priority(i), view.payload(i));
+    }
+    sketch.LowerThreshold(view.threshold());
+    return sketch;
+  }
+
   // Threshold-pruned k-way union straight off the wire: observationally
   // identical to deserializing every frame and merging the results with
   // Merge() in span order, but zero-copy (see FrameView) and pruned by
@@ -310,19 +293,15 @@ class BottomK {
   // frame fails validation; all frames are vetted before the first one
   // is applied.
   bool MergeManyFrames(std::span<const std::string_view> frames) {
-    std::vector<FrameView> views;
-    views.reserve(frames.size());
-    for (std::string_view f : frames) {
-      auto view = DeserializeView(f);
-      if (!view) return false;
-      views.push_back(*view);
-    }
+    const auto views =
+        VetFrames<BottomK>(frames, [](const FrameView&) { return true; });
+    if (!views) return false;
     // No inputs: strict no-op, like a zero-length Deserialize+Merge
     // chain (the closing purge below would otherwise drop retained
     // entries tied AT the threshold, which no pairwise merge ran to
     // justify).
-    if (views.empty()) return true;
-    MergeValidatedViews(views);
+    if (views->empty()) return true;
+    MergeValidatedViews(*views);
     return true;
   }
 
@@ -453,10 +432,7 @@ class PrioritySampler {
     return DeserializeSketch<PrioritySampler>(bytes);
   }
 
-  // Typed rejection reason for a frame Deserialize would refuse:
-  // structural cause first (kTruncated / kBadMagic / kBadVersion /
-  // checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  // violations, kNone iff the frame parses.
+  // Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   // Zero-copy read-only view over a whole serialized frame: the outer
@@ -475,12 +451,19 @@ class PrioritySampler {
    private:
     friend class PrioritySampler;
     bool coordinated_ = false;
+    std::array<uint64_t, 4> rng_state_ = {1, 0, 0, 0};
     BottomK<Item>::FrameView sample_;
   };
 
   // Parses a SerializeToString buffer; nullopt on exactly the inputs
   // Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<PrioritySampler>(frame);
+  }
+
+  // The PSM2 validator: one bare body off `r` (the coordination flag must
+  // be 0 or 1, the RNG state valid, the nested BTK2 sample region valid).
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   // Threshold-pruned k-way merge straight off the wire: observationally
   // identical to deserializing every frame and merging with Merge() in

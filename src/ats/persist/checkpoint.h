@@ -195,9 +195,12 @@ class CheckpointReader {
 };
 
 // Validate-before-mutate restore: opens `path`, checks the scheme kind,
-// and eagerly parses the wrapped frame through the family's whole-buffer
-// Deserialize. `*target` is assigned ONLY when every layer passes -- on
-// any fault it is byte-identical to before the call. `Sketch` is any
+// and parses the wrapped frame through the family's whole-buffer
+// Deserialize. For every family with a frame view that is the view's
+// validator, then materialization (util/serialize.h), so a restore
+// accepts exactly the payloads OpenView + DeserializeView accept.
+// `*target` is assigned ONLY when every layer passes -- on any fault it
+// is byte-identical to before the call. `Sketch` is any
 // family with `static std::optional<Sketch> Deserialize(string_view)`
 // (KmvSketch, BottomK, PrioritySampler, SlidingWindowSampler,
 // TimeDecaySampler, MultiStratifiedSampler, VarianceSizedSampler,

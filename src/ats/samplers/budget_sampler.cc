@@ -164,7 +164,8 @@ void BudgetSampler::SerializeTo(ByteWriter& w) const {
   }
 }
 
-std::optional<BudgetSampler> BudgetSampler::Deserialize(ByteReader& r) {
+std::optional<BudgetSampler::FrameView> BudgetSampler::ViewBody(
+    ByteReader& r) {
   if (!ReadSketchHeader(r, kBudgetMagic, kBudgetVersion)) {
     return std::nullopt;
   }
@@ -179,70 +180,13 @@ std::optional<BudgetSampler> BudgetSampler::Deserialize(ByteReader& r) {
   if (!rng_state) return std::nullopt;
   const auto count = r.ReadU64();
   if (!count) return std::nullopt;
-  BudgetSampler sampler(*budget, /*seed=*/1);
-  sampler.rng_.SetState(*rng_state);
-  sampler.threshold_ = *threshold;
-  double previous_priority = 0.0;
-  for (uint64_t i = 0; i < *count; ++i) {
-    const auto key = r.ReadU64();
-    const auto size = r.ReadDouble();
-    const auto value = r.ReadDouble();
-    const auto weight = r.ReadDouble();
-    const auto priority = r.ReadDouble();
-    if (!key.has_value() || !size || !value || !weight || !priority) {
-      return std::nullopt;
-    }
-    if (!ValidWireItem(*budget, *threshold, *size, *value, *weight,
-                       *priority) ||
-        *priority < previous_priority ||
-        sampler.used_ + *size > *budget) {
-      return std::nullopt;
-    }
-    previous_priority = *priority;
-    Item item;
-    item.key = *key;
-    item.size = *size;
-    item.value = *value;
-    item.weight = *weight;
-    item.priority = *priority;
-    // End-hint insert: entries arrive in ascending order, and equal
-    // priorities keep their wire order (byte-stability).
-    sampler.items_.insert(sampler.items_.end(), item);
-    sampler.used_ += *size;
-  }
-  return sampler;
-}
-
-FrameFault BudgetSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kBudgetMagic, kBudgetVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<BudgetSampler::FrameView> BudgetSampler::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kBudgetMagic, kBudgetVersion);
-  if (!r) return std::nullopt;
-  const auto budget = r->ReadDouble();
-  if (!budget || !(*budget > 0.0) || !std::isfinite(*budget)) {
-    return std::nullopt;
-  }
-  const auto threshold = r->ReadDouble();
-  if (!threshold || !(*threshold > 0.0)) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  const auto count = r->ReadU64();
-  if (!count) return std::nullopt;
-  const std::string_view entries = r->Rest();
-  // Division-form length check: immune to count * stride overflow.
-  if (entries.size() % FrameView::kStride != 0 ||
-      *count != entries.size() / FrameView::kStride) {
-    return std::nullopt;
-  }
+  const auto entries = r.ReadRegion(*count, FrameView::kStride);
+  if (!entries) return std::nullopt;
   FrameView view;
   view.budget_ = *budget;
   view.threshold_ = *threshold;
-  view.entries_ = entries;
+  view.rng_state_ = *rng_state;
+  view.entries_ = *entries;
   double previous_priority = 0.0;
   double used = 0.0;
   for (size_t i = 0; i < view.size(); ++i) {
@@ -258,19 +202,40 @@ std::optional<BudgetSampler::FrameView> BudgetSampler::DeserializeView(
   return view;
 }
 
+std::optional<BudgetSampler> BudgetSampler::Deserialize(ByteReader& r) {
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  BudgetSampler sampler(view->budget(), /*seed=*/1);
+  sampler.rng_.SetState(view->rng_state_);
+  sampler.threshold_ = view->threshold();
+  for (size_t i = 0; i < view->size(); ++i) {
+    Item item;
+    item.key = view->key(i);
+    item.size = view->item_size(i);
+    item.value = view->value(i);
+    item.weight = view->weight(i);
+    item.priority = view->priority(i);
+    // End-hint insert: entries arrive in ascending order, and equal
+    // priorities keep their wire order (byte-stability).
+    sampler.items_.insert(sampler.items_.end(), item);
+    sampler.used_ += item.size;
+  }
+  return sampler;
+}
+
+FrameFault BudgetSampler::DiagnoseFrame(std::string_view frame) {
+  return DiagnoseSketchFrame<BudgetSampler>(frame, kBudgetMagic,
+                                            kBudgetVersion);
+}
+
 bool BudgetSampler::MergeManyFrames(
     std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->budget() != budget_) return false;
-    views.push_back(*view);
-  }
+  const auto views = VetFrames<BudgetSampler>(
+      frames, [this](const FrameView& v) { return v.budget() == budget_; });
+  if (!views) return false;
   // Apply per frame in span order -- exactly the Merge() rule, so the
   // result matches deserializing each frame and chaining Merge().
-  for (const FrameView& v : views) {
+  for (const FrameView& v : *views) {
     LowerThresholdAndPurge(v.threshold());
     for (size_t i = 0; i < v.size(); ++i) {
       Insert(v.key(i), v.item_size(i), v.value(i), v.weight(i),

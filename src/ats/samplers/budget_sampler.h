@@ -13,6 +13,7 @@
 #ifndef ATS_SAMPLERS_BUDGET_SAMPLER_H_
 #define ATS_SAMPLERS_BUDGET_SAMPLER_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -111,10 +112,7 @@ class BudgetSampler {
     return DeserializeSketch<BudgetSampler>(bytes);
   }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
+  /// Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   /// Zero-copy read-only view over a whole serialized frame: every
@@ -145,12 +143,19 @@ class BudgetSampler {
 
     double budget_ = 0.0;
     double threshold_ = kInfiniteThreshold;
+    std::array<uint64_t, 4> rng_state_ = {1, 0, 0, 0};
     std::string_view entries_;
   };
 
   /// Parses a SerializeToString buffer; nullopt on exactly the inputs
   /// Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<BudgetSampler>(frame);
+  }
+
+  /// The BGT1 validator: one bare body off `r`, enforcing the per-entry
+  /// and cross-entry rules above.
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   /// Merge straight off the wire: observationally identical to
   /// deserializing every frame and merging with Merge() in span order.

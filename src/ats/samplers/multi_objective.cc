@@ -89,8 +89,8 @@ void MultiObjectiveSampler::SerializeTo(ByteWriter& w) const {
   }
 }
 
-std::optional<MultiObjectiveSampler> MultiObjectiveSampler::Deserialize(
-    ByteReader& r) {
+std::optional<MultiObjectiveSampler::FrameView>
+MultiObjectiveSampler::ViewBody(ByteReader& r) {
   if (!ReadSketchHeader(r, kMultiObjectiveMagic, kMultiObjectiveVersion)) {
     return std::nullopt;
   }
@@ -100,78 +100,58 @@ std::optional<MultiObjectiveSampler> MultiObjectiveSampler::Deserialize(
   if (*num_objectives < 1 || *k < 1) return std::nullopt;
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  MultiObjectiveSampler sampler(1, static_cast<size_t>(*k), /*seed=*/1);
-  sampler.rng_.SetState(*rng_state);
-  sampler.sketches_.clear();
+  FrameView view;
+  view.k_ = static_cast<size_t>(*k);
+  view.rng_state_ = *rng_state;
+  view.objectives_.reserve(static_cast<size_t>(
+      std::min<uint64_t>(*num_objectives, 1024)));
   for (uint64_t j = 0; j < *num_objectives; ++j) {
+    // Each objective's BTK2 body must fill its length-prefixed segment.
     const auto body_len = r.ReadU64();
     if (!body_len) return std::nullopt;
-    const std::string_view rest = r.Rest();
-    if (*body_len > rest.size()) return std::nullopt;
-    ByteReader nested(rest.substr(0, static_cast<size_t>(*body_len)));
-    auto sketch = BottomK<Stored>::Deserialize(nested);
-    if (!sketch || !nested.AtEnd() || sketch->k() != *k) return std::nullopt;
-    sampler.sketches_.push_back(std::move(*sketch));
-    r.Skip(static_cast<size_t>(*body_len));
+    const auto body = r.ReadRegion(*body_len, 1);
+    if (!body) return std::nullopt;
+    ByteReader nested(*body);
+    auto sample = BottomK<Stored>::ViewBody(nested);
+    if (!sample || !nested.AtEnd() || sample->k() != *k) return std::nullopt;
+    view.objectives_.push_back(*sample);
+  }
+  return view;
+}
+
+std::optional<MultiObjectiveSampler> MultiObjectiveSampler::Deserialize(
+    ByteReader& r) {
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  MultiObjectiveSampler sampler(1, view->k(), /*seed=*/1);
+  sampler.rng_.SetState(view->rng_state_);
+  sampler.sketches_.clear();
+  for (const BottomK<Stored>::FrameView& sample : view->objectives_) {
+    sampler.sketches_.push_back(BottomK<Stored>::FromValidatedView(sample));
   }
   return sampler;
 }
 
 FrameFault MultiObjectiveSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kMultiObjectiveMagic, kMultiObjectiveVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<MultiObjectiveSampler::FrameView>
-MultiObjectiveSampler::DeserializeView(std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kMultiObjectiveMagic,
-                            kMultiObjectiveVersion);
-  if (!r) return std::nullopt;
-  const auto num_objectives = r->ReadU64();
-  const auto k = r->ReadU64();
-  if (!num_objectives || !k) return std::nullopt;
-  if (*num_objectives < 1 || *k < 1) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  FrameView view;
-  view.k_ = static_cast<size_t>(*k);
-  view.objectives_.reserve(static_cast<size_t>(
-      std::min<uint64_t>(*num_objectives, 1024)));
-  for (uint64_t j = 0; j < *num_objectives; ++j) {
-    const auto body_len = r->ReadU64();
-    if (!body_len) return std::nullopt;
-    const std::string_view rest = r->Rest();
-    if (*body_len > rest.size()) return std::nullopt;
-    auto nested =
-        BottomK<Stored>::ViewBody(rest.substr(0, static_cast<size_t>(*body_len)));
-    if (!nested || nested->k() != *k) return std::nullopt;
-    view.objectives_.push_back(*nested);
-    r->Skip(static_cast<size_t>(*body_len));
-  }
-  if (!r->AtEnd()) return std::nullopt;
-  return view;
+  return DiagnoseSketchFrame<MultiObjectiveSampler>(
+      frame, kMultiObjectiveMagic, kMultiObjectiveVersion);
 }
 
 bool MultiObjectiveSampler::MergeManyFrames(
     std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->num_objectives() != sketches_.size()) return false;
-    views.push_back(std::move(*view));
-  }
-  if (views.empty()) return true;  // strict no-op, like MergeMany({})
+  const auto views = VetFrames<MultiObjectiveSampler>(
+      frames, [this](const FrameView& v) {
+        return v.num_objectives() == sketches_.size();
+      });
+  if (!views) return false;
+  if (views->empty()) return true;  // strict no-op, like MergeMany({})
   // Objective-wise threshold-pruned application: observationally equal
   // to the per-frame Merge() chain, objective by objective.
   std::vector<BottomK<Stored>::FrameView> per_objective;
-  per_objective.reserve(views.size());
+  per_objective.reserve(views->size());
   for (size_t j = 0; j < sketches_.size(); ++j) {
     per_objective.clear();
-    for (const FrameView& v : views) per_objective.push_back(v.objective(j));
+    for (const FrameView& v : *views) per_objective.push_back(v.objective(j));
     sketches_[j].MergeValidatedViews(per_objective);
   }
   return true;

@@ -12,6 +12,7 @@
 #ifndef ATS_SAMPLERS_MULTI_OBJECTIVE_H_
 #define ATS_SAMPLERS_MULTI_OBJECTIVE_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -123,10 +124,7 @@ class MultiObjectiveSampler {
     return DeserializeSketch<MultiObjectiveSampler>(bytes);
   }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
+  /// Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   /// Read-only view over a whole serialized frame: outer layers
@@ -144,12 +142,20 @@ class MultiObjectiveSampler {
    private:
     friend class MultiObjectiveSampler;
     size_t k_ = 0;
+    std::array<uint64_t, 4> rng_state_ = {1, 0, 0, 0};
     std::vector<BottomK<Stored>::FrameView> objectives_;
   };
 
   /// Parses a SerializeToString buffer; nullopt on exactly the inputs
   /// Deserialize rejects.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<MultiObjectiveSampler>(frame);
+  }
+
+  /// The MOB1 validator: one bare body off `r`. Each length-prefixed
+  /// objective segment must hold exactly one BTK2 body (validated by
+  /// BottomK::ViewBody) declaring the frame's k.
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   /// Objective-wise threshold-pruned merge straight off the wire:
   /// observationally identical to deserializing every frame and merging

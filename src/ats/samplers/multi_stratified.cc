@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 #include <utility>
 
 #include "ats/util/check.h"
@@ -190,56 +191,47 @@ void MultiStratifiedSampler::SerializeTo(ByteWriter& w) const {
 }
 
 std::optional<MultiStratifiedSampler::FrameView>
-MultiStratifiedSampler::ViewBody(std::string_view body) {
-  ByteReader r(body);
+MultiStratifiedSampler::ViewBody(ByteReader& r) {
   if (!ReadSketchHeader(r, kStratifiedMagic, kStratifiedVersion)) {
     return std::nullopt;
   }
   const auto num_dimensions = r.ReadU64();
   const auto k = r.ReadU64();
   if (!num_dimensions || !k) return std::nullopt;
-  if (*num_dimensions < 1 || *k < 1) return std::nullopt;
+  // The dimension bound keeps the item stride (24 + 8 * dimensions bytes)
+  // from overflowing; no genuine sampler comes near it.
+  if (*num_dimensions < 1 || *num_dimensions > (uint64_t{1} << 32) ||
+      *k < 1) {
+    return std::nullopt;
+  }
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  const auto num_strata = r.ReadU64();
-  if (!num_strata) return std::nullopt;
   FrameView view;
   view.num_dimensions_ = static_cast<size_t>(*num_dimensions);
   view.k_ = static_cast<size_t>(*k);
   view.rng_state_ = *rng_state;
-  const std::string_view after_strata_count = r.Rest();
-  // Division-form bounds check: immune to count * stride overflow.
-  if (*num_strata > after_strata_count.size() / FrameView::kStratumStride) {
-    return std::nullopt;
-  }
-  const size_t strata_bytes =
-      static_cast<size_t>(*num_strata) * FrameView::kStratumStride;
-  view.strata_ = after_strata_count.substr(0, strata_bytes);
-  r.Skip(strata_bytes);
+  const auto num_strata = r.ReadU64();
+  if (!num_strata) return std::nullopt;
+  const auto strata = r.ReadRegion(*num_strata, FrameView::kStratumStride);
+  if (!strata) return std::nullopt;
+  view.strata_ = *strata;
   const auto num_items = r.ReadU64();
   if (!num_items) return std::nullopt;
-  const std::string_view item_region = r.Rest();
-  const size_t item_stride = view.item_stride();
-  if (item_region.size() % item_stride != 0 ||
-      *num_items != item_region.size() / item_stride) {
-    return std::nullopt;
-  }
-  view.items_ = item_region;
+  const auto items = r.ReadRegion(*num_items, view.item_stride());
+  if (!items) return std::nullopt;
+  view.items_ = *items;
   // Stratum table: strictly ascending (dimension, stratum key), every
   // dimension in range, thresholds in (0, 1] or +infinity (priorities
   // are NextDoubleOpenZero draws), capacity within the initial k,
   // member count within the capacity.
+  const auto stratum_id = [&view](size_t i) {
+    return std::make_pair(view.stratum_dimension(i), view.stratum_key(i));
+  };
   for (size_t i = 0; i < view.num_strata(); ++i) {
     if (view.stratum_dimension(i) >= view.num_dimensions_) {
       return std::nullopt;
     }
-    if (i > 0) {
-      const auto prev = std::make_pair(view.stratum_dimension(i - 1),
-                                       view.stratum_key(i - 1));
-      const auto cur =
-          std::make_pair(view.stratum_dimension(i), view.stratum_key(i));
-      if (!(prev < cur)) return std::nullopt;
-    }
+    if (i > 0 && !(stratum_id(i - 1) < stratum_id(i))) return std::nullopt;
     const double t = view.stratum_threshold(i);
     if (!(t > 0.0) || (t > 1.0 && t != kInfiniteThreshold)) {
       return std::nullopt;
@@ -256,25 +248,16 @@ MultiStratifiedSampler::ViewBody(std::string_view body) {
   // item must be a member somewhere -- otherwise it would not be
   // retained.
   std::vector<uint64_t> counted(view.num_strata(), 0);
-  const auto find_stratum = [&view](size_t dimension,
-                                    uint64_t key) -> std::optional<size_t> {
-    size_t lo = 0, hi = view.num_strata();
+  const auto strata_indices = std::views::iota(size_t{0}, view.num_strata());
+  const auto find_stratum = [&](size_t dimension,
+                                uint64_t key) -> std::optional<size_t> {
     const auto target = std::make_pair(dimension, key);
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      const auto at =
-          std::make_pair(view.stratum_dimension(mid), view.stratum_key(mid));
-      if (at < target) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+    const auto it = std::ranges::partition_point(
+        strata_indices, [&](size_t i) { return stratum_id(i) < target; });
+    if (it == strata_indices.end() || stratum_id(*it) != target) {
+      return std::nullopt;
     }
-    if (lo == view.num_strata()) return std::nullopt;
-    const auto at =
-        std::make_pair(view.stratum_dimension(lo), view.stratum_key(lo));
-    if (at != target) return std::nullopt;
-    return lo;
+    return *it;
   };
   for (size_t i = 0; i < view.num_items(); ++i) {
     if (i > 0 && view.item_key(i) <= view.item_key(i - 1)) {
@@ -337,43 +320,26 @@ MultiStratifiedSampler MultiStratifiedSampler::FromValidatedView(
 
 std::optional<MultiStratifiedSampler> MultiStratifiedSampler::Deserialize(
     ByteReader& r) {
-  const std::string_view body = r.Rest();
-  const auto view = ViewBody(body);
+  const auto view = ViewBody(r);
   if (!view) return std::nullopt;
-  r.Skip(body.size());  // ViewBody consumed the whole body
   return FromValidatedView(*view);
 }
 
 FrameFault MultiStratifiedSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kStratifiedMagic, kStratifiedVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<MultiStratifiedSampler::FrameView>
-MultiStratifiedSampler::DeserializeView(std::string_view frame) {
-  const auto body = CheckedFrameBody(frame);
-  if (!body) return std::nullopt;
-  return ViewBody(*body);
+  return DiagnoseSketchFrame<MultiStratifiedSampler>(
+      frame, kStratifiedMagic, kStratifiedVersion);
 }
 
 bool MultiStratifiedSampler::MergeManyFrames(
     std::span<const std::string_view> frames) {
   // Vet every frame before the first one is applied (all-or-nothing),
   // then apply as the literal Merge() chain in span order.
-  std::vector<MultiStratifiedSampler> parsed;
-  parsed.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto sampler = Deserialize(f);
-    if (!sampler || sampler->num_dimensions_ != num_dimensions_ ||
-        sampler->k_ != k_) {
-      return false;
-    }
-    parsed.push_back(std::move(*sampler));
-  }
-  for (const MultiStratifiedSampler& s : parsed) Merge(s);
+  const auto views = VetFrames<MultiStratifiedSampler>(
+      frames, [this](const FrameView& v) {
+        return v.num_dimensions() == num_dimensions_ && v.k() == k_;
+      });
+  if (!views) return false;
+  for (const FrameView& v : *views) Merge(FromValidatedView(v));
   return true;
 }
 

@@ -111,10 +111,7 @@ class MultiStratifiedSampler {
     return DeserializeSketch<MultiStratifiedSampler>(bytes);
   }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
+  /// Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   /// Read-only view over a whole serialized frame: every layer
@@ -180,7 +177,14 @@ class MultiStratifiedSampler {
 
   /// Parses a SerializeToString buffer; nullopt on exactly the inputs
   /// Deserialize rejects.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<MultiStratifiedSampler>(frame);
+  }
+
+  /// The MSS1 validator: one bare body off `r`, shared by the eager,
+  /// view, diagnose and frame-merge paths so the validation logic exists
+  /// once.
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   /// Merge straight off the wire: observationally identical to
   /// deserializing every frame and merging with Merge() in span order
@@ -214,11 +218,6 @@ class MultiStratifiedSampler {
   // Evicts the largest-priority member of a stratum, lowering its
   // threshold; drops the item globally when its membership count hits 0.
   void EvictTop(Stratum& stratum);
-
-  // Parses a bare (un-checksummed) MSS1 body spanning the whole of
-  // `body`; shared by the eager and view paths so the validation logic
-  // exists once.
-  static std::optional<FrameView> ViewBody(std::string_view body);
 
   // Rebuilds a sampler from a fully validated frame view.
   static MultiStratifiedSampler FromValidatedView(const FrameView& view);

@@ -410,7 +410,7 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
 
 namespace {
 
-// Shared per-entry validation for Deserialize and DeserializeView. The
+// Per-entry validation inside SlidingWindowSampler::ViewBody. The
 // sampler's invariants are tight enough to check field-by-field:
 // priorities are open-unit-interval draws below a threshold in (0, 1];
 // priority == threshold ties are legal storage (the item whose priority
@@ -430,8 +430,22 @@ bool ValidWindowEntry(const SlidingWindowSampler::StoredItem& it,
 
 }  // namespace
 
-std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
-    ByteReader& r) {
+SlidingWindowSampler::StoredItem SlidingWindowSampler::FrameView::entry(
+    size_t i) const {
+  ATS_DCHECK(i < current_count_ + expired_count_);
+  const std::string_view e = entries_.substr(i * kStride, kStride);
+  StoredItem it;
+  uint64_t id;
+  std::memcpy(&id, e.data(), sizeof(id));
+  it.id = id;
+  it.time = ReadEntryDouble(e, kEntryTimeOffset);
+  it.priority = ReadEntryDouble(e, kEntryPriorityOffset);
+  it.threshold = ReadEntryDouble(e, kEntryThresholdOffset);
+  return it;
+}
+
+std::optional<SlidingWindowSampler::FrameView>
+SlidingWindowSampler::ViewBody(ByteReader& r) {
   if (!ReadSketchHeader(r, kWindowMagic, kWindowVersion)) {
     return std::nullopt;
   }
@@ -454,103 +468,20 @@ std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
   const auto expired_count = r.ReadU64();
   if (!current_count || !expired_count) return std::nullopt;
   if (*current_count > *k) return std::nullopt;
-
-  SlidingWindowSampler out(static_cast<size_t>(*k), *window, /*seed=*/1);
-  out.rng_.SetState(*rng_state);
-  out.last_time_ = *last_time;
-  const auto read_entry = [&r]() -> std::optional<StoredItem> {
-    const auto id = r.ReadU64();
-    const auto time = r.ReadDouble();
-    const auto priority = r.ReadDouble();
-    const auto threshold = r.ReadDouble();
-    if (!id.has_value() || !time || !priority || !threshold) {
-      return std::nullopt;
-    }
-    return StoredItem{*id, *time, *priority, *threshold};
-  };
-  double prev = -std::numeric_limits<double>::infinity();
-  for (uint64_t i = 0; i < *current_count; ++i) {
-    const auto it = read_entry();
-    if (!it ||
-        !ValidWindowEntry(*it, *last_time - *window, *last_time, prev)) {
-      return std::nullopt;
-    }
-    prev = it->time;
-    out.current_.Offer(it->priority,
-                       WindowItem{it->id, it->time, it->threshold});
-  }
-  prev = -std::numeric_limits<double>::infinity();
-  for (uint64_t i = 0; i < *expired_count; ++i) {
-    const auto it = read_entry();
-    if (!it || !ValidWindowEntry(*it, *last_time - 2.0 * *window,
-                                 *last_time - *window, prev)) {
-      return std::nullopt;
-    }
-    prev = it->time;
-    out.expired_.push_back(*it);
-  }
-  return out;
-}
-
-SlidingWindowSampler::StoredItem SlidingWindowSampler::FrameView::entry(
-    size_t i) const {
-  ATS_DCHECK(i < current_count_ + expired_count_);
-  const std::string_view e = entries_.substr(i * kStride, kStride);
-  StoredItem it;
-  uint64_t id;
-  std::memcpy(&id, e.data(), sizeof(id));
-  it.id = id;
-  it.time = ReadEntryDouble(e, kEntryTimeOffset);
-  it.priority = ReadEntryDouble(e, kEntryPriorityOffset);
-  it.threshold = ReadEntryDouble(e, kEntryThresholdOffset);
-  return it;
-}
-
-FrameFault SlidingWindowSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kWindowMagic, kWindowVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<SlidingWindowSampler::FrameView>
-SlidingWindowSampler::DeserializeView(std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kWindowMagic, kWindowVersion);
-  if (!r) return std::nullopt;
-  const auto k = r->ReadU64();
-  const auto window = r->ReadDouble();
-  const auto last_time = r->ReadDouble();
-  if (!k || !window || !last_time) return std::nullopt;
-  if (*k < 1 || !(*window > 0.0) || !std::isfinite(*window)) {
-    return std::nullopt;
-  }
-  if (std::isnan(*last_time) ||
-      *last_time == std::numeric_limits<double>::infinity()) {
-    return std::nullopt;
-  }
-  if (!ReadRngState(*r)) return std::nullopt;
-  const auto current_count = r->ReadU64();
-  const auto expired_count = r->ReadU64();
-  if (!current_count || !expired_count) return std::nullopt;
-  if (*current_count > *k) return std::nullopt;
-  // Fixed-stride entry region: one size comparison bounds-checks every
-  // entry; the division-first clauses keep the arithmetic overflow-free.
-  const std::string_view entries = r->Rest();
-  const size_t max_entries = entries.size() / FrameView::kStride;
-  if (*current_count > max_entries || *expired_count > max_entries ||
-      *current_count + *expired_count > max_entries ||
-      entries.size() != (*current_count + *expired_count) *
-                            FrameView::kStride) {
-    return std::nullopt;
-  }
+  // Two adjacent fixed-stride regions, current then expired.
+  const auto current = r.ReadRegion(*current_count, FrameView::kStride);
+  if (!current) return std::nullopt;
+  const auto expired = r.ReadRegion(*expired_count, FrameView::kStride);
+  if (!expired) return std::nullopt;
   FrameView view;
   view.k_ = *k;
   view.window_ = *window;
   view.last_time_ = *last_time;
+  view.rng_state_ = *rng_state;
   view.current_count_ = static_cast<size_t>(*current_count);
   view.expired_count_ = static_cast<size_t>(*expired_count);
-  view.entries_ = entries;
+  view.entries_ =
+      std::string_view(current->data(), current->size() + expired->size());
   double prev = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < view.current_count_; ++i) {
     const StoredItem it = view.entry(i);
@@ -570,6 +501,29 @@ SlidingWindowSampler::DeserializeView(std::string_view frame) {
     prev = it.time;
   }
   return view;
+}
+
+std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
+    ByteReader& r) {
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  SlidingWindowSampler out(view->k(), view->window(), /*seed=*/1);
+  out.rng_.SetState(view->rng_state_);
+  out.last_time_ = view->last_time();
+  const size_t current = view->current_count();
+  for (size_t i = 0; i < current; ++i) {
+    const StoredItem it = view->entry(i);
+    out.current_.Offer(it.priority, WindowItem{it.id, it.time, it.threshold});
+  }
+  for (size_t i = current; i < current + view->expired_count(); ++i) {
+    out.expired_.push_back(view->entry(i));
+  }
+  return out;
+}
+
+FrameFault SlidingWindowSampler::DiagnoseFrame(std::string_view frame) {
+  return DiagnoseSketchFrame<SlidingWindowSampler>(frame, kWindowMagic,
+                                                   kWindowVersion);
 }
 
 bool SlidingWindowSampler::MergeManyFrames(

@@ -53,6 +53,7 @@
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -179,16 +180,13 @@ class SlidingWindowSampler {
     return DeserializeSketch<SlidingWindowSampler>(bytes);
   }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
+  /// Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   /// Zero-copy read-only view over a whole serialized frame (checksum
-  /// included). Parsing validates everything Deserialize validates but
-  /// materializes nothing; the view borrows the frame's storage and must
-  /// not outlive it.
+  /// included). Parsing runs the one SWN1 validator, which Deserialize
+  /// materializes; the view copies nothing, borrows the frame's storage
+  /// and must not outlive it.
   class FrameView {
    public:
     size_t k() const { return static_cast<size_t>(k_); }
@@ -208,6 +206,7 @@ class SlidingWindowSampler {
     uint64_t k_ = 0;
     double window_ = 0.0;
     double last_time_ = 0.0;
+    std::array<uint64_t, 4> rng_state_ = {1, 0, 0, 0};
     size_t current_count_ = 0;
     size_t expired_count_ = 0;
     std::string_view entries_;
@@ -216,7 +215,14 @@ class SlidingWindowSampler {
   /// Parses a SerializeToString buffer into a FrameView; nullopt on
   /// exactly the inputs Deserialize rejects. Allocation-free: hostile
   /// capacity claims cannot reserve memory here.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<SlidingWindowSampler>(frame);
+  }
+
+  /// The SWN1 validator: one bare body off `r`. Entries must be valid
+  /// open-unit draws at or below their thresholds, inside their region's
+  /// time range, in non-decreasing time order (docs/WIRE_FORMAT.md).
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   /// Threshold-pruned k-way merge straight off the wire: observationally
   /// identical to deserializing every frame and merging the results with

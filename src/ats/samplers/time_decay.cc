@@ -105,39 +105,33 @@ void TimeDecaySampler::SerializeTo(ByteWriter& w) const {
   sketch_.SerializeTo(w);  // the nested BottomK frame carries the sample
 }
 
-std::optional<TimeDecaySampler> TimeDecaySampler::Deserialize(
+std::optional<TimeDecaySampler::FrameView> TimeDecaySampler::ViewBody(
     ByteReader& r) {
-  if (!ReadSketchHeader(r, kDecayMagic, kDecayVersion)) {
-    return std::nullopt;
-  }
+  if (!ReadSketchHeader(r, kDecayMagic, kDecayVersion)) return std::nullopt;
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  auto sketch = BottomK<Stored>::Deserialize(r);
-  if (!sketch) return std::nullopt;
-  TimeDecaySampler sampler(sketch->k(), /*seed=*/1);
-  sampler.sketch_ = std::move(*sketch);
-  sampler.rng_.SetState(*rng_state);
+  // The rest of the body is exactly the embedded bottom-k sample region.
+  auto sample = BottomK<Stored>::ViewBody(r);
+  if (!sample) return std::nullopt;
+  FrameView view;
+  view.rng_state_ = *rng_state;
+  view.sample_ = *sample;
+  return view;
+}
+
+std::optional<TimeDecaySampler> TimeDecaySampler::Deserialize(
+    ByteReader& r) {
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  TimeDecaySampler sampler(view->k(), /*seed=*/1);
+  sampler.sketch_ = BottomK<Stored>::FromValidatedView(view->sample_);
+  sampler.rng_.SetState(view->rng_state_);
   return sampler;
 }
 
 FrameFault TimeDecaySampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kDecayMagic, kDecayVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<TimeDecaySampler::FrameView> TimeDecaySampler::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kDecayMagic, kDecayVersion);
-  if (!r) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  // The rest of the body is exactly the embedded bottom-k sample region.
-  auto sample = BottomK<Stored>::ViewBody(r->Rest());
-  if (!sample) return std::nullopt;
-  FrameView view;
-  view.sample_ = *sample;
-  return view;
+  return DiagnoseSketchFrame<TimeDecaySampler>(frame, kDecayMagic,
+                                               kDecayVersion);
 }
 
 bool TimeDecaySampler::MergeManyFrames(

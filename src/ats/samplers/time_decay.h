@@ -21,6 +21,7 @@
 #ifndef ATS_SAMPLERS_TIME_DECAY_H_
 #define ATS_SAMPLERS_TIME_DECAY_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -170,10 +171,7 @@ class TimeDecaySampler {
     return DeserializeSketch<TimeDecaySampler>(bytes);
   }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
+  /// Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   /// Zero-copy read-only view over a whole serialized frame: the outer
@@ -190,12 +188,19 @@ class TimeDecaySampler {
 
    private:
     friend class TimeDecaySampler;
+    std::array<uint64_t, 4> rng_state_ = {1, 0, 0, 0};
     BottomK<Stored>::FrameView sample_;
   };
 
   /// Parses a SerializeToString buffer; nullopt on exactly the inputs
   /// Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<TimeDecaySampler>(frame);
+  }
+
+  /// The TDK1 validator: one bare body off `r` (RNG state, then the
+  /// nested BTK2 sample region through BottomK::ViewBody).
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   /// Threshold-pruned k-way merge straight off the wire: observationally
   /// identical to deserializing every frame and merging with Merge() in

@@ -155,8 +155,8 @@ void VarianceSizedSampler::SerializeTo(ByteWriter& w) const {
   }
 }
 
-std::optional<VarianceSizedSampler> VarianceSizedSampler::Deserialize(
-    ByteReader& r) {
+std::optional<VarianceSizedSampler::FrameView>
+VarianceSizedSampler::ViewBody(ByteReader& r) {
   if (!ReadSketchHeader(r, kVarianceMagic, kVarianceVersion)) {
     return std::nullopt;
   }
@@ -169,52 +169,12 @@ std::optional<VarianceSizedSampler> VarianceSizedSampler::Deserialize(
   if (!rng_state) return std::nullopt;
   const auto count = r.ReadU64();
   if (!count) return std::nullopt;
-  VarianceSizedSampler sampler(*delta_squared, /*seed=*/1);
-  sampler.rng_.SetState(*rng_state);
-  for (uint64_t i = 0; i < *count; ++i) {
-    const auto key = r.ReadU64();
-    const auto value = r.ReadDouble();
-    const auto weight = r.ReadDouble();
-    const auto priority = r.ReadDouble();
-    if (!key.has_value() || !value || !weight || !priority) {
-      return std::nullopt;
-    }
-    if (!ValidWireItem(*value, *weight, *priority)) return std::nullopt;
-    sampler.items_.push_back(
-        VarianceSizedItem{*key, *value, *weight, *priority});
-  }
-  return sampler;
-}
-
-FrameFault VarianceSizedSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kVarianceMagic, kVarianceVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<VarianceSizedSampler::FrameView>
-VarianceSizedSampler::DeserializeView(std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kVarianceMagic, kVarianceVersion);
-  if (!r) return std::nullopt;
-  const auto delta_squared = r->ReadDouble();
-  if (!delta_squared || !(*delta_squared > 0.0) ||
-      !std::isfinite(*delta_squared)) {
-    return std::nullopt;
-  }
-  if (!ReadRngState(*r)) return std::nullopt;
-  const auto count = r->ReadU64();
-  if (!count) return std::nullopt;
-  const std::string_view entries = r->Rest();
-  // Division-form length check: immune to count * stride overflow.
-  if (entries.size() % FrameView::kStride != 0 ||
-      *count != entries.size() / FrameView::kStride) {
-    return std::nullopt;
-  }
+  const auto entries = r.ReadRegion(*count, FrameView::kStride);
+  if (!entries) return std::nullopt;
   FrameView view;
   view.delta_squared_ = *delta_squared;
-  view.entries_ = entries;
+  view.rng_state_ = *rng_state;
+  view.entries_ = *entries;
   for (size_t i = 0; i < view.size(); ++i) {
     if (!ValidWireItem(view.value(i), view.weight(i), view.priority(i))) {
       return std::nullopt;
@@ -223,23 +183,37 @@ VarianceSizedSampler::DeserializeView(std::string_view frame) {
   return view;
 }
 
+std::optional<VarianceSizedSampler> VarianceSizedSampler::Deserialize(
+    ByteReader& r) {
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  VarianceSizedSampler sampler(view->delta_squared(), /*seed=*/1);
+  sampler.rng_.SetState(view->rng_state_);
+  sampler.AppendItems(*view);
+  return sampler;
+}
+
+FrameFault VarianceSizedSampler::DiagnoseFrame(std::string_view frame) {
+  return DiagnoseSketchFrame<VarianceSizedSampler>(frame, kVarianceMagic,
+                                                   kVarianceVersion);
+}
+
+void VarianceSizedSampler::AppendItems(const FrameView& view) {
+  for (size_t i = 0; i < view.size(); ++i) {
+    items_.push_back(VarianceSizedItem{view.key(i), view.value(i),
+                                       view.weight(i), view.priority(i)});
+    dirty_ = true;
+  }
+}
+
 bool VarianceSizedSampler::MergeManyFrames(
     std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->delta_squared() != delta_squared_) return false;
-    views.push_back(*view);
-  }
-  for (const FrameView& v : views) {
-    for (size_t i = 0; i < v.size(); ++i) {
-      items_.push_back(
-          VarianceSizedItem{v.key(i), v.value(i), v.weight(i), v.priority(i)});
-      dirty_ = true;
-    }
-  }
+  const auto views = VetFrames<VarianceSizedSampler>(
+      frames, [this](const FrameView& v) {
+        return v.delta_squared() == delta_squared_;
+      });
+  if (!views) return false;
+  for (const FrameView& v : *views) AppendItems(v);
   return true;
 }
 

@@ -25,6 +25,7 @@
 #ifndef ATS_SAMPLERS_VARIANCE_SIZED_H_
 #define ATS_SAMPLERS_VARIANCE_SIZED_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -113,10 +114,7 @@ class VarianceSizedSampler {
     return DeserializeSketch<VarianceSizedSampler>(bytes);
   }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
+  /// Typed rejection reason via DiagnoseSketchFrame (util/serialize.h).
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   /// Zero-copy read-only view over a whole serialized frame: the outer
@@ -144,12 +142,19 @@ class VarianceSizedSampler {
     }
 
     double delta_squared_ = 0.0;
+    std::array<uint64_t, 4> rng_state_ = {1, 0, 0, 0};
     std::string_view entries_;
   };
 
   /// Parses a SerializeToString buffer; nullopt on exactly the inputs
   /// Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<VarianceSizedSampler>(frame);
+  }
+
+  /// The VSZ1 validator: one bare body off `r` (delta^2 positive and
+  /// finite, RNG state valid, every entry's fields in range).
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   /// Merge straight off the wire: observationally identical to
   /// deserializing every frame and merging with Merge() in span order.
@@ -160,6 +165,8 @@ class VarianceSizedSampler {
 
  private:
   void Refresh() const;
+  // Appends a validated view's entries in wire (arrival) order.
+  void AppendItems(const FrameView& view);
 
   double delta_squared_;
   Xoshiro256 rng_;

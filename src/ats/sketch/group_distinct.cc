@@ -360,17 +360,20 @@ std::optional<GroupDistinctSketch> GroupDistinctSketch::Deserialize(
   out.pool_threshold_ = *pool_threshold;
   const auto num_promoted = r.ReadU64();
   if (!num_promoted || *num_promoted > *m) return std::nullopt;
+  // Canonical encoding only: each section lists its groups strictly
+  // ascending (which also rules out duplicates), as SerializeTo does.
+  uint64_t prev_group = 0;
   for (uint64_t i = 0; i < *num_promoted; ++i) {
     const auto group = r.ReadU64();
     if (!group.has_value()) return std::nullopt;
+    if (i > 0 && *group <= prev_group) return std::nullopt;
+    prev_group = *group;
     auto sketch = KmvSketch::Deserialize(r);
     if (!sketch || sketch->k() != out.k_ ||
         sketch->hash_salt() != out.hash_salt_) {
       return std::nullopt;
     }
-    if (!out.promoted_.emplace(*group, std::move(*sketch)).second) {
-      return std::nullopt;  // duplicate group
-    }
+    out.promoted_.emplace(*group, std::move(*sketch));
   }
   const auto num_pool = r.ReadU64();
   if (!num_pool) return std::nullopt;
@@ -378,9 +381,10 @@ std::optional<GroupDistinctSketch> GroupDistinctSketch::Deserialize(
     const auto group = r.ReadU64();
     const auto count = r.ReadU64();
     if (!group.has_value() || !count || *count == 0) return std::nullopt;
-    if (out.promoted_.contains(*group) || out.pool_.contains(*group)) {
+    if ((i > 0 && *group <= prev_group) || out.promoted_.contains(*group)) {
       return std::nullopt;
     }
+    prev_group = *group;
     auto& samples = out.pool_[*group];
     double prev = 0.0;
     for (uint64_t j = 0; j < *count; ++j) {

@@ -1,7 +1,7 @@
 #include "ats/sketch/kmv.h"
 
 #include <algorithm>
-#include <cstring>
+#include <ranges>
 
 #include "ats/util/check.h"
 
@@ -9,8 +9,19 @@ namespace {
 constexpr uint32_t kKmvMagic = ats::KmvSketch::kWireMagic;
 constexpr uint32_t kKmvVersion = ats::KmvSketch::kWireVersion;
 
-// Wire stride of one (priority, key) frame entry.
-constexpr size_t kKmvEntryStride = sizeof(double) + sizeof(uint64_t);
+// A live sketch as a MergeInputs input: its canonical columns, in
+// unspecified order (so every entry is a candidate).
+struct SketchInput {
+  double threshold_value;
+  const double* priorities;
+  const uint64_t* keys;
+  size_t count;
+
+  double threshold() const { return threshold_value; }
+  size_t PrefixBelow(double) const { return count; }
+  double priority(size_t i) const { return priorities[i]; }
+  uint64_t key(size_t i) const { return keys[i]; }
+};
 }  // namespace
 
 namespace ats {
@@ -89,74 +100,69 @@ void KmvSketch::Merge(const KmvSketch& other) {
   store_.PurgeAboveThreshold();
 }
 
-void KmvSketch::MergeMany(std::span<const KmvSketch* const> others) {
-  // No real inputs: strict no-op, like the zero-length pairwise chain
-  // (the closing purge must only run on behalf of an actual merge).
-  bool any_input = false;
-  for (const KmvSketch* o : others) any_input |= o != this;
-  if (!any_input) return;
-  // Pass 1: global acceptance bound. Threshold() canonicalizes each
-  // input, so pass 2 scans dense canonical columns.
+template <typename Input>
+void KmvSketch::MergeInputs(std::span<const Input> inputs) {
+  // Pass 1: global acceptance bound, taken before any member moves.
   double bound = store_.Threshold();
-  for (const KmvSketch* o : others) {
-    if (o == this) continue;
-    ATS_CHECK(hash_salt_ == o->hash_salt_);
-    bound = std::min(bound, o->Threshold());
-  }
+  for (const Input& in : inputs) bound = std::min(bound, in.threshold());
   store_.LowerThreshold(bound);
-  // Pass 2: block-prefiltered gather. Only survivors reach the per-item
-  // duplicate check (OfferPriority re-checks the live bound, which
-  // compactions tighten below the global min as evictions accumulate).
-  // Rejected members never touch the seen_ set or the key column --
-  // exactly the items a pairwise chain would admit early and purge
-  // later.
-  for (const KmvSketch* o : others) {
-    if (o == this) continue;
-    const std::vector<double>& ps = o->store_.priorities();
-    const std::vector<uint64_t>& keys = o->store_.payloads();
+  // Pass 2: block-prefiltered gather of each input's candidates. Only
+  // survivors reach the per-item duplicate check (OfferPriority re-checks
+  // the live bound, which compactions tighten below the global min as
+  // evictions accumulate). Rejected members never touch the seen_ set or
+  // the key column -- exactly the items a pairwise chain would admit
+  // early and purge later.
+  alignas(64) double block[internal::kIngestBlock];
+  for (const Input& in : inputs) {
+    const size_t n = in.PrefixBelow(bound);
     size_t i = 0;
-    for (; i + internal::kIngestBlock <= ps.size();
-         i += internal::kIngestBlock) {
+    for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
+      for (size_t j = 0; j < internal::kIngestBlock; ++j) {
+        block[j] = in.priority(i + j);
+      }
       internal::VisitBlockCandidates(
-          ps.data() + i, store_.AcceptBound(),
-          [&](size_t j) { OfferPriority(ps[i + j], keys[i + j]); });
+          block, store_.AcceptBound(),
+          [&](size_t j) { OfferPriority(block[j], in.key(i + j)); });
     }
-    for (; i < ps.size(); ++i) {
-      if (ps[i] < store_.AcceptBound()) OfferPriority(ps[i], keys[i]);
+    for (; i < n; ++i) {
+      const double p = in.priority(i);
+      if (p < store_.AcceptBound()) OfferPriority(p, in.key(i));
     }
   }
   store_.PurgeAboveThreshold();
 }
 
-size_t KmvSketch::FrameView::size() const {
-  return entries_.size() / kKmvEntryStride;
+void KmvSketch::MergeMany(std::span<const KmvSketch* const> others) {
+  std::vector<SketchInput> inputs;
+  inputs.reserve(others.size());
+  for (const KmvSketch* o : others) {
+    if (o == this) continue;
+    ATS_CHECK(hash_salt_ == o->hash_salt_);
+    // Threshold() canonicalizes, so the columns below are dense.
+    const double t = o->Threshold();
+    inputs.push_back(SketchInput{t, o->store_.priorities().data(),
+                                 o->store_.payloads().data(), o->size()});
+  }
+  // No real inputs: strict no-op, like the zero-length pairwise chain
+  // (the closing purge must only run on behalf of an actual merge).
+  if (!inputs.empty()) MergeInputs<SketchInput>(inputs);
 }
 
-double KmvSketch::FrameView::priority(size_t i) const {
-  ATS_DCHECK(i < size());
-  double p;
-  std::memcpy(&p, entries_.data() + i * kKmvEntryStride, sizeof(p));
-  return p;
+size_t KmvSketch::FrameView::PrefixBelow(double bound) const {
+  const auto indices = std::views::iota(size_t{0}, size());
+  return static_cast<size_t>(
+      std::ranges::partition_point(
+          indices, [&](size_t i) { return priority(i) < bound; }) -
+      indices.begin());
 }
 
-uint64_t KmvSketch::FrameView::key(size_t i) const {
-  ATS_DCHECK(i < size());
-  uint64_t k;
-  std::memcpy(&k,
-              entries_.data() + i * kKmvEntryStride + sizeof(double),
-              sizeof(k));
-  return k;
-}
-
-std::optional<KmvSketch::FrameView> KmvSketch::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kKmvMagic, kKmvVersion);
-  if (!r) return std::nullopt;
-  const auto k = r->ReadU64();
-  const auto salt = r->ReadU64();
-  const auto initial = r->ReadDouble();
-  const auto threshold = r->ReadDouble();
-  const auto count = r->ReadU64();
+std::optional<KmvSketch::FrameView> KmvSketch::ViewBody(ByteReader& r) {
+  if (!ReadSketchHeader(r, kKmvMagic, kKmvVersion)) return std::nullopt;
+  const auto k = r.ReadU64();
+  const auto salt = r.ReadU64();
+  const auto initial = r.ReadDouble();
+  const auto threshold = r.ReadDouble();
+  const auto count = r.ReadU64();
   if (!k || !salt.has_value() || !initial || !threshold || !count) {
     return std::nullopt;
   }
@@ -165,22 +171,18 @@ std::optional<KmvSketch::FrameView> KmvSketch::DeserializeView(
     return std::nullopt;
   }
   // Fixed-stride entry region: one size comparison bounds-checks every
-  // entry (oversized or truncated regions are framing errors). The first
-  // clause keeps the multiplication overflow-free.
-  const std::string_view entries = r->Rest();
-  if (*count > entries.size() / kKmvEntryStride ||
-      entries.size() != *count * kKmvEntryStride) {
-    return std::nullopt;
-  }
+  // entry.
+  const auto entries = r.ReadRegion(*count, FrameView::kStride);
+  if (!entries) return std::nullopt;
   FrameView view;
   view.k_ = *k;
   view.hash_salt_ = *salt;
   view.initial_threshold_ = *initial;
   view.threshold_ = *threshold;
-  view.entries_ = entries;
+  view.entries_ = *entries;
   // Canonical encoding only: strictly ascending priorities inside
   // (0, threshold). Ascending order implies distinctness, which is what
-  // lets this validation run without the hash set Deserialize builds.
+  // lets this validation run without a hash set.
   double prev = 0.0;
   for (size_t i = 0; i < view.size(); ++i) {
     const double p = view.priority(i);
@@ -191,57 +193,19 @@ std::optional<KmvSketch::FrameView> KmvSketch::DeserializeView(
 }
 
 bool KmvSketch::MergeManyFrames(std::span<const std::string_view> frames) {
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->hash_salt() != hash_salt_) return false;
-    views.push_back(*view);
-  }
-  if (views.empty()) return true;  // strict no-op, no closing purge
-  double bound = store_.Threshold();
-  for (const FrameView& v : views) bound = std::min(bound, v.threshold());
-  store_.LowerThreshold(bound);
-  alignas(64) double block[internal::kIngestBlock];
-  for (const FrameView& v : views) {
-    // Canonical frames are ascending, so the global bound cuts each
-    // frame to a PREFIX: binary-search it and never decode the tail.
-    size_t n = v.size();
-    {
-      size_t lo = 0, hi = n;
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (v.priority(mid) < bound) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      n = lo;
-    }
-    size_t i = 0;
-    for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
-      for (size_t j = 0; j < internal::kIngestBlock; ++j) {
-        block[j] = v.priority(i + j);
-      }
-      internal::VisitBlockCandidates(
-          block, store_.AcceptBound(),
-          [&](size_t j) { OfferPriority(block[j], v.key(i + j)); });
-    }
-    for (; i < n; ++i) {
-      const double p = v.priority(i);
-      if (p < store_.AcceptBound()) OfferPriority(p, v.key(i));
-    }
-  }
-  store_.PurgeAboveThreshold();
+  const auto views = VetFrames<KmvSketch>(frames, [this](const FrameView& v) {
+    return v.hash_salt() == hash_salt_;
+  });
+  if (!views) return false;
+  // Canonical frames are ascending, so the global bound cuts each frame to
+  // a PREFIX (FrameView::PrefixBelow) and the tail is never decoded. No
+  // frames: strict no-op, no closing purge.
+  if (!views->empty()) MergeInputs<FrameView>(*views);
   return true;
 }
 
 FrameFault KmvSketch::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kKmvMagic, kKmvVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
+  return DiagnoseSketchFrame<KmvSketch>(frame, kKmvMagic, kKmvVersion);
 }
 
 void KmvSketch::SerializeTo(ByteWriter& w) const {
@@ -258,32 +222,15 @@ void KmvSketch::SerializeTo(ByteWriter& w) const {
 }
 
 std::optional<KmvSketch> KmvSketch::Deserialize(ByteReader& r) {
-  if (!ReadSketchHeader(r, kKmvMagic, kKmvVersion)) return std::nullopt;
-  const auto k = r.ReadU64();
-  const auto salt = r.ReadU64();
-  const auto initial = r.ReadDouble();
-  const auto threshold = r.ReadDouble();
-  const auto count = r.ReadU64();
-  if (!k || !salt.has_value() || !initial || !threshold || !count) {
-    return std::nullopt;
+  const auto view = ViewBody(r);
+  if (!view) return std::nullopt;
+  KmvSketch sketch(view->k(), view->initial_threshold(), view->hash_salt());
+  for (size_t i = 0; i < view->size(); ++i) {
+    const double p = view->priority(i);
+    sketch.seen_.insert(std::bit_cast<uint64_t>(p));
+    sketch.store_.Offer(p, view->key(i));
   }
-  if (*k < 1 || !(*initial > 0.0) || *initial > 1.0 ||
-      !(*threshold > 0.0) || *threshold > *initial || *count > *k) {
-    return std::nullopt;
-  }
-  KmvSketch sketch(static_cast<size_t>(*k), *initial, *salt);
-  for (uint64_t i = 0; i < *count; ++i) {
-    const auto priority = r.ReadDouble();
-    const auto key = r.ReadU64();
-    if (!priority || !key.has_value()) return std::nullopt;
-    if (!(*priority > 0.0) || *priority >= *threshold) return std::nullopt;
-    if (!sketch.seen_.insert(std::bit_cast<uint64_t>(*priority)).second) {
-      return std::nullopt;  // duplicate priority in the wire payload
-    }
-    sketch.store_.Offer(*priority, *key);
-  }
-  if (sketch.size() != *count) return std::nullopt;
-  sketch.store_.LowerThreshold(*threshold);
+  sketch.store_.LowerThreshold(view->threshold());
   return sketch;
 }
 

@@ -20,6 +20,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -106,21 +107,33 @@ class KmvSketch {
   // layout): header and every entry validated once, entries exposed as a
   // bounds-checked span decoded lazily. Only the CANONICAL encoding is
   // accepted -- entries strictly ascending by priority, exactly as
-  // SerializeTo emits them (Deserialize additionally tolerates permuted
-  // entries; the ascending check is what lets the view reject duplicate
-  // priorities without building a hash set). Borrows the frame's bytes.
+  // SerializeTo emits them; the ascending check is what rejects duplicate
+  // priorities without building a hash set. Borrows the frame's bytes.
   class FrameView {
    public:
     size_t k() const { return static_cast<size_t>(k_); }
     uint64_t hash_salt() const { return hash_salt_; }
     double initial_threshold() const { return initial_threshold_; }
     double threshold() const { return threshold_; }
-    size_t size() const;
-    double priority(size_t i) const;
-    uint64_t key(size_t i) const;
+    size_t size() const { return entries_.size() / kStride; }
+    double priority(size_t i) const { return ReadAt<double>(i, 0); }
+    uint64_t key(size_t i) const { return ReadAt<uint64_t>(i, 8); }
 
    private:
     friend class KmvSketch;
+    static constexpr size_t kStride = sizeof(double) + sizeof(uint64_t);
+
+    // Number of leading entries with priority < `bound`: the ascending
+    // order makes every merge candidate a prefix (binary search).
+    size_t PrefixBelow(double bound) const;
+
+    template <typename T>
+    T ReadAt(size_t i, size_t offset) const {
+      T v;
+      std::memcpy(&v, entries_.data() + i * kStride + offset, sizeof(T));
+      return v;
+    }
+
     uint64_t k_ = 0;
     uint64_t hash_salt_ = 0;
     double initial_threshold_ = 1.0;
@@ -128,11 +141,20 @@ class KmvSketch {
     std::string_view entries_;
   };
 
-  // Parses a SerializeToString frame into a FrameView; nullopt on any
-  // input Deserialize rejects plus non-canonical (non-ascending) entry
-  // order. Allocates nothing: a hostile frame declaring a huge k cannot
-  // reserve memory here (kMaxEagerReserve guards the Deserialize path).
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  // Parses a SerializeToString frame into a FrameView; nullopt on a bad
+  // checksum, anything ViewBody rejects, or trailing bytes. Allocates
+  // nothing: a hostile frame declaring a huge k cannot reserve memory here
+  // (kMaxEagerReserve guards the materializing Deserialize path).
+  static std::optional<FrameView> DeserializeView(std::string_view frame) {
+    return ViewSketchFrame<KmvSketch>(frame);
+  }
+
+  // The KMV2 validator: parses one bare body off `r`, consuming exactly its
+  // bytes (Theta and GroupDistinct embed KMV bodies back to back). Rejects
+  // k < 1, initial threshold outside (0, 1], threshold outside
+  // (0, initial], count > k, a truncated entry region, and entries not
+  // strictly ascending inside (0, threshold).
+  static std::optional<FrameView> ViewBody(ByteReader& r);
 
   // Threshold-pruned k-way union straight off the wire: observationally
   // identical to deserializing every frame and merging the results with
@@ -155,8 +177,8 @@ class KmvSketch {
   const SampleStore<uint64_t>& store() const { return store_; }
 
   // Wire format for shipping sketches between nodes: versioned magic
-  // header plus the full sketch state. Deserialize returns nullopt on
-  // corrupt or foreign input.
+  // header plus the full sketch state. Deserialize is ViewBody, then
+  // materialize; nullopt on corrupt or foreign input.
   void SerializeTo(ByteWriter& w) const;
   static std::optional<KmvSketch> Deserialize(ByteReader& r);
   std::string SerializeToString() const { return SerializeSketch(*this); }
@@ -164,12 +186,12 @@ class KmvSketch {
     return DeserializeSketch<KmvSketch>(bytes);
   }
 
-  // Typed rejection reason for a frame Deserialize would refuse: the
-  // structural cause (truncated / foreign magic / future version /
-  // checksum), or kCorruptBody when the frame is structurally sound but
-  // an interior field or entry fails validation. kNone iff the frame
-  // parses. Lets transports and aggregators count rejections per cause
-  // and distinguish retry-able short reads from poison frames.
+  // Typed rejection reason: the structural cause (truncated / foreign
+  // magic / future version / checksum), or kCorruptBody when the frame is
+  // structurally sound but ViewBody rejects a field or entry. kNone iff
+  // the frame parses on every path. Lets transports and aggregators count
+  // rejections per cause and distinguish retry-able short reads from
+  // poison frames.
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   static constexpr uint32_t kWireMagic = 0x4b4d5632;  // "KMV2"
@@ -178,6 +200,11 @@ class KmvSketch {
  private:
   // Rebuilds seen_ from the retained priorities, shedding evicted ones.
   void CompactSeen();
+
+  // The k-way union core shared by MergeMany and MergeManyFrames (see
+  // kmv.cc): `inputs` is non-empty and pre-vetted.
+  template <typename Input>
+  void MergeInputs(std::span<const Input> inputs);
 
   uint64_t hash_salt_;
   SampleStore<uint64_t> store_;  // priority column + key payload column

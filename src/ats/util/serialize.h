@@ -3,9 +3,9 @@
 // Every sketch that ships between nodes (KMV / Theta / LCS / grouped /
 // priority samples) speaks the same tiny wire protocol: fixed-width
 // little-endian fields behind a versioned magic header, written through
-// ByteWriter and validated field-by-field through ByteReader (every
-// accessor returns nullopt on truncation so corrupt inputs fail cleanly
-// instead of crashing).
+// ByteWriter and read back through ByteReader (every accessor returns
+// nullopt on truncation so corrupt inputs fail cleanly instead of
+// crashing).
 //
 // The MergeableSketch concept pins down the contract those sketches share:
 //   * SerializeTo(ByteWriter&)       -- append wire bytes (embeddable)
@@ -14,6 +14,17 @@
 // Sketches satisfying the concept compose: a container sketch can embed a
 // member sketch's bytes verbatim, and the generic SerializeSketch /
 // DeserializeSketch helpers provide whole-buffer (exact-length) framing.
+//
+// One validator per wire family. A family with a zero-copy view exposes
+// `T::FrameView` and `static std::optional<FrameView> ViewBody(ByteReader&)`,
+// which validates one bare (un-checksummed) body -- header, every field,
+// every entry -- and consumes exactly its bytes; container formats hand
+// nested bodies to the nested family's ViewBody. Every other path is a
+// shell over it, so all of them accept exactly the same frames:
+//   * DeserializeView = ViewSketchFrame (checksum, then ViewBody);
+//   * Deserialize     = ViewBody, then materialize the view;
+//   * DiagnoseFrame   = DiagnoseSketchFrame (ClassifyFrameBytes, then view);
+//   * MergeManyFrames = VetFrames (every view, all-or-nothing), then apply.
 #ifndef ATS_UTIL_SERIALIZE_H_
 #define ATS_UTIL_SERIALIZE_H_
 
@@ -22,9 +33,11 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace ats {
 
@@ -62,20 +75,18 @@ class ByteReader {
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
 
-  // Advances past `n` bytes without reading them; false (position
-  // unchanged) when fewer than `n` remain. Container formats use this to
-  // step over a length-prefixed nested body after handing the segment to
-  // the nested parser.
-  bool Skip(size_t n) {
-    if (pos_ + n > bytes_.size()) return false;
-    pos_ += n;
-    return true;
+  // Consumes a region of `count` fixed-stride entries and returns it
+  // unread; nullopt (position unchanged) when fewer bytes remain. The
+  // division-form bound check is immune to count * stride overflow. Frame
+  // views keep such regions as spans decoded lazily per entry; container
+  // formats take a length-prefixed nested body as a region of stride 1.
+  std::optional<std::string_view> ReadRegion(uint64_t count, size_t stride) {
+    if (count > (bytes_.size() - pos_) / stride) return std::nullopt;
+    const std::string_view region =
+        bytes_.substr(pos_, static_cast<size_t>(count) * stride);
+    pos_ += region.size();
+    return region;
   }
-
-  // The unconsumed tail. Zero-copy frame views use this to take the
-  // fixed-stride entry region after reading the prefix fields, without
-  // hand-deriving byte offsets that must track the field list.
-  std::string_view Rest() const { return bytes_.substr(pos_); }
 
  private:
   template <typename T>
@@ -215,21 +226,6 @@ inline std::optional<std::string_view> CheckedFrameBody(
   return body;
 }
 
-// Opens a whole-buffer frame for zero-copy viewing: checksum verified
-// and stripped, sketch header consumed and validated. The returned
-// reader is positioned at the first post-header field; Rest() after the
-// prefix reads yields the entry region. Shared by every
-// DeserializeView so the checksum/header machinery exists once.
-inline std::optional<ByteReader> OpenCheckedFrame(std::string_view frame,
-                                                  uint32_t magic,
-                                                  uint32_t max_version) {
-  const auto body = CheckedFrameBody(frame);
-  if (!body) return std::nullopt;
-  ByteReader r(*body);
-  if (!ReadSketchHeader(r, magic, max_version)) return std::nullopt;
-  return r;
-}
-
 // Whole-buffer parsing: the checksum must match and the sketch must
 // consume the buffer exactly (trailing junk is a framing error, not a
 // valid message).
@@ -253,7 +249,7 @@ std::optional<T> DeserializeSketch(std::string_view bytes) {
 // (cluster/envelope.h) declares its payload length and is where short
 // reads classify as kTruncated. Returns kNone when the structural layers
 // pass -- body-level field validation may still reject the frame, which
-// callers report as kCorruptBody (see the family DiagnoseFrame methods).
+// DiagnoseSketchFrame below reports as kCorruptBody.
 inline FrameFault ClassifyFrameBytes(std::string_view frame, uint32_t magic,
                                      uint32_t max_version) {
   constexpr size_t kHeaderAndChecksum = 3 * sizeof(uint32_t);
@@ -267,25 +263,47 @@ inline FrameFault ClassifyFrameBytes(std::string_view frame, uint32_t magic,
   return FrameFault::kNone;
 }
 
-// DeserializeSketch with a typed rejection reason: on failure, `fault`
-// (if non-null) is set to the structural cause, or kCorruptBody when the
-// frame is structurally sound but body validation rejected it. On
-// success `fault` is kNone.
-template <MergeableSketch T>
-std::optional<T> DeserializeSketchDiagnosed(std::string_view bytes,
-                                            uint32_t magic,
-                                            uint32_t max_version,
-                                            FrameFault* fault) {
-  auto sketch = DeserializeSketch<T>(bytes);
-  if (sketch.has_value()) {
-    if (fault) *fault = FrameFault::kNone;
-    return sketch;
+// --- Frame views (see the file comment) -------------------------------
+
+// Whole-buffer view: checksum verified and stripped, then ViewBody must
+// consume the body exactly (trailing bytes are a framing error).
+template <typename T>
+std::optional<typename T::FrameView> ViewSketchFrame(std::string_view frame) {
+  const auto body = CheckedFrameBody(frame);
+  if (!body) return std::nullopt;
+  ByteReader r(*body);
+  auto view = T::ViewBody(r);
+  if (!view || !r.AtEnd()) return std::nullopt;
+  return view;
+}
+
+// Typed rejection reason through the family's one validator: the
+// structural cause from ClassifyFrameBytes first, then kCorruptBody iff
+// DeserializeView rejects the body -- kNone iff every parse path accepts.
+template <typename T>
+FrameFault DiagnoseSketchFrame(std::string_view frame, uint32_t magic,
+                               uint32_t max_version) {
+  const FrameFault f = ClassifyFrameBytes(frame, magic, max_version);
+  if (f != FrameFault::kNone) return f;
+  return T::DeserializeView(frame).has_value() ? FrameFault::kNone
+                                               : FrameFault::kCorruptBody;
+}
+
+// The vetting half of every MergeManyFrames: views every frame and checks
+// it against the target (`compatible`, e.g. a matching hash salt) before
+// anything is applied. nullopt if ANY frame fails -- the all-or-nothing
+// contract that leaves the target untouched.
+template <typename T, typename Compatible>
+std::optional<std::vector<typename T::FrameView>> VetFrames(
+    std::span<const std::string_view> frames, Compatible&& compatible) {
+  std::vector<typename T::FrameView> views;
+  views.reserve(frames.size());
+  for (std::string_view f : frames) {
+    auto view = T::DeserializeView(f);
+    if (!view || !compatible(*view)) return std::nullopt;
+    views.push_back(std::move(*view));
   }
-  if (fault) {
-    const FrameFault f = ClassifyFrameBytes(bytes, magic, max_version);
-    *fault = f == FrameFault::kNone ? FrameFault::kCorruptBody : f;
-  }
-  return std::nullopt;
+  return views;
 }
 
 }  // namespace ats

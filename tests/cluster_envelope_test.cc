@@ -28,6 +28,21 @@ std::string SketchFrame(const std::vector<uint64_t>& keys, size_t k = 64,
   return sketch.SerializeToString();
 }
 
+// A KMV2 frame with its first two entries swapped and the checksum
+// repaired: every field stays in range, only the canonical ascending
+// entry order is broken, so the damage reaches the body validator.
+std::string SwapFirstTwoEntries(std::string frame) {
+  constexpr size_t kEntries = 48;  // header + five u64/f64 fields
+  constexpr size_t kStride = 16;   // (priority f64, key u64)
+  std::swap_ranges(frame.begin() + kEntries,
+                   frame.begin() + kEntries + kStride,
+                   frame.begin() + kEntries + kStride);
+  const size_t body = frame.size() - sizeof(uint32_t);
+  const uint32_t sum = FrameChecksum(std::string_view(frame).substr(0, body));
+  std::memcpy(frame.data() + body, &sum, sizeof(sum));
+  return frame;
+}
+
 TEST(Envelope, RoundTripsDataAndAck) {
   const std::string payload = "not interpreted by the envelope";
   const std::string bytes = EncodeEnvelope(EnvelopeKind::kData, /*sender=*/3,
@@ -206,6 +221,26 @@ TEST(Aggregator, PoisonPayloadIsAckedCountedNeverMerged) {
   EXPECT_EQ(root.rejects().payload_rejected, 1u);
   EXPECT_EQ(root.SnapshotFrame(), before);
   EXPECT_EQ(root.AppliedEpoch(0), 3u);  // epoch did not advance
+}
+
+TEST(Aggregator, NonCanonicalPayloadIsCorruptBody) {
+  AggregatorNode root(100, 64, 7, RetryPolicy{});
+  root.Receive(EncodeEnvelope(EnvelopeKind::kData, 0, 0, 0, 3,
+                              SketchFrame({1, 2, 3})));
+  const std::string before = root.SnapshotFrame();
+
+  // An intact envelope around a checksum-valid KMV2 frame whose entries
+  // are out of order: MergeManyFrames rejects it, and the reported fault
+  // comes from the same validator, so it names the cause.
+  auto outcome = root.Receive(
+      EncodeEnvelope(EnvelopeKind::kData, 0, 0, /*seq=*/1, /*epoch=*/6,
+                     SwapFirstTwoEntries(SketchFrame({4, 5, 6}))));
+  EXPECT_EQ(outcome.kind, ReceiveOutcome::Kind::kPayloadRejected);
+  EXPECT_TRUE(outcome.send_ack);
+  EXPECT_EQ(outcome.fault, FrameFault::kCorruptBody);
+  EXPECT_EQ(root.rejects().payload_rejected, 1u);
+  EXPECT_EQ(root.SnapshotFrame(), before);
+  EXPECT_EQ(root.AppliedEpoch(0), 3u);
 }
 
 TEST(Agent, CrashLosesVolatileStateAndReplayRebuildsBitIdentically) {

@@ -19,12 +19,27 @@
 // require key-disjointness as a Merge precondition; the kit uses
 // seeds 1..16).
 //
+// A family whose MergeManyFrames vets frames against the target's shape
+// (hash salt, window, budget, ...) may also declare
+//
+//     static bool MergeCompatible(const Sketch::FrameView&);
+//
+// true iff a frame with that view merges into a Make() target; the
+// structural-mutation leg uses it to predict MergeManyFrames' verdict.
+//
 // The battery, per family:
 //   * serialize -> deserialize -> serialize byte-stability (empty and
 //     ingested states);
 //   * DeserializeView accepts exactly what eager Deserialize accepts;
 //   * every-prefix-truncation and every-single-bit-flip hostile sweeps
-//     fail closed in eager, view, and DiagnoseFrame paths;
+//     fail closed in eager, view, and DiagnoseFrame paths (the checksum
+//     stops nearly all of these before any field validator runs);
+//   * checksum-repaired structural mutations (word swaps, copies, +-1
+//     patches -- count fields included) reach the field validators:
+//     eager, view, DiagnoseFrame and MergeManyFrames accept exactly the
+//     same set, and every accepted frame re-serializes to itself.
+//     Families without a view (Theta, GroupDistinct) run only the
+//     eager-canonical half and report a partial skip;
 //   * MergeManyFrames == the pairwise Deserialize+Merge chain, its
 //     all-or-nothing rejection leaves the target byte-identical, and
 //     the empty frame list is a strict no-op;
@@ -49,10 +64,14 @@
 
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <initializer_list>
+#include <iostream>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ats/core/simd/simd_dispatch.h"
@@ -81,6 +100,47 @@ inline constexpr bool kHasMergeManyFrames =
 template <typename S>
 inline constexpr bool kHasObjectMergeMany =
     requires(S s, std::span<const S* const> o) { s.MergeMany(o); };
+
+// The full parser set the structural-mutation parity leg compares.
+template <typename S>
+inline constexpr bool kHasAllParsers =
+    kHasDeserializeView<S> && kHasDiagnoseFrame<S> && kHasMergeManyFrames<S>;
+
+// Checksum-repaired structural mutations of a whole-buffer frame, blind
+// to the family layout: for each 8-byte-aligned word past the 8-byte
+// header, +1 and -1 (as a u64, so count fields shift by one too), a swap
+// with the next word, and a copy over the next word. The trailing FNV-1a
+// checksum is recomputed, so every mutation reaches the body validators;
+// mutations that leave the frame unchanged are dropped.
+inline std::vector<std::string> StructuralMutations(std::string_view frame) {
+  const size_t body = frame.size() - sizeof(uint32_t);
+  const auto word_at = [&frame](size_t pos) {
+    uint64_t w;
+    std::memcpy(&w, frame.data() + pos, sizeof(w));
+    return w;
+  };
+  std::vector<std::string> out;
+  const auto emit = [&](std::initializer_list<std::pair<size_t, uint64_t>>
+                            patches) {
+    std::string m(frame);
+    for (const auto& [pos, w] : patches) std::memcpy(m.data() + pos, &w, 8);
+    if (m == frame) return;
+    const uint32_t sum = FrameChecksum(std::string_view(m).substr(0, body));
+    std::memcpy(m.data() + body, &sum, sizeof(sum));
+    out.push_back(std::move(m));
+  };
+  for (size_t pos = 8; pos + 8 <= body; pos += 8) {
+    const uint64_t w = word_at(pos);
+    emit({{pos, w + 1}});
+    emit({{pos, w - 1}});
+    if (pos + 16 <= body) {
+      const uint64_t next = word_at(pos + 8);
+      emit({{pos, next}, {pos + 8, w}});
+      emit({{pos + 8, w}});
+    }
+  }
+  return out;
+}
 
 template <typename Traits>
 class SchemeConformance : public ::testing::Test {
@@ -210,6 +270,64 @@ TYPED_TEST_P(SchemeConformance, HostileBytesFailClosed) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   });
+}
+
+// Checksum-repaired structural mutations: the four parse paths agree on
+// every mutated frame, and an accepted frame is canonical (re-serializes
+// to itself) and merges exactly like the pairwise Deserialize+Merge
+// chain. Reports the tally per dispatch level.
+TYPED_TEST_P(SchemeConformance, StructuralMutationsAgreeAcrossParsers) {
+  using Sketch = typename TypeParam::Sketch;
+  using Kit = SchemeConformance<TypeParam>;
+  this->ForEachDispatchLevel([] {
+    const std::string frame = Kit::MakeIngested(7).SerializeToString();
+    const std::vector<std::string> mutations = StructuralMutations(frame);
+    size_t accepted = 0;
+    size_t disagreements = 0;
+    for (size_t i = 0; i < mutations.size(); ++i) {
+      const std::string& m = mutations[i];
+      const auto eager = Sketch::Deserialize(std::string_view(m));
+      if (eager.has_value()) {
+        ++accepted;
+        EXPECT_EQ(eager->SerializeToString(), m)
+            << "mutation " << i << " parsed but is not canonical";
+      }
+      if constexpr (kHasAllParsers<Sketch>) {
+        const auto view = Sketch::DeserializeView(m);
+        const bool clean = Sketch::DiagnoseFrame(m) == FrameFault::kNone;
+        bool merge_expected = view.has_value();
+        if constexpr (requires { TypeParam::MergeCompatible(*view); }) {
+          merge_expected = merge_expected && TypeParam::MergeCompatible(*view);
+        }
+        Sketch target = Kit::MakeIngested(1);
+        const std::string_view frames[] = {m};
+        const bool merged = target.MergeManyFrames(frames);
+        if (eager.has_value() != view.has_value() ||
+            clean != view.has_value() || merged != merge_expected) {
+          ++disagreements;
+          ADD_FAILURE() << "mutation " << i << ": eager=" << eager.has_value()
+                        << " view=" << view.has_value()
+                        << " diagnose_clean=" << clean
+                        << " merged=" << merged
+                        << " (expected " << merge_expected << ")";
+        } else if (merged) {
+          Sketch chain = Kit::MakeIngested(1);
+          chain.Merge(*eager);
+          EXPECT_EQ(target.SerializeToString(), chain.SerializeToString())
+              << "mutation " << i << " merged unlike the pairwise chain";
+        }
+      }
+    }
+    std::cout << "[ mutations ] " << TypeParam::kName << " dispatch="
+              << simd::SimdLevelName(simd::ActiveSimdLevel()) << ": "
+              << mutations.size() << " mutations, " << accepted
+              << " accepted, " << disagreements << " disagreements\n";
+    EXPECT_EQ(disagreements, 0u);
+  });
+  if constexpr (!kHasAllParsers<Sketch>) {
+    GTEST_SKIP() << "family has no DeserializeView: ran the eager-canonical "
+                    "half only";
+  }
 }
 
 // MergeManyFrames is observationally the pairwise Deserialize+Merge
@@ -351,6 +469,7 @@ REGISTER_TYPED_TEST_SUITE_P(SchemeConformance,                   //
                             RoundTripIsByteStable,               //
                             ViewParityOnIntactFrames,            //
                             HostileBytesFailClosed,              //
+                            StructuralMutationsAgreeAcrossParsers, //
                             MergeManyFramesMatchesPairwiseChain, //
                             ObjectMergeManyMatchesPairwiseChain, //
                             CheckpointRestoreIsBitIdentical,     //

@@ -59,6 +59,9 @@ struct KmvTraits {
   static void Ingest(Sketch& s, uint64_t seed, size_t n) {
     for (size_t i = 0; i < n; ++i) s.AddKey(DisjointKey(seed, i));
   }
+  static bool MergeCompatible(const Sketch::FrameView& v) {
+    return v.hash_salt() == 0x5eed;  // Make()'s salt
+  }
 };
 
 struct ThetaTraits {

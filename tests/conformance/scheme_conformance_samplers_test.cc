@@ -37,6 +37,9 @@ struct SlidingWindowTraits {
       s.Arrive(/*time=*/0.01 * static_cast<double>(i), DisjointKey(seed, i));
     }
   }
+  static bool MergeCompatible(const Sketch::FrameView& v) {
+    return v.window() == 1.0;  // Make()'s window
+  }
 };
 
 struct TimeDecayTraits {
@@ -69,6 +72,9 @@ struct MultiStratifiedTraits {
       s.Add(key, {key % 3, key % 4}, /*value=*/1.0 + 0.5 * i);
     }
   }
+  static bool MergeCompatible(const Sketch::FrameView& v) {
+    return v.num_dimensions() == 2 && v.k() == 5;  // Make()'s shape
+  }
 };
 
 struct VarianceSizedTraits {
@@ -85,6 +91,9 @@ struct VarianceSizedTraits {
       const double weight = std::exp(0.5 * rng.NextGaussian());
       s.Add(DisjointKey(seed, i), /*value=*/weight, weight);
     }
+  }
+  static bool MergeCompatible(const Sketch::FrameView& v) {
+    return v.delta_squared() == 0.5;  // Make()'s target
   }
 };
 
@@ -105,6 +114,9 @@ struct MultiObjectiveTraits {
       s.Add(DisjointKey(seed, i), weights, /*value=*/1.0 + 0.25 * i);
     }
   }
+  static bool MergeCompatible(const Sketch::FrameView& v) {
+    return v.num_objectives() == 3;  // Make()'s objective count
+  }
 };
 
 struct BudgetTraits {
@@ -121,6 +133,9 @@ struct BudgetTraits {
       const double weight = std::exp(0.5 * rng.NextGaussian());
       s.Add(DisjointKey(seed, i), size, /*value=*/size * weight, weight);
     }
+  }
+  static bool MergeCompatible(const Sketch::FrameView& v) {
+    return v.budget() == 20.0;  // Make()'s budget
   }
 };
 

@@ -5,6 +5,8 @@
 // exhaustive hostile-bytes sweep (every prefix truncation, every
 // single-bit flip) lives in fuzz_oracle_test.cc; the SIGKILL loop in
 // tools/kill_and_recover.cc.
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -31,6 +33,21 @@ KmvSketch MakeSketch(uint64_t seed, int keys) {
   Xoshiro256 rng(seed);
   for (int i = 0; i < keys; ++i) sketch.AddKey(rng.Next());
   return sketch;
+}
+
+// A KMV2 frame with its first two entries swapped and the checksum
+// repaired: every field stays in range, only the canonical ascending
+// entry order is broken, so the damage reaches the body validator.
+std::string SwapFirstTwoEntries(std::string frame) {
+  constexpr size_t kEntries = 48;  // header + five u64/f64 fields
+  constexpr size_t kStride = 16;   // (priority f64, key u64)
+  std::swap_ranges(frame.begin() + kEntries,
+                   frame.begin() + kEntries + kStride,
+                   frame.begin() + kEntries + kStride);
+  const size_t body = frame.size() - sizeof(uint32_t);
+  const uint32_t sum = FrameChecksum(std::string_view(frame).substr(0, body));
+  std::memcpy(frame.data() + body, &sum, sizeof(sum));
+  return frame;
 }
 
 void WriteRawFile(const std::string& path, std::string_view bytes) {
@@ -273,6 +290,28 @@ TEST(CheckpointRecovery, PoisonPayloadIsBadPayloadAndFailsClosed) {
   EXPECT_FALSE(KmvSketch::Deserialize(reader.payload()).has_value());
 
   const KmvSketch before = MakeSketch(11, 40);
+  for (const OpenMode mode : {OpenMode::kPreferMmap, OpenMode::kBuffered}) {
+    KmvSketch victim = before;
+    EXPECT_EQ(RestoreFromCheckpoint(path, SchemeKind::kKmv, &victim,
+                                    nullptr, mode),
+              CheckpointFault::kBadPayload);
+    EXPECT_EQ(victim.SerializeToString(), before.SerializeToString());
+  }
+}
+
+TEST(CheckpointRecovery, NonCanonicalPayloadIsBadPayloadInBothModes) {
+  // Two adjacent entries swapped behind a repaired checksum: the view
+  // refuses the frame (KMV2 entries are strictly ascending), so the eager
+  // restore -- the same validator, materialized -- must refuse it too.
+  const std::string payload =
+      SwapFirstTwoEntries(MakeSketch(13, 300).SerializeToString());
+  ASSERT_FALSE(KmvSketch::DeserializeView(payload).has_value());
+  const std::string path = TempPath("swapped_entries");
+  ASSERT_EQ(CheckpointWriter::Write(path, SchemeKind::kKmv, /*epoch=*/4,
+                                    payload),
+            CheckpointFault::kNone);
+
+  const KmvSketch before = MakeSketch(14, 40);
   for (const OpenMode mode : {OpenMode::kPreferMmap, OpenMode::kBuffered}) {
     KmvSketch victim = before;
     EXPECT_EQ(RestoreFromCheckpoint(path, SchemeKind::kKmv, &victim,

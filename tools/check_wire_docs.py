@@ -14,8 +14,8 @@ in docs/WIRE_FORMAT.md:
   * the documented kBadKind bound must match [kMinSchemeKind,
     kMaxSchemeKind] from checkpoint.h.
 
-Exits non-zero listing every gap, so the docs CI job fails when a new
-frame lands without its spec.  Run from anywhere:
+Exits non-zero listing every gap, so the blocking wire-spec CI job
+fails when a new frame lands without its spec.  Run from anywhere:
 
     python3 tools/check_wire_docs.py
 """
