@@ -66,8 +66,8 @@ BENCHMARK(BM_WindowArrive)->Arg(64)->Arg(512);
 // The rate == k operating point: arrivals spaced window/k apart, so the
 // window holds ~k items, the sample never saturates (every arrival is
 // accepted) and nearly every arrival expires exactly one predecessor.
-// This is the dead-prefix reclamation hot path (CleanupDeadPrefix /
-// SampleStore::DropFront) -- the regime where the classic deque-backed
+// This is the dead-prefix reclamation hot path (CleanupDeadPrefix, a
+// prefix SampleStore::Erase) -- the regime where the classic deque-backed
 // G&L design wins on O(1) physical front-pops, which
 // BM_WindowArriveBoundaryDequeRef below reproduces as the baseline the
 // store-backed sampler must stay at parity with.

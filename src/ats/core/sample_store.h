@@ -460,58 +460,29 @@ class SampleStore {
     FilterColumns([t](double p) { return p < t; });
   }
 
-  /// Time-axis hook: stable extraction of retained entries. Canonicalizes,
-  /// then visits every entry in arrival order; entries for which
-  /// `remove(priority, const Payload&)` returns true are handed to
-  /// `consume(priority, Payload&&)` -- still in arrival order -- and
-  /// dropped; the survivors keep their arrival order and column lockstep.
-  /// Returns the number of entries extracted.
+  /// Time-axis hook: removes the `count` canonical entries starting at
+  /// arrival-order position `first`; the survivors keep their arrival
+  /// order and column lockstep. One ranged vector::erase per column (a
+  /// memmove for the POD priority column), so a prefix, a single
+  /// positional entry and the whole store all cost one pass. The sliding
+  /// window uses it for dead-prefix reclamation, capacity eviction and
+  /// the merge rebuild.
   ///
-  /// The threshold is deliberately NOT touched: extraction models a change
-  /// of the underlying population (window expiry, stratum retirement), and
-  /// only the calling sampler knows what the acceptance rule over the
-  /// remaining population is. Bumps the mutation epoch iff something was
-  /// removed. Thread-safety: mutating call -- never run concurrently with
-  /// any other access to the same store.
-  template <typename Remove, typename Consume>
-  size_t ExtractIf(Remove&& remove, Consume&& consume) {
+  /// The threshold is deliberately NOT touched: removal models a change
+  /// of the underlying population (window expiry, eviction by a caller-
+  /// side rule), and only the calling sampler knows what the acceptance
+  /// rule over the remaining population is. Bumps the mutation epoch iff
+  /// count > 0. Thread-safety: mutating call -- never run concurrently
+  /// with any other access to the same store.
+  void Erase(size_t first, size_t count) {
     CompactToK();
-    size_t w = 0;
-    for (size_t i = 0; i < priority_.size(); ++i) {
-      if (remove(priority_[i], std::as_const(payload_[i]))) {
-        consume(priority_[i], std::move(payload_[i]));
-      } else {
-        if (w != i) {
-          priority_[w] = priority_[i];
-          payload_[w] = std::move(payload_[i]);
-        }
-        ++w;
-      }
-    }
-    const size_t removed = priority_.size() - w;
-    priority_.resize(w);
-    payload_.resize(w);
-    if (removed > 0) ++mutation_epoch_;
-    return removed;
-  }
-
-  /// Time-axis hook: drops the first `n` retained entries (arrival
-  /// order), equivalent to ExtractIf removing exactly the prefix but
-  /// without per-element lambda dispatch: one ranged vector::erase per
-  /// column (a memmove for the POD priority column). This is the sliding
-  /// window's dead-prefix reclamation hot path at the rate == k boundary,
-  /// where every arrival expires one predecessor. Like ExtractIf, the
-  /// threshold is deliberately not touched. Bumps the mutation epoch iff
-  /// n > 0. Thread-safety: mutating call -- never run concurrently with
-  /// any other access to the same store.
-  void DropFront(size_t n) {
-    CompactToK();
-    ATS_CHECK(n <= priority_.size());
-    if (n == 0) return;
-    priority_.erase(priority_.begin(),
-                    priority_.begin() + static_cast<ptrdiff_t>(n));
-    payload_.erase(payload_.begin(),
-                   payload_.begin() + static_cast<ptrdiff_t>(n));
+    ATS_CHECK(first <= priority_.size() &&
+              count <= priority_.size() - first);
+    if (count == 0) return;
+    const auto from = static_cast<ptrdiff_t>(first);
+    const auto to = static_cast<ptrdiff_t>(first + count);
+    priority_.erase(priority_.begin() + from, priority_.begin() + to);
+    payload_.erase(payload_.begin() + from, payload_.begin() + to);
     ++mutation_epoch_;
   }
 

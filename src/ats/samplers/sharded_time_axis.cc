@@ -41,9 +41,10 @@ SlidingWindowSampler& ShardedWindowSampler::MergedWindow() {
       EpochsClean(shards_, merged_epochs_, epoch_of)) {
     return *merged_cache_;
   }
-  // Some shard changed since the cached merge: rebuild through the k-way
-  // windowed merge (global min improved threshold, one bottom-k
-  // selection over the time-sorted union), then re-snapshot the epochs.
+  // Some shard changed since the cached merge: rebuild through the
+  // windowed MergeMany (the pairwise Merge chain in shard order: each
+  // step min-composes the improved thresholds and re-caps the time-
+  // sorted union at k), then re-snapshot the epochs.
   // The merge reads the shards without advancing their expiry, so the
   // snapshot taken afterwards stays valid until the next ingest.
   SlidingWindowSampler merged(k_, window_, /*seed=*/1);

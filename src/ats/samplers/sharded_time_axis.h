@@ -7,10 +7,14 @@
 // hash, so the per-shard streams are disjoint key partitions sharing the
 // stream's time axis. Each shard is an ordinary full-capacity sampler on
 // its own SampleStore; ingest into distinct shards touches no shared
-// state. Queries aggregate the shards through the samplers' MergeMany --
-// the threshold-pruned k-way engine -- into a cached merged sampler that
-// is rebuilt only when some shard's mutation epoch moved since the cache
-// was taken; between ingest batches, repeated queries are cache reads.
+// state. Queries aggregate the shards through the samplers' MergeMany
+// into a cached merged sampler that is rebuilt only when some shard's
+// mutation epoch moved since the cache was taken; between ingest
+// batches, repeated queries are cache reads. For decayed samples
+// MergeMany is the threshold-pruned k-way engine; for windows it is the
+// pairwise Merge chain in shard order (the windowed rule is clock-
+// sensitive, so there is no global bound to hoist; see
+// sliding_window.h).
 //
 // Validity: the merged windowed sample is the min-composed union of valid
 // per-shard window samples (Theorem 9 + Theorem 6; see
@@ -86,8 +90,8 @@ class ShardedWindowSampler {
 
  private:
   /// The merged sampler, rebuilt through SlidingWindowSampler::MergeMany
-  /// only when some shard's mutation epoch moved since the cached merge
-  /// (the dirty-epoch cache). Mutable-by-convention: refreshed from
+  /// (the pairwise Merge chain over the shards) only when some shard's
+  /// mutation epoch moved since the cached merge (the dirty-epoch cache). Mutable-by-convention: refreshed from
   /// single-threaded query context only.
   SlidingWindowSampler& MergedWindow();
 

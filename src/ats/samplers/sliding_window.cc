@@ -53,10 +53,12 @@ void SlidingWindowSampler::CleanupDeadPrefix() {
   // The dead entries are a physical prefix, in time order, and OLDER
   // than everything already in expired_ was when it was copied -- so the
   // bulk copy appends in time order, and the reclamation is two ranged
-  // erases (memmoves), not a per-element ExtractIf pass. Batching the
+  // erases (memmoves), not a per-element filter pass. Batching the
   // copy here (instead of copying item-by-item as each expires) is what
   // keeps the rate == k boundary at parity with a deque front-pop design
-  // (bench_window.cc, BM_WindowArriveBoundary).
+  // (bench_window.cc, BM_WindowArriveBoundary). The dead entries are
+  // checked against the cached top two before their positions vanish.
+  CheckExpiredTopTwo();
   const auto& payloads = current_.payloads();
   const auto& priorities = current_.priorities();
   expired_.reserve(expired_.size() + dead_prefix_);
@@ -64,8 +66,9 @@ void SlidingWindowSampler::CleanupDeadPrefix() {
     expired_.push_back(StoredItem{payloads[i].id, payloads[i].time,
                                   priorities[i], payloads[i].threshold});
   }
-  current_.DropFront(dead_prefix_);
+  current_.Erase(0, dead_prefix_);
   dead_prefix_ = 0;
+  if (top_checked_ != kNoTopTwo) top_checked_ = 0;
 }
 
 void SlidingWindowSampler::FlushExpiry(double now) {
@@ -77,54 +80,75 @@ void SlidingWindowSampler::FlushExpiry(double now) {
   DropExpired();
 }
 
+void SlidingWindowSampler::CheckExpiredTopTwo() {
+  if (top_checked_ == kNoTopTwo) return;
+  const auto& priorities = current_.priorities();
+  for (size_t i = top_checked_; i < dead_prefix_; ++i) {
+    if (priorities[i] >= top2_) {
+      top_checked_ = kNoTopTwo;
+      return;
+    }
+  }
+  top_checked_ = dead_prefix_;
+}
+
+void SlidingWindowSampler::RescanTopTwo() {
+  // The live current set is the column region past the dead prefix.
+  top1_ = 0.0;
+  top2_ = 0.0;
+  const auto& priorities = current_.priorities();
+  for (size_t i = dead_prefix_; i < priorities.size(); ++i) {
+    NoteTopInsert(priorities[i]);
+  }
+  top_checked_ = dead_prefix_;
+}
+
 bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
                                               uint64_t id) {
   // Initial threshold at a full sample: the k-th smallest of the k
   // current priorities together with the new one. With m1 the largest
   // and m2 the second largest current priority, that is m1 if the
-  // newcomer is above m1, otherwise max(m2, priority). The live current
-  // set is the column region past the dead prefix.
-  double m1 = 0.0, m2 = 0.0;
-  {
-    const auto& priorities = current_.priorities();
-    for (size_t i = dead_prefix_; i < priorities.size(); ++i) {
-      const double p = priorities[i];
-      if (p > m1) {
-        m2 = m1;
-        m1 = p;
-      } else if (p > m2) {
-        m2 = p;
-      }
-    }
-  }
+  // newcomer is above m1, otherwise max(m2, priority).
+  CheckExpiredTopTwo();
+  if (top_checked_ == kNoTopTwo) RescanTopTwo();
   const double initial_threshold =
-      priority >= m1 ? m1 : std::max(m2, priority);
+      priority >= top1_ ? top1_ : std::max(top2_, priority);
   if (priority >= initial_threshold) return false;
 
   // The insertion will push |C| above k: lower every current threshold
   // to min(T_i, T_n) and evict the (first) largest-priority item -- its
-  // priority is >= the new threshold. Both run on the physically clean
-  // store (evictions are O(k) anyway, so the deferred prefix cleanup
-  // rides along) and BEFORE the store sees the newcomer, so the store
-  // never exceeds k entries here and its own compaction stays idle.
+  // priority is >= the new threshold. One pass does both and also
+  // tracks the second and third largest priorities, which are the top
+  // two once the evictee is gone. It runs on the physically clean store
+  // (evictions are O(k) anyway, so the deferred prefix cleanup rides
+  // along) and BEFORE the store sees the newcomer, so the store never
+  // exceeds k entries here and its own compaction stays idle.
   CleanupDeadPrefix();
-  current_.ForEachMutablePayload(
-      [initial_threshold](double, WindowItem& item) {
-        item.threshold = std::min(item.threshold, initial_threshold);
-      });
-  const auto& priorities = current_.priorities();
-  size_t evict = 0;
-  for (size_t i = 1; i < priorities.size(); ++i) {
-    if (priorities[i] > priorities[evict]) evict = i;
-  }
-  ATS_DCHECK(priorities[evict] >= initial_threshold);
   size_t index = 0;
-  current_.ExtractIf(
-      [&index, evict](double, const WindowItem&) {
-        return index++ == evict;
-      },
-      [](double, WindowItem&&) {});
+  size_t evict = 0;
+  double m1 = 0.0, m2 = 0.0, m3 = 0.0;
+  current_.ForEachMutablePayload([&](double p, WindowItem& item) {
+    item.threshold = std::min(item.threshold, initial_threshold);
+    if (p > m1) {
+      m3 = m2;
+      m2 = m1;
+      m1 = p;
+      evict = index;
+    } else if (p > m2) {
+      m3 = m2;
+      m2 = p;
+    } else if (p > m3) {
+      m3 = p;
+    }
+    ++index;
+  });
+  ATS_DCHECK(m1 >= initial_threshold);
+  current_.Erase(evict, 1);
+  top1_ = m2;
+  top2_ = m3;
+  top_checked_ = 0;
   current_.Offer(priority, WindowItem{id, time, initial_threshold});
+  NoteTopInsert(priority);
   return true;
 }
 
@@ -313,9 +337,10 @@ void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
   for (StoredItem& it : candidates) {
     it.threshold = std::min(it.threshold, t_final);
   }
-  // Rebuild the current store (time order preserved by construction).
-  current_.ExtractIf([](double, const WindowItem&) { return true; },
-                     [](double, WindowItem&&) {});
+  // Rebuild the current store (time order preserved by construction);
+  // the cached top two describe the old live set.
+  current_.Erase(0, current_.size());
+  top_checked_ = kNoTopTwo;
   for (const StoredItem& it : candidates) {
     current_.Offer(it.priority, WindowItem{it.id, it.time, it.threshold});
   }

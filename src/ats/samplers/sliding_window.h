@@ -25,14 +25,23 @@
 //
 // Retention lives on the shared SampleStore core: the current set C(t) is
 // a SampleStore<WindowItem> whose priority column carries R_i and whose
-// payload column carries (id, time, per-item threshold T_i). Window
-// expiry is the store's ExtractIf hook (a stable time partition -- the
-// columns are always in arrival == time order), the min-update on
-// eviction is ForEachMutablePayload, and the capacity eviction itself is
-// the same bottom-k selection the store's compaction uses. That puts the
-// windowed sampler on the identical retention engine as the sketches, so
-// it inherits the mergeable-sketch wire format and the k-way
-// aggregation below.
+// payload column carries (id, time, per-item threshold T_i). The columns
+// are always in arrival == time order, so window expiry reclaims a
+// prefix and capacity eviction removes one position, both through the
+// store's Erase hook; the min-update on eviction is
+// ForEachMutablePayload. That puts the windowed sampler on the identical
+// retention engine as the sketches, so it inherits the mergeable-sketch
+// wire format and the k-way aggregation below.
+//
+// Cost model: T_n at a full sample needs only the largest and second-
+// largest live priority, which the sampler caches and maintains under
+// updates (an accept updates them in O(1); expiry invalidates them only
+// when a dying item is one of the two -- checked at the next full-sample
+// arrival or prefix reclamation, off the inlined expiry path; a merge
+// always invalidates). A rejected arrival -- the bulk of a saturated
+// stream -- is therefore a few compares; an accepted one makes a single
+// O(k) pass that min-updates the thresholds, finds the evictee and
+// recomputes the top two of the survivors, then one positional erase.
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
 // one stream, sharing the time axis, merge by min threshold composition
@@ -88,7 +97,10 @@ class SlidingWindowSampler {
   /// Defined inline: at the rate == k operating point the whole per-
   /// arrival path is a handful of compares and two column push_backs,
   /// and the call overhead itself is measurable against the deque
-  /// baseline it is benchmarked against (BM_WindowArriveBoundary).
+  /// baseline it is benchmarked against (BM_WindowArriveBoundary). At a
+  /// full sample a rejected arrival is O(1) too (the cached top two
+  /// priorities give its threshold); only an accept pays the O(k)
+  /// eviction pass (see ArriveAtFullSample).
   bool Arrive(double time, uint64_t id) {
     ExpireUntil(time);
     const double priority = rng_.NextDoubleOpenZero();
@@ -98,7 +110,9 @@ class SlidingWindowSampler {
     // Underfull: initial threshold 1. The store's acceptance bound is
     // pinned at 1.0 forever (eviction is manual), so Offer IS the
     // R_n < T_n test.
-    return current_.Offer(priority, WindowItem{id, time, 1.0});
+    if (!current_.Offer(priority, WindowItem{id, time, 1.0})) return false;
+    NoteTopInsert(priority);
+    return true;
   }
 
   // --- Queries (all advance expiry to `now`) ---
@@ -257,7 +271,9 @@ class SlidingWindowSampler {
   // CleanupDeadPrefix / the erase below at every k-th marking, so one
   // arrival at the rate == k boundary costs two compares and two
   // increments here -- the regime where the classic deque design's O(1)
-  // pop_front used to win (BM_WindowArriveBoundary).
+  // pop_front used to win (BM_WindowArriveBoundary). Newly dead items
+  // are checked against the cached top two later, off this inlined path
+  // (see CheckExpiredTopTwo).
   void ExpireUntil(double now) {
     if (now > last_time_) last_time_ = now;
     const double cutoff = last_time_ - window_;
@@ -300,10 +316,32 @@ class SlidingWindowSampler {
                                        expired_.size() - expired_head_);
   }
 
-  // The saturated-sample arrival path: O(k) threshold scan, min-update,
-  // and eviction. Out of line -- only the underfull/reject path above is
-  // latency-critical per arrival.
+  // The saturated-sample arrival path. The initial threshold comes from
+  // the cached top two live priorities, so a reject is a few compares
+  // (plus one O(k) rescan when the cache was invalidated). An accept
+  // makes one pass over the store -- min-update of every threshold, the
+  // first largest priority (the evictee) and the top two of the rest --
+  // then one positional Erase and the append. Out of line: the accept
+  // path is O(k) anyway.
   bool ArriveAtFullSample(double time, double priority, uint64_t id);
+  // Folds an appended live priority into the cached top two. Harmless
+  // while the cache is invalid (the next rescan overwrites it).
+  void NoteTopInsert(double priority) {
+    if (priority > top1_) {
+      top2_ = top1_;
+      top1_ = priority;
+    } else if (priority > top2_) {
+      top2_ = priority;
+    }
+  }
+  // Invalidates the cached top two if an item marked dead since the last
+  // check has a priority >= the cached second (only such an item can be
+  // one of the two), then records the dead prefix as checked. The cached
+  // values only grow between checks (NoteTopInsert), so a dead item
+  // below the current second was never one of the cached two.
+  void CheckExpiredTopTwo();
+  // Recomputes the cached top two from the live column region.
+  void RescanTopTwo();
   // Expiry advance for QUERY paths: ExpireUntil plus the physical
   // extraction, plus a re-drop -- items that aged past two windows while
   // parked in the dead prefix surface in expired_ only at extraction
@@ -341,6 +379,19 @@ class SlidingWindowSampler {
   // copied into expired_ or physically extracted; every column reader
   // starts past this index. See ExpireUntil / CleanupDeadPrefix.
   size_t dead_prefix_ = 0;
+  // Largest and second-largest live priority (0 where the live set has
+  // fewer items), exactly what a scan of the live region would return,
+  // once the dead items past top_checked_ have been checked. Maintained
+  // by every accepted insert, invalidated by expiry of a top-two item
+  // and by merges, and recomputed by RescanTopTwo on the next
+  // full-sample arrival. top_checked_ is the column index up to which
+  // dead items have been checked against the cache; kNoTopTwo means
+  // there is no valid cache (the state after construction, Deserialize
+  // and merges).
+  static constexpr size_t kNoTopTwo = ~size_t{0};
+  double top1_ = 0.0;
+  double top2_ = 0.0;
+  size_t top_checked_ = kNoTopTwo;
   // Expired items X(t), ordered by time; the live range starts at
   // expired_head_ (dropped entries are marked, then batch-erased -- same
   // deferral as the dead prefix, and a vector + head index beats a deque

@@ -749,6 +749,16 @@ std::atomic<uint64_t> g_allocations{0};
 // Global operator new instrumentation for the steady-state allocation
 // tests (this TU is its own test binary). Counting is always on; the
 // tests only assert on it when no sanitizer owns the allocator.
+//
+// The replacement operator new is malloc-backed, so the matching
+// replacement operator delete must call free. GCC's
+// -Wmismatched-new-delete cannot see that both halves are replaced
+// together and flags the free as mismatched; the pragma scopes the
+// suppression to exactly these definitions.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void* operator new(std::size_t size) {
   ats::g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
@@ -763,6 +773,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ats {
 namespace {

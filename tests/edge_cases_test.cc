@@ -52,8 +52,12 @@ TEST(EdgeCases, BottomKAscendingStream) {
   BottomK<int> sketch(3);
   for (int i = 1; i <= 100; ++i) {
     const bool accepted = sketch.Offer(0.001 * i, i);
-    if (i <= 3) EXPECT_TRUE(accepted);
-    if (i > 6) EXPECT_FALSE(accepted) << i;  // past the 2k warm-up buffer
+    if (i <= 3) {
+      EXPECT_TRUE(accepted);
+    }
+    if (i > 6) {
+      EXPECT_FALSE(accepted) << i;  // past the 2k warm-up buffer
+    }
   }
   EXPECT_DOUBLE_EQ(sketch.Threshold(), 0.004);
   const auto entries = sketch.SortedEntries();

@@ -371,31 +371,45 @@ TEST(SampleStore, DifferentialVsSortedVectorOracle) {
   }
 }
 
-TEST(SampleStore, DropFrontEqualsPrefixExtractIf) {
-  // DropFront(n) must be observationally identical to ExtractIf removing
-  // exactly the first n entries (it is the window sampler's fast path
-  // for dead-prefix reclamation).
-  for (size_t n : {0u, 1u, 5u, 32u}) {
-    const auto priorities = RandomPriorities(40, 11);
-    SampleStore<uint64_t> a(64, 1.0);
-    SampleStore<uint64_t> b(64, 1.0);
-    for (size_t i = 0; i < priorities.size(); ++i) {
-      a.Offer(priorities[i], i);
-      b.Offer(priorities[i], i);
+TEST(SampleStore, EraseMatchesVectorEraseOracle) {
+  // Erase(first, count) must remove exactly the positions a
+  // std::vector::erase of the same range removes, from both columns in
+  // lockstep (it is the window sampler's dead-prefix reclamation,
+  // positional eviction and merge rebuild).
+  const size_t n = 40;
+  struct Range {
+    size_t first;
+    size_t count;
+  };
+  for (const Range r : {Range{0, 0}, Range{0, 1}, Range{0, 5}, Range{0, 32},
+                        Range{7, 1}, Range{12, 9}, Range{n - 1, 1},
+                        Range{n, 0}, Range{17, 0}, Range{0, n}}) {
+    const auto priorities = RandomPriorities(n, 11);
+    SampleStore<uint64_t> store(64, 1.0);
+    std::vector<double> oracle_priorities;
+    std::vector<uint64_t> oracle_payloads;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(store.Offer(priorities[i], i));
+      oracle_priorities.push_back(priorities[i]);
+      oracle_payloads.push_back(i);
     }
-    const uint64_t epoch_before = a.mutation_epoch();
-    a.DropFront(n);
-    size_t index = 0;
-    b.ExtractIf(
-        [&index, n](double, const uint64_t&) { return index++ < n; },
-        [](double, uint64_t&&) {});
-    ASSERT_EQ(a.size(), b.size()) << "n=" << n;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.priorities()[i], b.priorities()[i]);
-      EXPECT_EQ(a.payloads()[i], b.payloads()[i]);
-    }
-    // Epoch bumps iff something was removed, matching ExtractIf.
-    EXPECT_EQ(a.mutation_epoch() != epoch_before, n > 0) << "n=" << n;
+    const uint64_t epoch_before = store.mutation_epoch();
+    const double threshold_before = store.Threshold();
+    store.Erase(r.first, r.count);
+    const auto from = static_cast<std::ptrdiff_t>(r.first);
+    const auto to = static_cast<std::ptrdiff_t>(r.first + r.count);
+    oracle_priorities.erase(oracle_priorities.begin() + from,
+                            oracle_priorities.begin() + to);
+    oracle_payloads.erase(oracle_payloads.begin() + from,
+                          oracle_payloads.begin() + to);
+    EXPECT_EQ(store.priorities(), oracle_priorities)
+        << "first=" << r.first << " count=" << r.count;
+    EXPECT_EQ(store.payloads(), oracle_payloads)
+        << "first=" << r.first << " count=" << r.count;
+    // The threshold is untouched; the epoch bumps iff something went.
+    EXPECT_EQ(store.Threshold(), threshold_before);
+    EXPECT_EQ(store.mutation_epoch() != epoch_before, r.count > 0)
+        << "first=" << r.first << " count=" << r.count;
   }
 }
 

@@ -165,15 +165,15 @@ TEST(HashPriorityMask, BitExactAtEveryLevelUnaligned) {
 // --- log_span / FastLog -----------------------------------------------
 
 std::vector<double> LogTestInputs() {
-  std::vector<double> xs;
   // Boundary and hostile values.
-  xs.insert(xs.end(),
-            {1.0, 0x1.fffffffffffffp-1, 0x1.0000000000001p0, 2.0, 0.5,
-             std::exp(1.0), 4.9e-324, 2.2250738585072014e-308,
-             2.2250738585072009e-308,  // max denormal
-             1e-300, 1e300, std::numeric_limits<double>::max(),
-             std::numeric_limits<double>::infinity(), 0.70710678118,
-             1.4142135623730951, 3.0, 10.0, 1e-10, 1e10});
+  std::vector<double> xs{1.0, 0x1.fffffffffffffp-1, 0x1.0000000000001p0,
+                         2.0, 0.5, std::exp(1.0), 4.9e-324,
+                         2.2250738585072014e-308,
+                         2.2250738585072009e-308,  // max denormal
+                         1e-300, 1e300, std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity(),
+                         0.70710678118, 1.4142135623730951, 3.0, 10.0,
+                         1e-10, 1e10};
   // Random spread over the uniform-(0,1] range the samplers draw from,
   // plus wide exponents.
   Xoshiro256 rng(0xab5eedu);

@@ -135,12 +135,13 @@ struct OracleParam {
   size_t k;
   double rate;
   uint64_t seed;
+  size_t query_every = 64;  // arrivals between observational checks
 };
 
 class WindowOracleSweep : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
-  const auto [k, rate, seed] = GetParam();
+  const auto [k, rate, seed, query_every] = GetParam();
   const double window = 1.0;
   SlidingWindowSampler ported(k, window, seed);
   ReferenceWindowSampler reference(k, window, seed);
@@ -150,7 +151,7 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
   for (const Arrival& a : arrivals.Until(6.0)) {
     ASSERT_EQ(ported.Arrive(a.time, a.id), reference.Arrive(a.time, a.id))
         << "id " << a.id;
-    if (++checked % 64 == 0) {
+    if (++checked % query_every == 0) {
       ASSERT_DOUBLE_EQ(ported.ImprovedThreshold(a.time),
                        reference.ImprovedThreshold(a.time));
       ASSERT_DOUBLE_EQ(ported.GlThreshold(a.time),
@@ -163,11 +164,22 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
   EXPECT_EQ(ported.StoredCount(6.5), reference.StoredCount(6.5));
 }
 
+// After the first five points come three at deep saturation (the window
+// holds >= 32k arrivals, so nearly every arrival is a full-sample reject
+// and the cached top two priorities carry the threshold): k = 256 is the
+// per-shard regime of the window_monitor benchmark; k = 2 and k = 1 keep
+// the second-largest (or missing second) priority at the eviction edge.
+// The last two query after every arrival, so the dead prefix is
+// reclaimed between nearly every pair of arrivals while top-two items
+// keep expiring.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, WindowOracleSweep,
     ::testing::Values(OracleParam{1, 200.0, 1}, OracleParam{10, 500.0, 2},
                       OracleParam{25, 800.0, 3}, OracleParam{50, 2000.0, 4},
-                      OracleParam{100, 300.0, 5}));
+                      OracleParam{100, 300.0, 5},
+                      OracleParam{256, 9000.0, 6}, OracleParam{2, 80.0, 7},
+                      OracleParam{1, 48.0, 8}, OracleParam{8, 400.0, 9, 1},
+                      OracleParam{2, 200.0, 10, 1}));
 
 // ----------------------------------------------------------------------
 // Wire round trips.
@@ -411,6 +423,65 @@ TEST_P(TimeAxisMergeSweep, DecayMergeManyFramesEqualsDeserializeChain) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimeAxisMergeSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// The cached top two live priorities are representation, not state: the
+// SWN1 frame does not carry them, and a deserialized sampler starts
+// without them. A merged sampler, its wire twin and a plain copy must
+// therefore keep producing byte-identical frames as arrivals and queries
+// continue; a cache left stale by the merge shows up as a divergence.
+TEST(TimeAxisMerge, MergedWireTwinAndCopyStayByteIdenticalUnderIngest) {
+  const double window = 1.0;
+  const size_t num_shards = 3;
+  for (size_t k : {1u, 2u, 16u, 64u}) {
+    // Disjoint key partitions: ids routed to the shards or, every
+    // (num_shards + 1)-th, to the accumulator itself, so the accumulator
+    // is saturated -- its cache in use -- when the merge lands.
+    std::vector<SlidingWindowSampler> shards;
+    for (size_t s = 0; s < num_shards; ++s) {
+      shards.emplace_back(k, window, 40 + s);
+    }
+    SlidingWindowSampler merged(k, window, 3);
+    const double rate = 50.0 * static_cast<double>(k);
+    ArrivalProcess history(RateProfile::Constant(rate), rate * 1.1, k + 5);
+    for (const Arrival& a : history.Until(2.5)) {
+      const size_t route = a.id % (num_shards + 1);
+      (route == num_shards ? merged : shards[route]).Arrive(a.time, a.id);
+    }
+    std::vector<const SlidingWindowSampler*> ptrs;
+    for (const auto& s : shards) ptrs.push_back(&s);
+    merged.MergeMany(ptrs);
+
+    auto twin = SlidingWindowSampler::Deserialize(
+        std::string_view(merged.SerializeToString()));
+    ASSERT_TRUE(twin.has_value());
+    SlidingWindowSampler copy = merged;
+    ASSERT_EQ(twin->SerializeToString(), merged.SerializeToString());
+
+    ArrivalProcess more(RateProfile::Constant(rate), rate * 1.1, k + 6);
+    const std::vector<Arrival> arrivals = more.Until(3.0);
+    const size_t batch = 97;
+    for (size_t begin = 0; begin < arrivals.size(); begin += batch) {
+      const size_t end = std::min(arrivals.size(), begin + batch);
+      double now = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        now = 2.5 + arrivals[i].time;
+        const uint64_t id = 1000000 + arrivals[i].id;
+        const bool stored = merged.Arrive(now, id);
+        ASSERT_EQ(twin->Arrive(now, id), stored) << "k=" << k << " i=" << i;
+        ASSERT_EQ(copy.Arrive(now, id), stored) << "k=" << k << " i=" << i;
+      }
+      // Queries flush expiry on every sampler alike.
+      const double improved = merged.ImprovedThreshold(now);
+      ASSERT_EQ(twin->ImprovedThreshold(now), improved) << "k=" << k;
+      ASSERT_EQ(copy.ImprovedThreshold(now), improved) << "k=" << k;
+      const std::string frame = merged.SerializeToString();
+      ASSERT_EQ(twin->SerializeToString(), frame)
+          << "k=" << k << " batch at " << begin;
+      ASSERT_EQ(copy.SerializeToString(), frame)
+          << "k=" << k << " batch at " << begin;
+    }
+  }
+}
 
 TEST(TimeAxisMerge, NoRealInputsIsAStrictNoOp) {
   SlidingWindowSampler sampler = MakeWindowSampler(8, 1.0, 300.0, 2.0, 4);
