@@ -189,7 +189,7 @@ void BM_ConcurrentReadWriteMix(benchmark::State& state) {
     for (size_t r = 0; r < readers; ++r) {
       reader_threads.emplace_back([&conc, &done] {
         while (!done.load(std::memory_order_relaxed)) {
-          benchmark::DoNotOptimize(conc.MergedThreshold());
+          benchmark::DoNotOptimize(conc.Snapshot()->Threshold());
         }
       });
     }
@@ -217,9 +217,9 @@ void BM_ConcurrentSnapshotClean(benchmark::State& state) {
   ConcurrentPrioritySampler conc(kShards, kK);
   const auto items = MakeItems(2);
   conc.AddBatch(items);
-  conc.MergedThreshold();  // build the cache once
+  conc.Snapshot();  // build the cache once
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conc.MergedThreshold());
+    benchmark::DoNotOptimize(conc.Snapshot()->Threshold());
   }
 }
 BENCHMARK(BM_ConcurrentSnapshotClean);
@@ -232,8 +232,8 @@ void BM_ConcurrentSnapshotRebuild(benchmark::State& state) {
   conc.AddBatch(items);
   uint64_t key = kStreamLen;
   for (auto _ : state) {
-    conc.Add(key++, 1e9);  // heavy weight: always accepted
-    benchmark::DoNotOptimize(conc.MergedThreshold());
+    conc.Add({key++, 1e9});  // heavy weight: always accepted
+    benchmark::DoNotOptimize(conc.Snapshot()->Threshold());
   }
 }
 BENCHMARK(BM_ConcurrentSnapshotRebuild);

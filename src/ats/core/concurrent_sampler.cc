@@ -4,10 +4,12 @@ namespace ats {
 namespace internal {
 
 // Every MergeShards mirrors its sequential front-end's merge exactly
-// (same accumulator construction, same k-way engine, same seed for the
-// merged time-axis samplers), then canonicalizes the result so every
-// const accessor on the published snapshot is a pure read -- that is
-// what lets any number of reader threads share one snapshot.
+// (same accumulator construction, same MergeMany -- the threshold-pruned
+// k-way engine, or for windows the pairwise Merge chain -- and the same
+// seed for the merged time-axis samplers), then canonicalizes the
+// result so every const accessor on the published snapshot is a pure
+// read -- that is what lets any number of reader threads share one
+// snapshot.
 
 PriorityScenario::Merged PriorityScenario::MergeShards(
     const Config& config, std::span<const Shard* const> shards) {
@@ -70,103 +72,21 @@ ConcurrentPrioritySampler::ConcurrentPrioritySampler(size_t num_shards,
                                                      size_t k,
                                                      bool coordinated,
                                                      uint64_t seed)
-    : core_(num_shards, {k, coordinated, seed}) {
+    : ConcurrentSampler(num_shards, {k, coordinated, seed}) {
   ATS_CHECK(k >= 1);
 }
 
-size_t ConcurrentPrioritySampler::ShardOf(uint64_t key) const {
-  return core_.ShardOf(key);
-}
-
-void ConcurrentPrioritySampler::Add(uint64_t key, double weight) {
-  core_.Add(Item{key, weight});
-}
-
-size_t ConcurrentPrioritySampler::AddBatch(std::span<const Item> items) {
-  return core_.AddBatch(items);
-}
-
-size_t ConcurrentPrioritySampler::AddShardBatch(
-    size_t shard, std::span<const Item> items) {
-  return core_.AddShardBatch(shard, items);
-}
-
-ConcurrentPrioritySampler::Writer ConcurrentPrioritySampler::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentPrioritySampler::Drain() { core_.Drain(); }
-
-ConcurrentPrioritySampler::MergedSample ConcurrentPrioritySampler::Merged()
-    const {
-  const auto snapshot = core_.Snapshot();
+ShardedSampler::MergedSample ConcurrentPrioritySampler::Merged() const {
+  const auto snapshot = Snapshot();
   return {MakeWeightedSample(snapshot->store()), snapshot->Threshold()};
-}
-
-std::vector<SampleEntry> ConcurrentPrioritySampler::Sample() const {
-  return MakeWeightedSample(core_.Snapshot()->store());
-}
-
-double ConcurrentPrioritySampler::MergedThreshold() const {
-  return core_.Snapshot()->Threshold();
-}
-
-std::shared_ptr<const BottomK<ConcurrentPrioritySampler::Item>>
-ConcurrentPrioritySampler::Snapshot() const {
-  return core_.Snapshot();
-}
-
-size_t ConcurrentPrioritySampler::TotalRetained() const {
-  return core_.TotalRetained();
 }
 
 // --- ConcurrentKmvSketch -----------------------------------------------
 
 ConcurrentKmvSketch::ConcurrentKmvSketch(size_t num_shards, size_t k,
                                          uint64_t hash_salt)
-    : core_(num_shards, {k, hash_salt}) {
+    : ConcurrentSampler(num_shards, {k, hash_salt}) {
   ATS_CHECK(k >= 1);
-}
-
-size_t ConcurrentKmvSketch::ShardOf(uint64_t key) const {
-  return core_.ShardOf(key);
-}
-
-void ConcurrentKmvSketch::AddKey(uint64_t key) { core_.Add(key); }
-
-size_t ConcurrentKmvSketch::AddKeys(std::span<const uint64_t> keys) {
-  return core_.AddBatch(keys);
-}
-
-size_t ConcurrentKmvSketch::AddShardKeys(size_t shard,
-                                         std::span<const uint64_t> keys) {
-  return core_.AddShardBatch(shard, keys);
-}
-
-ConcurrentKmvSketch::Writer ConcurrentKmvSketch::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentKmvSketch::Drain() { core_.Drain(); }
-
-double ConcurrentKmvSketch::Estimate() const {
-  return core_.Snapshot()->Estimate();
-}
-
-double ConcurrentKmvSketch::Threshold() const {
-  return core_.Snapshot()->Threshold();
-}
-
-size_t ConcurrentKmvSketch::MergedSize() const {
-  return core_.Snapshot()->size();
-}
-
-std::shared_ptr<const KmvSketch> ConcurrentKmvSketch::Snapshot() const {
-  return core_.Snapshot();
-}
-
-size_t ConcurrentKmvSketch::TotalRetained() const {
-  return core_.TotalRetained();
 }
 
 // --- ConcurrentWindowSampler -------------------------------------------
@@ -174,119 +94,44 @@ size_t ConcurrentKmvSketch::TotalRetained() const {
 ConcurrentWindowSampler::ConcurrentWindowSampler(size_t num_shards,
                                                  size_t k, double window,
                                                  uint64_t seed)
-    : core_(num_shards, {k, window, seed}) {
+    : ConcurrentSampler(num_shards, {k, window, seed}) {
   ATS_CHECK(k >= 1);
   ATS_CHECK(window > 0.0);
 }
 
-size_t ConcurrentWindowSampler::ShardOf(uint64_t id) const {
-  return core_.ShardOf(id);
-}
-
-bool ConcurrentWindowSampler::Arrive(double time, uint64_t id) {
-  return core_.Add(Arrival{time, id}) > 0;
-}
-
-size_t ConcurrentWindowSampler::AddBatch(
-    std::span<const Arrival> arrivals) {
-  return core_.AddBatch(arrivals);
-}
-
-size_t ConcurrentWindowSampler::AddShardBatch(
-    size_t shard, std::span<const Arrival> arrivals) {
-  return core_.AddShardBatch(shard, arrivals);
-}
-
-ConcurrentWindowSampler::Writer ConcurrentWindowSampler::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentWindowSampler::Drain() { core_.Drain(); }
-
 double ConcurrentWindowSampler::ImprovedThreshold(double now) const {
-  SlidingWindowSampler merged = *core_.Snapshot();
+  SlidingWindowSampler merged = *Snapshot();
   return merged.ImprovedThreshold(now);
 }
 
 double ConcurrentWindowSampler::GlThreshold(double now) const {
-  SlidingWindowSampler merged = *core_.Snapshot();
+  SlidingWindowSampler merged = *Snapshot();
   return merged.GlThreshold(now);
 }
 
 std::vector<SampleEntry> ConcurrentWindowSampler::ImprovedSample(
     double now) const {
-  SlidingWindowSampler merged = *core_.Snapshot();
+  SlidingWindowSampler merged = *Snapshot();
   return merged.ImprovedSample(now);
 }
 
 std::vector<SampleEntry> ConcurrentWindowSampler::GlSample(
     double now) const {
-  SlidingWindowSampler merged = *core_.Snapshot();
+  SlidingWindowSampler merged = *Snapshot();
   return merged.GlSample(now);
 }
 
 size_t ConcurrentWindowSampler::MergedStoredCount(double now) const {
-  SlidingWindowSampler merged = *core_.Snapshot();
+  SlidingWindowSampler merged = *Snapshot();
   return merged.StoredCount(now);
-}
-
-std::shared_ptr<const SlidingWindowSampler>
-ConcurrentWindowSampler::Snapshot() const {
-  return core_.Snapshot();
 }
 
 // --- ConcurrentDecaySampler --------------------------------------------
 
 ConcurrentDecaySampler::ConcurrentDecaySampler(size_t num_shards, size_t k,
                                                uint64_t seed)
-    : core_(num_shards, {k, seed}) {
+    : ConcurrentSampler(num_shards, {k, seed}) {
   ATS_CHECK(k >= 1);
-}
-
-size_t ConcurrentDecaySampler::ShardOf(uint64_t key) const {
-  return core_.ShardOf(key);
-}
-
-bool ConcurrentDecaySampler::Add(uint64_t key, double weight, double value,
-                                 double time) {
-  return core_.Add(TimedItem{key, weight, value, time}) > 0;
-}
-
-size_t ConcurrentDecaySampler::AddBatch(std::span<const TimedItem> items) {
-  return core_.AddBatch(items);
-}
-
-size_t ConcurrentDecaySampler::AddShardBatch(
-    size_t shard, std::span<const TimedItem> items) {
-  return core_.AddShardBatch(shard, items);
-}
-
-ConcurrentDecaySampler::Writer ConcurrentDecaySampler::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentDecaySampler::Drain() { core_.Drain(); }
-
-double ConcurrentDecaySampler::LogKeyThreshold() const {
-  return core_.Snapshot()->LogKeyThreshold();
-}
-
-std::vector<TimeDecaySampler::DecayedEntry> ConcurrentDecaySampler::SampleAt(
-    double now) const {
-  return core_.Snapshot()->SampleAt(now);
-}
-
-double ConcurrentDecaySampler::EstimateDecayedTotal(double now) const {
-  return core_.Snapshot()->EstimateDecayedTotal(now);
-}
-
-std::shared_ptr<const TimeDecaySampler> ConcurrentDecaySampler::Snapshot()
-    const {
-  return core_.Snapshot();
-}
-
-size_t ConcurrentDecaySampler::TotalRetained() const {
-  return core_.TotalRetained();
 }
 
 }  // namespace ats

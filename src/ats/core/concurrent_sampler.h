@@ -27,13 +27,14 @@
 // ingest is a bounded number of steps regardless of what any other
 // thread does. The mergeable-sample algebra makes the deferral sound: a
 // mini-sampler over a writer's substream merges EXACTLY into the
-// authoritative shard (threshold-pruned MergeMany, the same engine the
-// cluster tier trusts), so reconciliation can happen lazily at epoch
-// boundaries -- a reader that finds the cache dirty drains every
-// writer's published block into the shards (Drain() forces the same
-// thing deterministically) -- instead of on every batch. Drain order is
-// canonical: writers in registration order, shards ascending, so a
-// quiesced drain is reproducible.
+// authoritative shard (the scenario's MergeMany: the threshold-pruned
+// k-way engine the cluster tier trusts for the bottom-k scenarios, the
+// pairwise Merge chain for windows -- see sliding_window.h), so
+// reconciliation can happen lazily at epoch boundaries -- a reader that
+// finds the cache dirty drains every writer's published block into the
+// shards (Drain() forces the same thing deterministically) -- instead
+// of on every batch. Drain order is canonical: writers in registration
+// order, shards ascending, so a quiesced drain is reproducible.
 //
 // Reader protocol. A query loads the current snapshot pointer -- a raw
 // std::atomic<const SnapshotState*>, genuinely lock-free (statically
@@ -50,7 +51,8 @@
 // serializes rebuilders only): it drains the writer-local blocks,
 // copies each shard under that shard's lock -- a locked-path writer
 // waits at most the O(k) copy of its own shard, never the merge -- runs
-// the threshold-pruned k-way merge over the copies, canonicalizes, and
+// the scenario's MergeShards over the copies (k-way for the bottom-k
+// scenarios, the pairwise chain for windows), canonicalizes, and
 // publishes the new snapshot. Retired snapshots park in a graveyard
 // that is reclaimed only when a seq_cst reader-in-flight counter reads
 // zero, so a reader that already loaded the raw pointer can always
@@ -73,13 +75,17 @@
 // the differential tests use.
 //
 // Scenarios. The template is instantiated for every sampling scenario
-// in the library through small trait structs (routing key, per-shard
-// ingest, epoch accessor, k-way merge, mini construction/absorption);
-// the concrete front-ends below -- ConcurrentPrioritySampler,
+// in the library through small trait structs (routing key, shard
+// construction, per-shard ingest, epoch accessor, merge, absorption).
+// The concrete front-ends below -- ConcurrentPrioritySampler,
 // ConcurrentKmvSketch, ConcurrentWindowSampler, ConcurrentDecaySampler
-// -- wrap the existing sharded layouts (same routing salts, same
-// per-shard seeds, same merge), so the concurrent and sequential
-// front-ends are bit-equivalent over the same per-shard streams.
+// -- are public subclasses of ConcurrentSampler<Scenario> that add only
+// a positional constructor and, where a query cannot run on the shared
+// snapshot, a helper: ingest takes the scenario's Item, and every other
+// query is Snapshot()->X(). They reuse the existing sharded layouts
+// (same routing salts, same per-shard seeds, same merge), so the
+// concurrent and sequential front-ends are bit-equivalent over the same
+// per-shard streams.
 #ifndef ATS_CORE_CONCURRENT_SAMPLER_H_
 #define ATS_CORE_CONCURRENT_SAMPLER_H_
 
@@ -130,9 +136,10 @@ class CountedLockGuard {
 ///     using Merged = ...;   // merged snapshot type
 ///     struct Config {...};  // construction parameters (k, seed, ...)
 ///     static constexpr uint64_t kRouteSalt;           // shard routing
-///     static Shard MakeShard(const Config&, size_t shard);
-///     static Shard MakeLocalShard(const Config&, size_t shard,
-///                                 uint64_t writer_salt);  // mini-store
+///     // Authoritative shards pass writer_salt 0; writer-local minis
+///     // pass WriterLocalSalt (writer_local.h).
+///     static Shard MakeShard(const Config&, size_t shard,
+///                            uint64_t writer_salt);
 ///     static uint64_t RouteKey(const Item&);
 ///     static size_t Ingest(Shard&, std::span<const Item>);
 ///     static void AbsorbMany(Shard&, std::span<const Shard* const>);
@@ -161,8 +168,8 @@ class ConcurrentSampler {
     ATS_CHECK(num_shards >= 1);
     shards_.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
-      shards_.push_back(
-          std::make_unique<ShardSlot>(Scenario::MakeShard(config, s)));
+      shards_.push_back(std::make_unique<ShardSlot>(
+          Scenario::MakeShard(config, s, /*writer_salt=*/0)));
       published_.Publish(s, Scenario::Epoch(shards_.back()->sampler));
     }
   }
@@ -190,22 +197,12 @@ class ConcurrentSampler {
   size_t AddBatch(std::span<const Item> items) {
     if (shards_.size() == 1) return AddShardBatch(0, items);
     // Per-thread routing scratch, grown to the largest shard count this
-    // thread has routed for and retained until thread exit. `touched`
-    // lists exactly the runs left non-empty by the previous call, so
-    // clearing is O(touched), not O(S).
-    static thread_local std::vector<std::vector<Item>> runs;
-    static thread_local std::vector<uint32_t> touched;
-    if (runs.size() < shards_.size()) runs.resize(shards_.size());
-    for (const uint32_t s : touched) runs[s].clear();
-    touched.clear();
-    for (const Item& item : items) {
-      const size_t s = ShardOf(Scenario::RouteKey(item));
-      if (runs[s].empty()) touched.push_back(static_cast<uint32_t>(s));
-      runs[s].push_back(item);
-    }
+    // thread has routed for and retained until thread exit.
+    static thread_local RunPartition scratch;
+    Partition(items, scratch);
     size_t accepted = 0;
-    for (const uint32_t s : touched) {
-      accepted += AddShardBatch(s, runs[s]);
+    for (const uint32_t s : scratch.touched) {
+      accepted += AddShardBatch(s, scratch.runs[s]);
     }
     return accepted;
   }
@@ -234,6 +231,30 @@ class ConcurrentSampler {
   // Defined below with the other private types; declared here so the
   // Writer class's member signatures can name it.
   struct Block;
+
+  /// One batch split into per-shard runs, order-preserving within each
+  /// run. Reused across batches by its owner (a thread or a Writer):
+  /// `touched` lists exactly the runs the previous split left
+  /// non-empty, so clearing is O(touched), not O(S), and steady state
+  /// performs no allocation.
+  struct RunPartition {
+    std::vector<std::vector<Item>> runs;
+    std::vector<uint32_t> touched;
+  };
+
+  /// The routing split shared by the locked and writer-local paths.
+  void Partition(std::span<const Item> items, RunPartition& out) const {
+    if (out.runs.size() < shards_.size()) out.runs.resize(shards_.size());
+    for (const uint32_t s : out.touched) out.runs[s].clear();
+    out.touched.clear();
+    for (const Item& item : items) {
+      const size_t s = ShardOf(Scenario::RouteKey(item));
+      if (out.runs[s].empty()) {
+        out.touched.push_back(static_cast<uint32_t>(s));
+      }
+      out.runs[s].push_back(item);
+    }
+  }
 
  public:
   class Writer;
@@ -275,8 +296,7 @@ class ConcurrentSampler {
           slot_(other.slot_),
           index_(other.index_),
           next_epoch_(other.next_epoch_),
-          runs_(std::move(other.runs_)),
-          touched_(std::move(other.touched_)) {
+          scratch_(std::move(other.scratch_)) {
       other.slot_ = nullptr;
     }
     Writer(const Writer&) = delete;
@@ -314,19 +334,10 @@ class ConcurrentSampler {
         accepted = Scenario::Ingest(block->minis[0], items);
         changed = Scenario::Epoch(block->minis[0]) != before;
       } else {
-        if (runs_.size() < num_shards) runs_.resize(num_shards);
-        for (const uint32_t s : touched_) runs_[s].clear();
-        touched_.clear();
-        for (const Item& item : items) {
-          const size_t s = owner_->ShardOf(Scenario::RouteKey(item));
-          if (runs_[s].empty()) {
-            touched_.push_back(static_cast<uint32_t>(s));
-          }
-          runs_[s].push_back(item);
-        }
-        for (const uint32_t s : touched_) {
+        owner_->Partition(items, scratch_);
+        for (const uint32_t s : scratch_.touched) {
           const uint64_t before = Scenario::Epoch(block->minis[s]);
-          accepted += Scenario::Ingest(block->minis[s], runs_[s]);
+          accepted += Scenario::Ingest(block->minis[s], scratch_.runs[s]);
           changed |= Scenario::Epoch(block->minis[s]) != before;
         }
       }
@@ -365,10 +376,9 @@ class ConcurrentSampler {
     Slot* slot_;
     size_t index_;
     uint64_t next_epoch_ = 0;
-    // Reusable routing scratch (satellite of the same allocation-free
-    // discipline as the locked path's thread-local scratch).
-    std::vector<std::vector<Item>> runs_;
-    std::vector<uint32_t> touched_;
+    // Reusable routing scratch (the same allocation-free discipline as
+    // the locked path's thread-local scratch).
+    RunPartition scratch_;
   };
 
   /// The merged snapshot. Clean cache (no shard epoch and no writer
@@ -537,15 +547,15 @@ class ConcurrentSampler {
     block->minis.reserve(shards_.size());
     block->base_epochs.reserve(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
-      block->minis.push_back(Scenario::MakeLocalShard(config_, s, salt));
+      block->minis.push_back(Scenario::MakeShard(config_, s, salt));
       block->base_epochs.push_back(Scenario::Epoch(block->minis.back()));
     }
     return block.release();
   }
 
   /// Drains every writer's published block into the authoritative
-  /// shards through the threshold-pruned MergeMany engine. Requires
-  /// drain_mu_. Wait-free for writers throughout: the only
+  /// shards through the scenario's AbsorbMany (the shard's MergeMany).
+  /// Requires drain_mu_. Wait-free for writers throughout: the only
   /// writer-shared state touched is the mailbox/spare exchanges.
   void DrainLocked() const {
     const size_t writer_count = writers_.count();
@@ -598,7 +608,7 @@ class ConcurrentSampler {
         if (Scenario::Epoch(t.block->minis[s]) == t.block->base_epochs[s]) {
           continue;  // untouched mini: keep it (and its unused RNG)
         }
-        t.block->minis[s] = Scenario::MakeLocalShard(config_, s, salt);
+        t.block->minis[s] = Scenario::MakeShard(config_, s, salt);
         t.block->base_epochs[s] = Scenario::Epoch(t.block->minis[s]);
       }
       Block* prev =
@@ -643,8 +653,8 @@ class ConcurrentSampler {
         copies.push_back(slot->sampler);
       }
     }
-    // Merge the copies lock-free (the threshold-pruned k-way engine via
-    // the scenario), then publish.
+    // Merge the copies lock-free through the scenario's MergeShards,
+    // then publish.
     std::vector<const Shard*> inputs;
     inputs.reserve(copies.size());
     for (const Shard& copy : copies) inputs.push_back(&copy);
@@ -727,13 +737,8 @@ struct PriorityScenario {
   using Item = PrioritySampler::Item;
   using Merged = BottomK<Item>;
   static constexpr uint64_t kRouteSalt = kShardRouteSalt;
-  static Shard MakeShard(const Config& config, size_t shard) {
-    return PrioritySampler(config.k,
-                           config.seed + kShardSeedStride * shard,
-                           config.coordinated);
-  }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t writer_salt) {
+  static Shard MakeShard(const Config& config, size_t shard,
+                         uint64_t writer_salt) {
     return PrioritySampler(
         config.k, config.seed + kShardSeedStride * shard + writer_salt,
         config.coordinated);
@@ -768,13 +773,11 @@ struct KmvScenario {
   using Item = uint64_t;
   using Merged = KmvSketch;
   static constexpr uint64_t kRouteSalt = kShardRouteSalt;
-  static Shard MakeShard(const Config& config, size_t /*shard*/) {
+  static Shard MakeShard(const Config& config, size_t /*shard*/,
+                         uint64_t /*writer_salt*/) {
+    // Hash-coordinated: every shard and mini is the same empty sketch.
     return KmvSketch(config.k, /*initial_threshold=*/1.0,
                      config.hash_salt);
-  }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t /*writer_salt*/) {
-    return MakeShard(config, shard);  // hash-coordinated: salt-free
   }
   static uint64_t RouteKey(uint64_t key) { return key; }
   static size_t Ingest(Shard& shard, std::span<const uint64_t> keys) {
@@ -817,12 +820,8 @@ struct WindowScenario {
   using Item = Arrival;
   using Merged = SlidingWindowSampler;
   static constexpr uint64_t kRouteSalt = kTimeAxisRouteSalt;
-  static Shard MakeShard(const Config& config, size_t shard) {
-    return SlidingWindowSampler(config.k, config.window,
-                                config.seed + kShardSeedStride * shard);
-  }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t writer_salt) {
+  static Shard MakeShard(const Config& config, size_t shard,
+                         uint64_t writer_salt) {
     return SlidingWindowSampler(
         config.k, config.window,
         config.seed + kShardSeedStride * shard + writer_salt);
@@ -863,12 +862,8 @@ struct DecayScenario {
   using Item = TimeDecaySampler::TimedItem;
   using Merged = TimeDecaySampler;
   static constexpr uint64_t kRouteSalt = kTimeAxisRouteSalt;
-  static Shard MakeShard(const Config& config, size_t shard) {
-    return TimeDecaySampler(config.k,
-                            config.seed + kShardSeedStride * shard);
-  }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t writer_salt) {
+  static Shard MakeShard(const Config& config, size_t shard,
+                         uint64_t writer_salt) {
     return TimeDecaySampler(
         config.k, config.seed + kShardSeedStride * shard + writer_salt);
   }
@@ -902,13 +897,11 @@ extern template class ConcurrentSampler<internal::DecayScenario>;
 /// identical shard layout. With coordinated priorities (the default)
 /// the merged snapshot after writers quiesce (and drain, for
 /// writer-local ingest) is EXACTLY the single-store sample of the
-/// concatenated stream -- on both write paths.
-class ConcurrentPrioritySampler {
+/// concatenated stream -- on both write paths. Snapshot() is the merged
+/// BottomK<Item>; query it directly (Snapshot()->Threshold(), ...).
+class ConcurrentPrioritySampler
+    : public ConcurrentSampler<internal::PriorityScenario> {
  public:
-  using Item = PrioritySampler::Item;
-  using MergedSample = ShardedSampler::MergedSample;
-  using Writer = ConcurrentSampler<internal::PriorityScenario>::Writer;
-
   /// num_shards: lock stripes / independent shard samplers. k: sample
   /// capacity of every shard and of the merged sample. `coordinated`
   /// selects hash-derived priorities (required for exact single-store
@@ -916,68 +909,10 @@ class ConcurrentPrioritySampler {
   ConcurrentPrioritySampler(size_t num_shards, size_t k,
                             bool coordinated = true, uint64_t seed = 1);
 
-  /// Shard index for a key. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t key) const;
-
-  /// Ingests one weighted item under its shard's lock. Thread-safe
-  /// against all other methods.
-  void Add(uint64_t key, double weight);
-
-  /// Routed batched ingest (see ConcurrentSampler::AddBatch).
-  /// Thread-safe against all other methods; returns the accepted count.
-  size_t AddBatch(std::span<const Item> items);
-
-  /// Pre-partitioned single-shard ingest: the zero-contention entry
-  /// point for writers that partition upstream. Thread-safe; every item
-  /// must route to `shard` (checked in debug builds).
-  size_t AddShardBatch(size_t shard, std::span<const Item> items);
-
-  /// Registers a wait-free writer-local ingest handle (see
-  /// ConcurrentSampler::RegisterWriter). Thread-safe.
-  Writer RegisterWriter();
-
-  /// Deterministically merges all published writer-local mini-stores
-  /// into the shards (see ConcurrentSampler::Drain). Thread-safe.
-  void Drain();
-
   /// Merged sample + threshold from one epoch-consistent snapshot.
   /// Thread-safe; clean-cache calls acquire no lock and never block
   /// writers.
-  MergedSample Merged() const;
-
-  /// Merged sample entries only (one snapshot). Thread-safe.
-  std::vector<SampleEntry> Sample() const;
-
-  /// Merged adaptive threshold only (one snapshot). Thread-safe.
-  double MergedThreshold() const;
-
-  /// The epoch-consistent merged bottom-k snapshot itself; immutable
-  /// and safely shareable across reader threads. Thread-safe.
-  std::shared_ptr<const BottomK<Item>> Snapshot() const;
-
-  /// Items retained across shards (per-shard instants; excludes
-  /// undrained writer-local items). Thread-safe.
-  size_t TotalRetained() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests): total mutex acquisitions, and the runtime
-  /// lock-freedom check on the snapshot publication atomics.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-
- private:
-  ConcurrentSampler<internal::PriorityScenario> core_;
+  ShardedSampler::MergedSample Merged() const;
 };
 
 /// Internally thread-safe KMV distinct-counting front-end (and, through
@@ -985,116 +920,38 @@ class ConcurrentPrioritySampler {
 /// distinct unions): shards share one hash salt, so the merged snapshot
 /// is exactly the single-sketch union of the concatenated key stream --
 /// on both write paths (writer-local duplicates collapse at the drain).
-class ConcurrentKmvSketch {
+/// Items are raw keys; Snapshot() is the merged KmvSketch.
+class ConcurrentKmvSketch : public ConcurrentSampler<internal::KmvScenario> {
  public:
-  using Writer = ConcurrentSampler<internal::KmvScenario>::Writer;
-
   ConcurrentKmvSketch(size_t num_shards, size_t k, uint64_t hash_salt = 0);
-
-  /// Shard index for a key. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t key) const;
-
-  /// Ingests one key under its shard's lock. Thread-safe.
-  void AddKey(uint64_t key);
-
-  /// Routed batched ingest through each shard's fused hash pipeline.
-  /// Thread-safe; returns the number of accepted priorities.
-  size_t AddKeys(std::span<const uint64_t> keys);
-
-  /// Pre-partitioned single-shard ingest. Thread-safe.
-  size_t AddShardKeys(size_t shard, std::span<const uint64_t> keys);
-
-  /// Wait-free writer-local ingest handle. Thread-safe.
-  Writer RegisterWriter();
-
-  /// Merges all published writer-local mini-sketches. Thread-safe.
-  void Drain();
-
-  /// Unbiased distinct-count estimate from one snapshot. Thread-safe.
-  double Estimate() const;
-
-  /// Merged threshold theta from one snapshot. Thread-safe.
-  double Threshold() const;
-
-  /// Retained distinct priorities in the merged snapshot. Thread-safe.
-  size_t MergedSize() const;
-
-  /// The epoch-consistent merged sketch; immutable, shareable across
-  /// readers. Thread-safe.
-  std::shared_ptr<const KmvSketch> Snapshot() const;
-
-  /// Retained priorities across shards (>= MergedSize; excludes
-  /// undrained writer-local priorities). Thread-safe.
-  size_t TotalRetained() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests); see ConcurrentPrioritySampler.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-
- private:
-  ConcurrentSampler<internal::KmvScenario> core_;
 };
 
 /// Internally thread-safe sliding-window front-end: the concurrent
 /// counterpart of ShardedWindowSampler (identical shard layout, seeds,
 /// and merge). Arrival times must be non-decreasing PER SAMPLER. On
 /// the locked path that leaves two safe ingest patterns: a SINGLE
-/// thread driving the routed Arrive/AddBatch, or several writers
-/// owning DISJOINT shards via AddShardBatch (each feeding its shards
-/// in time order). The writer-local path (RegisterWriter) lifts the
+/// thread driving the routed Add/AddBatch, or several writers owning
+/// DISJOINT shards via AddShardBatch (each feeding its shards in time
+/// order). The writer-local path (RegisterWriter) lifts the
 /// restriction: each registered writer's mini-samplers see only that
 /// writer's arrivals in its own order, so any number of concurrent
 /// registered writers is valid provided each one's own stream is
-/// time-ordered. Queries evaluate one epoch-consistent snapshot at
-/// `now` on a private O(k) copy (window queries advance expiry, so the
-/// shared snapshot itself is never mutated); `now` should be >= the
-/// times already ingested, as with the sequential sampler.
-class ConcurrentWindowSampler {
+/// time-ordered. The query helpers below evaluate one epoch-consistent
+/// snapshot at `now` on a private O(k) copy: window queries advance
+/// expiry, so they must never run on the shared snapshot itself. `now`
+/// should be >= the times already ingested, as with the sequential
+/// sampler.
+class ConcurrentWindowSampler
+    : public ConcurrentSampler<internal::WindowScenario> {
  public:
   using Arrival = internal::WindowScenario::Arrival;
-  using Writer = ConcurrentSampler<internal::WindowScenario>::Writer;
 
   ConcurrentWindowSampler(size_t num_shards, size_t k, double window,
                           uint64_t seed = 1);
 
-  /// Shard index for an item id. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t id) const;
-
-  /// Ingests one arrival under its shard's lock. Thread-safe; returns
-  /// true iff the item was stored.
-  bool Arrive(double time, uint64_t id);
-
-  /// Routed batched ingest (order-preserving per shard). Thread-safe.
-  size_t AddBatch(std::span<const Arrival> arrivals);
-
-  /// Pre-partitioned single-shard ingest. Thread-safe.
-  size_t AddShardBatch(size_t shard, std::span<const Arrival> arrivals);
-
-  /// Wait-free writer-local ingest handle; the writer's own arrivals
-  /// must be time-ordered. Thread-safe.
-  Writer RegisterWriter();
-
-  /// Merges all published writer-local mini-samplers. Thread-safe.
-  void Drain();
-
-  /// Improved final threshold of the merged windowed sample at `now`.
-  /// Thread-safe.
+  /// Improved and G&L final thresholds of the merged windowed sample at
+  /// `now`. Thread-safe.
   double ImprovedThreshold(double now) const;
-
-  /// G&L final threshold of the merged windowed sample at `now`.
-  /// Thread-safe.
   double GlThreshold(double now) const;
 
   /// Merged samples under each final threshold at `now`. Thread-safe.
@@ -1104,30 +961,6 @@ class ConcurrentWindowSampler {
   /// Stored items (current + expired) in the merged snapshot at `now`.
   /// Thread-safe.
   size_t MergedStoredCount(double now) const;
-
-  /// The epoch-consistent merged window sampler. Immutable: query it by
-  /// copying (queries advance expiry). Thread-safe.
-  std::shared_ptr<const SlidingWindowSampler> Snapshot() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests); see ConcurrentPrioritySampler.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-  double window() const { return core_.config().window; }
-
- private:
-  ConcurrentSampler<internal::WindowScenario> core_;
 };
 
 /// Internally thread-safe time-decay front-end: the concurrent
@@ -1135,72 +968,13 @@ class ConcurrentWindowSampler {
 /// and merge). Per sampler, item times must be non-decreasing -- the
 /// same ingest-pattern contract as ConcurrentWindowSampler, with the
 /// same writer-local resolution: registered writers each feed their own
-/// time-ordered stream, in any number, concurrently.
-class ConcurrentDecaySampler {
+/// time-ordered stream, in any number, concurrently. Snapshot() is the
+/// merged TimeDecaySampler, canonicalized so its const queries
+/// (LogKeyThreshold, SampleAt, EstimateDecayedTotal) are pure reads.
+class ConcurrentDecaySampler
+    : public ConcurrentSampler<internal::DecayScenario> {
  public:
-  using TimedItem = TimeDecaySampler::TimedItem;
-  using Writer = ConcurrentSampler<internal::DecayScenario>::Writer;
-
   ConcurrentDecaySampler(size_t num_shards, size_t k, uint64_t seed = 1);
-
-  /// Shard index for a key. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t key) const;
-
-  /// Ingests one item under its shard's lock. Thread-safe; returns true
-  /// iff the item was accepted below the shard's acceptance bound.
-  bool Add(uint64_t key, double weight, double value, double time);
-
-  /// Routed batched ingest (order-preserving per shard). Thread-safe.
-  size_t AddBatch(std::span<const TimedItem> items);
-
-  /// Pre-partitioned single-shard ingest. Thread-safe.
-  size_t AddShardBatch(size_t shard, std::span<const TimedItem> items);
-
-  /// Wait-free writer-local ingest handle; the writer's own items must
-  /// be time-ordered. Thread-safe.
-  Writer RegisterWriter();
-
-  /// Merges all published writer-local mini-samplers. Thread-safe.
-  void Drain();
-
-  /// Merged adaptive threshold on the log-key scale, from one snapshot.
-  /// Thread-safe.
-  double LogKeyThreshold() const;
-
-  /// Merged decayed sample at `now` (>= every ingested time), from one
-  /// snapshot. Thread-safe.
-  std::vector<TimeDecaySampler::DecayedEntry> SampleAt(double now) const;
-
-  /// HT estimate of the decayed total at `now`, from one snapshot.
-  /// Thread-safe.
-  double EstimateDecayedTotal(double now) const;
-
-  /// The epoch-consistent merged decay sampler; immutable and pure-read
-  /// queryable across threads. Thread-safe.
-  std::shared_ptr<const TimeDecaySampler> Snapshot() const;
-
-  /// Items retained across shards (per-shard instants; excludes
-  /// undrained writer-local items). Thread-safe.
-  size_t TotalRetained() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests); see ConcurrentPrioritySampler.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-
- private:
-  ConcurrentSampler<internal::DecayScenario> core_;
 };
 
 }  // namespace ats

@@ -101,7 +101,7 @@ TEST(ConcurrentPrioritySampler,
     EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
         << "writers=" << writers;
     // And with the sequential sharded front-end (identical shard layout).
-    EXPECT_DOUBLE_EQ(conc.MergedThreshold(), sharded.MergedThreshold())
+    EXPECT_DOUBLE_EQ(conc.Snapshot()->Threshold(), sharded.MergedThreshold())
         << "writers=" << writers;
   }
 }
@@ -181,7 +181,7 @@ TEST(ConcurrentPrioritySampler, SnapshotIsCachedUntilAnAcceptedOffer) {
   EXPECT_EQ(first.get(), conc.Snapshot().get());
 
   // An accepted offer invalidates it.
-  conc.Add(200001, 1e9);
+  conc.Add(Item{200001, 1e9});
   EXPECT_NE(first.get(), conc.Snapshot().get());
   // The old snapshot is still alive and internally consistent for the
   // holder (readers keep what they took).
@@ -214,23 +214,24 @@ TEST(ConcurrentKmvSketch, ConcurrentIngestMatchesSingleSketchExactly) {
     std::thread reader([&] {
       double last = 0.0;
       while (!done.load(std::memory_order_relaxed)) {
-        const double estimate = conc.Estimate();
+        const double estimate = conc.Snapshot()->Estimate();
         EXPECT_GE(estimate, last);
         last = estimate;
       }
     });
     for (size_t w = 0; w < writers; ++w) {
-      threads.emplace_back([&conc, &slices, w] { conc.AddKeys(slices[w]); });
+      threads.emplace_back([&conc, &slices, w] { conc.AddBatch(slices[w]); });
     }
     for (auto& t : threads) t.join();
     done.store(true, std::memory_order_relaxed);
     reader.join();
 
-    EXPECT_DOUBLE_EQ(conc.Threshold(), single.Threshold())
+    const auto snap = conc.Snapshot();
+    EXPECT_DOUBLE_EQ(snap->Threshold(), single.Threshold())
         << "writers=" << writers;
-    EXPECT_DOUBLE_EQ(conc.Estimate(), single.Estimate())
+    EXPECT_DOUBLE_EQ(snap->Estimate(), single.Estimate())
         << "writers=" << writers;
-    EXPECT_EQ(conc.MergedSize(), single.size()) << "writers=" << writers;
+    EXPECT_EQ(snap->size(), single.size()) << "writers=" << writers;
   }
 }
 
@@ -333,11 +334,12 @@ TEST(ConcurrentDecaySampler, ConcurrentIngestMatchesShardedReference) {
   for (auto& t : threads) t.join();
 
   const double now = 5.0;
-  EXPECT_DOUBLE_EQ(conc.LogKeyThreshold(), ref.LogKeyThreshold());
-  EXPECT_DOUBLE_EQ(conc.EstimateDecayedTotal(now),
+  const auto snap = conc.Snapshot();
+  EXPECT_DOUBLE_EQ(snap->LogKeyThreshold(), ref.LogKeyThreshold());
+  EXPECT_DOUBLE_EQ(snap->EstimateDecayedTotal(now),
                    ref.EstimateDecayedTotal(now));
   EXPECT_EQ(conc.TotalRetained(), ref.TotalRetained());
-  const auto conc_sample = conc.SampleAt(now);
+  const auto conc_sample = snap->SampleAt(now);
   const auto ref_sample = ref.SampleAt(now);
   ASSERT_EQ(conc_sample.size(), ref_sample.size());
   auto key_of = [](const TimeDecaySampler::DecayedEntry& e) { return e.key; };
@@ -415,8 +417,8 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
   std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
       const auto wsample = window.ImprovedSample(final_now);
-      ASSERT_LE(wsample.size(), window.k());
-      const double total = decay.EstimateDecayedTotal(final_now);
+      ASSERT_LE(wsample.size(), window.config().k);
+      const double total = decay.Snapshot()->EstimateDecayedTotal(final_now);
       ASSERT_GE(total, 0.0);
       ASSERT_TRUE(std::isfinite(total));
     }
@@ -444,7 +446,7 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
   }
   EXPECT_DOUBLE_EQ(window.ImprovedThreshold(final_now),
                    wref.ImprovedThreshold(final_now));
-  EXPECT_DOUBLE_EQ(decay.EstimateDecayedTotal(final_now),
+  EXPECT_DOUBLE_EQ(decay.Snapshot()->EstimateDecayedTotal(final_now),
                    dref.EstimateDecayedTotal(final_now));
 }
 
@@ -609,9 +611,10 @@ TEST(ConcurrentKmvSketch, WriterLocalDuplicatesAcrossWritersCollapseExactly) {
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_DOUBLE_EQ(conc.Threshold(), single.Threshold());
-  EXPECT_DOUBLE_EQ(conc.Estimate(), single.Estimate());
-  EXPECT_EQ(conc.MergedSize(), single.size());
+  const auto snap = conc.Snapshot();
+  EXPECT_DOUBLE_EQ(snap->Threshold(), single.Threshold());
+  EXPECT_DOUBLE_EQ(snap->Estimate(), single.Estimate());
+  EXPECT_EQ(snap->size(), single.size());
 }
 
 TEST(ConcurrentTimeAxis, WriterLocalSingleWriterMatchesShardedReference) {
@@ -651,8 +654,9 @@ TEST(ConcurrentTimeAxis, WriterLocalSingleWriterMatchesShardedReference) {
         << "now=" << now;
   }
   const double now = 5.0;
-  EXPECT_DOUBLE_EQ(dconc.LogKeyThreshold(), dref.LogKeyThreshold());
-  EXPECT_DOUBLE_EQ(dconc.EstimateDecayedTotal(now),
+  const auto dsnap = dconc.Snapshot();
+  EXPECT_DOUBLE_EQ(dsnap->LogKeyThreshold(), dref.LogKeyThreshold());
+  EXPECT_DOUBLE_EQ(dsnap->EstimateDecayedTotal(now),
                    dref.EstimateDecayedTotal(now));
 }
 

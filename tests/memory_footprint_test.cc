@@ -173,7 +173,7 @@ TEST(MemoryFootprint, FrontEndsSumTheirShards) {
   const size_t concurrent_empty = concurrent.MemoryFootprint();
   std::vector<uint64_t> keys(400);
   for (auto& k : keys) k = rng.Next();
-  concurrent.AddKeys(keys);
+  concurrent.AddBatch(keys);
   EXPECT_GT(concurrent.MemoryFootprint(), concurrent_empty);
 }
 

@@ -102,7 +102,7 @@ TEST(StatisticalInclusion, ConcurrentMergedSampleFrequenciesAreUniform) {
                                    /*coordinated=*/false,
                                    kSeedBase + static_cast<uint64_t>(t));
     conc.AddBatch(stream);
-    for (const auto& e : conc.Sample()) {
+    for (const auto& e : conc.Merged().entries) {
       counts[static_cast<size_t>(e.key)] += 1;
     }
   }
@@ -139,7 +139,7 @@ TEST(StatisticalInclusion, WriterLocalSampleFrequenciesAreUniform) {
                                                       n / 4));
     b.AddBatch(std::span<const PrioritySampler::Item>(
         stream.data() + n / 2 + n / 4, n - n / 2 - n / 4));
-    for (const auto& e : conc.Sample()) {
+    for (const auto& e : conc.Merged().entries) {
       counts[static_cast<size_t>(e.key)] += 1;
     }
   }
@@ -275,7 +275,7 @@ TEST(StatisticalHt, ConcurrentSnapshotTotalsAreUnbiasedWithinCi) {
                                    /*coordinated=*/false,
                                    kSeedBase + static_cast<uint64_t>(t));
     conc.AddBatch(population);
-    estimates.Add(HtTotal(conc.Sample()));
+    estimates.Add(HtTotal(conc.Merged().entries));
   }
   const double se =
       estimates.StdDev() / std::sqrt(static_cast<double>(replicates));

@@ -169,9 +169,14 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
 // and the cached top two priorities carry the threshold): k = 256 is the
 // per-shard regime of the window_monitor benchmark; k = 2 and k = 1 keep
 // the second-largest (or missing second) priority at the eviction edge.
-// The last two query after every arrival, so the dead prefix is
+// The last three query after every arrival, so the dead prefix is
 // reclaimed between nearly every pair of arrivals while top-two items
-// keep expiring.
+// keep expiring. The sparse k = 3 point (about two arrivals per window
+// per sample slot) keeps the sample dipping below k: a query reclaims
+// the dead prefix, underfull arrivals refill it with no full-sample
+// arrival in between, and the next top-two item to die sits below the
+// old checked index -- which is why reclamation must reset that index
+// to 0 (and must leave an invalid cache invalid).
 INSTANTIATE_TEST_SUITE_P(
     Sweep, WindowOracleSweep,
     ::testing::Values(OracleParam{1, 200.0, 1}, OracleParam{10, 500.0, 2},
@@ -179,7 +184,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParam{100, 300.0, 5},
                       OracleParam{256, 9000.0, 6}, OracleParam{2, 80.0, 7},
                       OracleParam{1, 48.0, 8}, OracleParam{8, 400.0, 9, 1},
-                      OracleParam{2, 200.0, 10, 1}));
+                      OracleParam{2, 200.0, 10, 1},
+                      OracleParam{3, 6.0, 11, 1}));
 
 // ----------------------------------------------------------------------
 // Wire round trips.
