@@ -20,6 +20,8 @@
 //     progress, so the number shows what reads cost the ingest path
 //     (on a clean cache: one shared_ptr load + S atomic compares).
 //   * BM_ConcurrentSnapshotClean     -- the clean-cache query itself.
+//   * BM_ConcurrentSnapshotRebuild/A -- the dirty-cache query (rebuild):
+//     A=0 one accepted item per read, A=1 a fresh 4096-item chunk.
 //
 // All multi-threaded benches use real time: thread scaling is a
 // wall-clock property, CPU time sums across workers.
@@ -225,18 +227,34 @@ void BM_ConcurrentSnapshotClean(benchmark::State& state) {
 BENCHMARK(BM_ConcurrentSnapshotClean);
 
 void BM_ConcurrentSnapshotRebuild(benchmark::State& state) {
-  // Worst-case query: every read finds a dirty cache (one accepted
-  // offer between queries), so each pays the copy-and-merge rebuild.
+  // Dirty-cache query: every read finds an epoch moved, so each pays the
+  // rebuild -- one pre-filtered gather per shard under its lock, pruned
+  // at the previous snapshot's threshold, then one purge. Arg 0 accepts
+  // one heavy item between reads: nearly nothing clears the prune (its
+  // best case). Arg 1 ingests a fresh 4096-item chunk of new keys
+  // between reads, like the perfbench ladder's rebuild rung: the realistic
+  // case, where every shard gains candidates below the old threshold.
+  // Only the Snapshot() call is timed.
+  const bool fresh_chunks = state.range(0) != 0;
   ConcurrentPrioritySampler conc(kShards, kK);
   const auto items = MakeItems(2);
   conc.AddBatch(items);
+  conc.Snapshot();
+  Xoshiro256 rng(3);
+  std::vector<Item> chunk(fresh_chunks ? 4096 : 1);
   uint64_t key = kStreamLen;
   for (auto _ : state) {
-    conc.Add({key++, 1e9});  // heavy weight: always accepted
+    state.PauseTiming();
+    for (Item& item : chunk) {
+      item = fresh_chunks ? Item{key++, 1.0 + rng.NextDouble()}
+                          : Item{key++, 1e9};  // heavy: always accepted
+    }
+    conc.AddBatch(chunk);
+    state.ResumeTiming();
     benchmark::DoNotOptimize(conc.Snapshot()->Threshold());
   }
 }
-BENCHMARK(BM_ConcurrentSnapshotRebuild);
+BENCHMARK(BM_ConcurrentSnapshotRebuild)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace ats

@@ -3,60 +3,97 @@
 namespace ats {
 namespace internal {
 
-// Every MergeShards mirrors its sequential front-end's merge exactly
-// (same accumulator construction, same MergeMany -- the threshold-pruned
-// k-way engine, or for windows the pairwise Merge chain -- and the same
-// seed for the merged time-axis samplers), then canonicalizes the
-// result so every const accessor on the published snapshot is a pure
-// read -- that is what lets any number of reader threads share one
-// snapshot.
+// Every scenario's StartMerge / GatherShard / FinishMerge fold yields
+// exactly its sequential front-end's merge (same accumulator
+// construction and seed, same k-way union) and canonicalizes the result,
+// so every const accessor on the published snapshot is a pure read --
+// that is what lets any number of reader threads share one snapshot.
+//
+// The bottom-k scenarios fold through the raw-column gather
+// (SampleStore::Gather): under each stripe lock, one block-prefiltered
+// scan of at most 2k buffered shard entries appends the survivors, and
+// the single purge runs in FinishMerge, lock-free. No shard is copied or
+// canonicalized. The accumulator starts lowered to the previous
+// snapshot's canonical threshold: shards only grow (ingest and drains
+// add items, nothing removes them), and a bottom-k threshold never rises
+// as its stream grows, so that threshold is >= the new merged threshold
+// -- a valid pre-filter bound by threshold substitutability (Theorem 6;
+// SampleStore::MergeMany has the equivalence argument). Between two
+// rebuilds only the candidates below it survive the scan.
 
-PriorityScenario::Merged PriorityScenario::MergeShards(
-    const Config& config, std::span<const Shard* const> shards) {
-  BottomK<Item> merged(config.k);
-  std::vector<const BottomK<Item>*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(&shard->sketch());
-  merged.MergeMany(inputs);
-  merged.store().Canonicalize();
-  return merged;
+PriorityScenario::Accumulator PriorityScenario::StartMerge(
+    const Config& config, const Merged* previous) {
+  BottomK<Item> acc(config.k);
+  if (previous != nullptr) acc.LowerThreshold(previous->Threshold());
+  return acc;
 }
 
-KmvScenario::Merged KmvScenario::MergeShards(
-    const Config& config, std::span<const Shard* const> shards) {
-  KmvSketch merged(config.k, /*initial_threshold=*/1.0, config.hash_salt);
-  std::vector<const KmvSketch*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(shard);
-  merged.MergeMany(inputs);
-  merged.store().Canonicalize();
-  return merged;
+void PriorityScenario::GatherShard(Accumulator& acc, const Shard& shard) {
+  acc.store().Gather(shard.sketch().store());
 }
 
-WindowScenario::Merged WindowScenario::MergeShards(
-    const Config& config, std::span<const Shard* const> shards) {
+PriorityScenario::Merged PriorityScenario::FinishMerge(
+    const Config& /*config*/, Accumulator&& acc) {
+  acc.PurgeAboveThreshold();  // compacts: the result is canonical
+  return std::move(acc);
+}
+
+KmvScenario::Accumulator KmvScenario::StartMerge(const Config& config,
+                                                 const Merged* previous) {
+  KmvSketch acc(config.k, /*initial_threshold=*/1.0, config.hash_salt);
+  if (previous != nullptr) acc.LowerThreshold(previous->Threshold());
+  return acc;
+}
+
+void KmvScenario::GatherShard(Accumulator& acc, const Shard& shard) {
+  acc.Gather(shard);  // duplicate suppression as in MergeMany
+}
+
+KmvScenario::Merged KmvScenario::FinishMerge(const Config& /*config*/,
+                                             Accumulator&& acc) {
+  acc.PurgeAboveThreshold();  // compacts: the result is canonical
+  return std::move(acc);
+}
+
+WindowScenario::Accumulator WindowScenario::StartMerge(
+    const Config& /*config*/, const Merged* /*previous*/) {
+  return {};
+}
+
+void WindowScenario::GatherShard(Accumulator& acc, const Shard& shard) {
+  acc.push_back(shard);  // O(k) copy under the stripe lock
+}
+
+WindowScenario::Merged WindowScenario::FinishMerge(const Config& config,
+                                                   Accumulator&& acc) {
   // Seed 1, matching ShardedWindowSampler::MergedWindow: the merged
   // sampler never draws priorities, but identical construction keeps
   // the concurrent and sequential front-ends bit-equivalent.
   SlidingWindowSampler merged(config.k, config.window, /*seed=*/1);
   std::vector<const SlidingWindowSampler*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(shard);
+  inputs.reserve(acc.size());
+  for (const Shard& copy : acc) inputs.push_back(&copy);
   merged.MergeMany(inputs);
   return merged;
 }
 
-DecayScenario::Merged DecayScenario::MergeShards(
-    const Config& config, std::span<const Shard* const> shards) {
-  TimeDecaySampler merged(config.k, /*seed=*/1);
-  std::vector<const TimeDecaySampler*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(shard);
-  merged.MergeMany(inputs);
-  // Canonicalize through the threshold accessor: TimeDecaySampler does
-  // not expose its store mutably, and the threshold read compacts it.
-  merged.LogKeyThreshold();
-  return merged;
+DecayScenario::Accumulator DecayScenario::StartMerge(
+    const Config& config, const Merged* previous) {
+  TimeDecaySampler acc(config.k, /*seed=*/1);
+  if (previous != nullptr) {
+    acc.LowerLogKeyThreshold(previous->LogKeyThreshold());
+  }
+  return acc;
+}
+
+void DecayScenario::GatherShard(Accumulator& acc, const Shard& shard) {
+  acc.Gather(shard);
+}
+
+DecayScenario::Merged DecayScenario::FinishMerge(const Config& /*config*/,
+                                                 Accumulator&& acc) {
+  acc.PurgeAboveThreshold();  // compacts: the result is canonical
+  return std::move(acc);
 }
 
 }  // namespace internal

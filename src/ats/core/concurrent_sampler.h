@@ -48,12 +48,25 @@
 // lock is ever acquired (the lock-counting probe and the TSan suite pin
 // this), so clean reads never block writers and writers never block
 // reads. When an epoch moved, ONE reader rebuilds (a rebuild mutex
-// serializes rebuilders only): it drains the writer-local blocks,
-// copies each shard under that shard's lock -- a locked-path writer
-// waits at most the O(k) copy of its own shard, never the merge -- runs
-// the scenario's MergeShards over the copies (k-way for the bottom-k
-// scenarios, the pairwise chain for windows), canonicalizes, and
-// publishes the new snapshot. Retired snapshots park in a graveyard
+// serializes rebuilders only): it drains the writer-local blocks, then
+// folds the shards into one accumulator, each while holding only that
+// shard's lock, and finishes and publishes the new snapshot lock-free.
+// For the bottom-k scenarios (priority, KMV, decay) the fold copies
+// nothing: under each lock it runs one block-prefiltered scan of the
+// shard's raw buffered columns (at most 2k entries, never canonicalized
+// -- SampleStore::Gather), so a locked-path writer waits at most for
+// that scan plus an O(k) accumulator compaction, never for a merge;
+// the single purge runs after the last lock is released. The
+// accumulator starts lowered to the PREVIOUS snapshot's threshold:
+// shards only grow, and a bottom-k threshold never rises as its stream
+// grows, so that threshold bounds the new one from above and is a valid
+// pre-filter (threshold substitutability, Theorem 6) -- between two
+// rebuilds only candidates below it survive the scan, and the snapshot
+// stays bit-identical to the unpruned k-way merge. Windows are excluded
+// from the prune: their thresholds are clock-sensitive and RECOVER as
+// items expire, so the previous snapshot bounds nothing; their fold
+// copies each shard under its lock (O(k)) and runs the pairwise Merge
+// chain lock-free. Retired snapshots park in a graveyard
 // that is reclaimed only when a seq_cst reader-in-flight counter reads
 // zero, so a reader that already loaded the raw pointer can always
 // finish its refcount upgrade safely.
@@ -76,7 +89,8 @@
 //
 // Scenarios. The template is instantiated for every sampling scenario
 // in the library through small trait structs (routing key, shard
-// construction, per-shard ingest, epoch accessor, merge, absorption).
+// construction, per-shard ingest, epoch accessor, snapshot fold,
+// absorption).
 // The concrete front-ends below -- ConcurrentPrioritySampler,
 // ConcurrentKmvSketch, ConcurrentWindowSampler, ConcurrentDecaySampler
 // -- are public subclasses of ConcurrentSampler<Scenario> that add only
@@ -144,8 +158,16 @@ class CountedLockGuard {
 ///     static size_t Ingest(Shard&, std::span<const Item>);
 ///     static void AbsorbMany(Shard&, std::span<const Shard* const>);
 ///     static uint64_t Epoch(const Shard&);  // O(1), non-canonicalizing
-///     static Merged MergeShards(const Config&,
-///                               std::span<const Shard* const>);
+///     // Snapshot rebuild as a fold over the shards (RebuildSnapshot):
+///     // StartMerge once (`previous` is the snapshot being replaced, or
+///     // null), GatherShard for each shard in index order while that
+///     // shard's stripe lock is held -- it must only READ the shard and
+///     // stay O(k) -- then FinishMerge lock-free. The result must equal
+///     // the shard union's k-way merge bit for bit.
+///     using Accumulator = ...;
+///     static Accumulator StartMerge(const Config&, const Merged* previous);
+///     static void GatherShard(Accumulator&, const Shard&);
+///     static Merged FinishMerge(const Config&, Accumulator&&);
 ///     static size_t Retained(const Shard&);  // optional
 ///   };
 ///
@@ -387,13 +409,16 @@ class ConcurrentSampler {
   /// epoch compares -- NO lock acquisition (asserted by the
   /// lock-counting probe test), so clean reads never block writers.
   /// Dirty cache: one reader drains the writer-local blocks and
-  /// rebuilds (copy each shard under its lock, merge the copies
-  /// lock-free, publish) while other readers wait on the rebuild mutex
-  /// only. The returned snapshot is immutable and canonicalized: every
-  /// const accessor on it is a pure read, so any number of threads may
-  /// query one snapshot concurrently. It stays valid (and internally
-  /// consistent) for as long as the pointer is held, no matter how much
-  /// ingest happens after.
+  /// rebuilds (fold each shard into the accumulator under its lock --
+  /// for bottom-k scenarios one pre-filtered scan of at most 2k raw
+  /// entries, pruned at the previous snapshot's threshold; for windows
+  /// an O(k) copy -- then finish and publish lock-free) while other
+  /// readers wait on the rebuild mutex only. The returned snapshot is
+  /// immutable and canonicalized: every const accessor on it is a pure
+  /// read, so any number of threads may query one snapshot
+  /// concurrently. It stays valid (and internally consistent) for as
+  /// long as the pointer is held, no matter how much ingest happens
+  /// after.
   std::shared_ptr<const Merged> Snapshot() const {
     auto state = AcquireSnapshot();
     if (state == nullptr || !published_.Matches(state->epochs) ||
@@ -628,8 +653,11 @@ class ConcurrentSampler {
       return current_owner_;
     }
     TryReclaimRetired();
-    std::vector<Shard> copies;
-    copies.reserve(shards_.size());
+    // Shards only grow, so the snapshot being replaced bounds the new
+    // one from above; the scenario may start its accumulator there.
+    typename Scenario::Accumulator acc = Scenario::StartMerge(
+        config_, current_owner_ != nullptr ? &current_owner_->merged
+                                           : nullptr);
     std::vector<uint64_t> epochs;
     epochs.reserve(shards_.size());
     std::vector<uint64_t> writer_epochs;
@@ -644,22 +672,18 @@ class ConcurrentSampler {
       for (size_t w = 0; w < writer_count; ++w) {
         writer_epochs.push_back(writers_.slot(w).drained_epoch);
       }
-      // Copy each shard under its own lock -- a locked-path writer is
-      // blocked at most for the O(k) copy of its shard, never for the
-      // merge -- recording the epoch the copy is consistent with.
+      // Fold each shard into the accumulator under its own lock -- a
+      // locked-path writer waits at most for one O(k) gather of its
+      // shard -- recording the epoch the gather is consistent with.
       for (const auto& slot : shards_) {
         internal::CountedLockGuard lock(slot->mu, lock_acquisitions_);
         epochs.push_back(Scenario::Epoch(slot->sampler));
-        copies.push_back(slot->sampler);
+        Scenario::GatherShard(acc, slot->sampler);
       }
     }
-    // Merge the copies lock-free through the scenario's MergeShards,
-    // then publish.
-    std::vector<const Shard*> inputs;
-    inputs.reserve(copies.size());
-    for (const Shard& copy : copies) inputs.push_back(&copy);
+    // Finish lock-free, then publish.
     auto next = std::make_shared<SnapshotState>(
-        Scenario::MergeShards(config_, inputs), std::move(epochs),
+        Scenario::FinishMerge(config_, std::move(acc)), std::move(epochs),
         std::move(writer_epochs));
     PublishCurrent(next);
     return next;
@@ -755,8 +779,10 @@ struct PriorityScenario {
     return shard.sketch().store().mutation_epoch();
   }
   static size_t Retained(const Shard& shard) { return shard.size(); }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  using Accumulator = Merged;
+  static Accumulator StartMerge(const Config& config, const Merged* previous);
+  static void GatherShard(Accumulator& acc, const Shard& shard);
+  static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
 /// Scenario: KMV/Theta distinct counting. Every shard -- and every
@@ -791,8 +817,10 @@ struct KmvScenario {
     return shard.store().mutation_epoch();
   }
   static size_t Retained(const Shard& shard) { return shard.size(); }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  using Accumulator = Merged;
+  static Accumulator StartMerge(const Config& config, const Merged* previous);
+  static void GatherShard(Accumulator& acc, const Shard& shard);
+  static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
 /// Scenario: sliding-window sampling (the ShardedWindowSampler shard
@@ -841,8 +869,13 @@ struct WindowScenario {
   static uint64_t Epoch(const Shard& shard) {
     return shard.mutation_epoch();
   }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  // Windowed thresholds are clock-sensitive and RECOVER on expiry, so
+  // the previous snapshot bounds nothing: the fold copies each shard
+  // under its lock and FinishMerge runs the pairwise chain.
+  using Accumulator = std::vector<Shard>;
+  static Accumulator StartMerge(const Config& config, const Merged* previous);
+  static void GatherShard(Accumulator& acc, const Shard& shard);
+  static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
 /// Scenario: time-decayed sampling (the ShardedDecaySampler shard
@@ -879,8 +912,10 @@ struct DecayScenario {
     return shard.mutation_epoch();
   }
   static size_t Retained(const Shard& shard) { return shard.size(); }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  using Accumulator = Merged;
+  static Accumulator StartMerge(const Config& config, const Merged* previous);
+  static void GatherShard(Accumulator& acc, const Shard& shard);
+  static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
 }  // namespace internal

@@ -45,9 +45,12 @@
 // The explicit contract is Canonicalize(): call it once after ingest
 // quiesces, and until the next mutating call every `const` accessor is a
 // pure read (the compaction early-out leaves the representation
-// untouched), so concurrent readers are safe. Distinct stores (one per
-// shard) remain independent, which is what the sharded front-end relies
-// on. mutation_epoch() lets query-side caches detect whether a store has
+// untouched), so concurrent readers are safe. The k-way merge is the
+// exception that needs no such call: MergeMany / Gather read their
+// inputs' RAW buffered columns and never canonicalize them, so a store
+// being gathered from is only read. Distinct stores (one per shard)
+// remain independent, which is what the sharded front-end relies on.
+// mutation_epoch() lets query-side caches detect whether a store has
 // observably changed without forcing a canonicalization.
 //
 // Every container that previously hand-rolled its own heap + threshold
@@ -375,69 +378,101 @@ class SampleStore {
 
   /// Threshold-pruned k-way merge: observationally identical to merging
   /// the inputs one by one with Merge() in span order (same retained
-  /// multiset, same threshold, same warm-up/tie behavior -- proven by the
-  /// randomized differential test in merge_many_test.cc), but it runs the
-  /// aggregation as ONE selection instead of S sequential merge+compaction
-  /// rounds:
+  /// multiset, same threshold, same column order, same warm-up/tie
+  /// behavior -- proven by the randomized differential test in
+  /// merge_many_test.cc), but it runs the aggregation as ONE selection
+  /// instead of S sequential merge+compaction rounds:
   //
-  ///   1. One pass over the inputs takes the global acceptance bound
-  ///      T0 = min(own threshold, all input thresholds) BEFORE any item
-  ///      moves, so every input is filtered at the final bound from the
-  ///      start -- in the S-shard fan-in a ~1/S fraction of each input
-  ///      survives instead of everything from the early inputs.
-  ///   2. Each input's canonical priority column is then culled with the
-  ///      64-wide block pre-filter (the batched-ingest scan); survivors
-  ///      are appended through Offer, whose 2k-buffer compactions tighten
-  ///      the bound below T0 as squeezed-out priorities accumulate, so
-  ///      later inputs are pruned even harder.
-  ///   3. A final purge restores "retained iff priority < threshold".
+  ///   1. Lower to the global bound B = min(own AcceptBound, every
+  ///      input's AcceptBound) BEFORE any item moves, so every input is
+  ///      filtered at (nearly) the final bound from the start -- in the
+  ///      S-shard fan-in a ~1/S fraction of each input survives instead
+  ///      of everything from the early inputs.
+  ///   2. Gather each input (see Gather): its RAW buffered columns are
+  ///      culled with the 64-wide block pre-filter and survivors are
+  ///      appended, whose 2k-buffer compactions tighten the bound below
+  ///      B as squeezed-out priorities accumulate. No input is ever
+  ///      canonicalized.
+  ///   3. Purge once, restoring "retained iff priority < threshold".
   //
   /// Why this equals the sequential chain: the store's bound is monotone
   /// non-increasing and both paths end at the same final threshold
-  ///   T = min(T0, (k+1)-th smallest candidate priority below T0),
-  /// because every candidate REJECTED along either path was >= the bound
-  /// in force at that moment >= T, so rejections never disturb the
-  /// (k+1)-th order statistic; and after the closing purge both paths
-  /// retain exactly the candidates with priority < T (at most k of them,
-  /// since T is capped by the (k+1)-th smallest). Inputs aliasing `this`
-  /// are skipped, matching the pairwise self-merge no-op.
+  ///   T = min(B, (k+1)-th smallest buffered priority below B).
+  /// Every candidate REJECTED along either path was >= the bound in
+  /// force at that moment >= T, so rejections never disturb the (k+1)-th
+  /// order statistic. A raw buffer holds its canonical entries plus
+  /// entries at or above its own (k+1)-th smallest priority, which is
+  /// >= T, so reading raw instead of canonical columns adds only
+  /// candidates the closing purge drops. After the purge both paths keep
+  /// exactly the candidates below T, in the same (stable, input-major)
+  /// order. The same argument admits any extra starting bound >= T --
+  /// the concurrent tier seeds its snapshot accumulator with the previous
+  /// snapshot's threshold this way. Inputs aliasing `this` are skipped,
+  /// matching the pairwise self-merge no-op.
+  //
+  /// Thread-safety: mutates `this`; the inputs are PURE READS (nothing
+  /// is canonicalized), so they may be read concurrently by other
+  /// readers, but must not be mutated during the call.
   void MergeMany(std::span<const SampleStore* const> inputs) {
     // No real inputs (empty span, or only aliases of `this`): strict
     // no-op, exactly like the zero-length pairwise chain. The closing
     // purge must not run here -- it would drop retained entries tied AT
     // the threshold, which only a merge is entitled to do.
     bool any_input = false;
-    for (const SampleStore* in : inputs) any_input |= in != this;
-    if (!any_input) return;
-    ++mutation_epoch_;
-    CompactToK();
     double bound = threshold_;
     for (const SampleStore* in : inputs) {
       if (in == this) continue;
-      in->CompactToK();
-      initial_threshold_ =
-          std::min(initial_threshold_, in->initial_threshold_);
+      any_input = true;
       bound = std::min(bound, in->threshold_);
     }
+    if (!any_input) return;
     LowerThreshold(bound);
-    for (const SampleStore* in : inputs) {
-      if (in == this) continue;
-      const std::vector<double>& ps = in->priority_;
-      const std::vector<Payload>& pl = in->payload_;
-      size_t i = 0;
-      for (; i + internal::kIngestBlock <= ps.size();
-           i += internal::kIngestBlock) {
-        // Snapshot bound per block (it only decreases; Offer re-checks
-        // the live value), same argument as OfferBatch.
-        internal::VisitBlockCandidates(
-            ps.data() + i, threshold_,
-            [&](size_t j) { Accept(ps[i + j], pl[i + j]); });
-      }
-      for (; i < ps.size(); ++i) {
-        if (ps[i] < threshold_) Accept(ps[i], pl[i]);
-      }
-    }
+    for (const SampleStore* in : inputs) Gather(*in);
     PurgeAboveThreshold();
+  }
+
+  /// Const-input gather, the single k-way gather loop: lowers this
+  /// store's bound to `in`'s raw AcceptBound() and appends every entry of
+  /// `in`'s RAW buffered columns (up to 2k, arrival order) that passes
+  /// the 64-wide block pre-filter against the live bound. `in` is never
+  /// canonicalized -- this is one pre-filtered scan, a pure read of `in`
+  /// -- and survivors may compact `this` (O(k)). The result is a valid
+  /// candidate buffer but NOT yet a merge: finish a sequence of gathers
+  /// with PurgeAboveThreshold() (MergeMany is exactly lower, gather
+  /// each, purge). Self-aliasing is a no-op. Thread-safety: mutates
+  /// `this`; `in` must not be mutated during the call.
+  void Gather(const SampleStore& in) {
+    if (&in == this) return;
+    ++mutation_epoch_;
+    initial_threshold_ = std::min(initial_threshold_, in.initial_threshold_);
+    LowerThreshold(in.threshold_);
+    in.ScanBuffered([this] { return threshold_; },
+                    [this](double p, const Payload& payload) {
+                      Accept(p, payload);
+                    });
+  }
+
+  /// The pre-filtered raw-column scan behind Gather, for callers whose
+  /// accept step is not a plain append (KmvSketch routes survivors
+  /// through its duplicate check): visits, in arrival order, every
+  /// buffered entry whose priority is below `bound()` as
+  /// visit(priority, payload). `bound` is re-read per 64-entry block and
+  /// per tail entry (it may only decrease as the visitor accepts);
+  /// visitors must re-check the live bound themselves. Pure read: never
+  /// canonicalizes.
+  template <typename BoundFn, typename Visit>
+  void ScanBuffered(BoundFn&& bound, Visit&& visit) const {
+    const double* ps = priority_.data();
+    const Payload* pl = payload_.data();
+    const size_t n = priority_.size();
+    size_t i = 0;
+    for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
+      internal::VisitBlockCandidates(
+          ps + i, bound(), [&](size_t j) { visit(ps[i + j], pl[i + j]); });
+    }
+    for (; i < n; ++i) {
+      if (ps[i] < bound()) visit(ps[i], pl[i]);
+    }
   }
 
   /// Removes retained entries with priority >= Threshold(). Needed after

@@ -66,9 +66,9 @@ const BottomK<ShardedSampler::Item>& ShardedSampler::MergeShards() const {
   // Some shard changed since the cached union: rebuild through the
   // threshold-pruned k-way engine (one global bound, block-prefiltered
   // shard columns, a single final selection -- see SampleStore::
-  // MergeMany), then re-snapshot the epochs. MergeMany canonicalizes
-  // the shards but never bumps their epochs, so the snapshot taken
-  // after the merge stays valid until the next ingest.
+  // MergeMany), then re-snapshot the epochs. MergeMany only reads the
+  // shards, so the snapshot taken after the merge stays valid until
+  // the next ingest.
   BottomK<Item> merged(k_);
   std::vector<const BottomK<Item>*> inputs;
   inputs.reserve(shards_.size());

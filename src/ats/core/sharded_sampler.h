@@ -20,11 +20,12 @@
 //
 // Queries aggregate the shards through the threshold-pruned k-way merge
 // engine (SampleStore::MergeMany): one pass takes the global bound (min
-// of shard thresholds), each shard's candidate column is block-filtered
-// against it, and a single selection finishes the union -- instead of S
-// sequential pairwise merge+compaction rounds. The merged result is
-// cached against the shards' mutation epochs, so repeated queries
-// between ingest batches re-canonicalize and re-merge nothing.
+// of shard acceptance bounds), each shard's raw candidate column is
+// block-filtered against it, and a single selection finishes the union
+// -- instead of S sequential pairwise merge+compaction rounds. The
+// merged result is cached against the shards' mutation epochs, so
+// repeated queries between ingest batches re-canonicalize and re-merge
+// nothing.
 //
 // Thread-safety: per-shard ingest (AddShardBatch with distinct shard
 // indices) is lock-free safe. Query APIs (Sample, Merged,

@@ -277,6 +277,17 @@ SlidingWindowSampler::WindowSnapshot SlidingWindowSampler::SnapshotOfView(
   return snap;
 }
 
+std::vector<SlidingWindowSampler::StoredItem>
+SlidingWindowSampler::MergeByTime(std::span<const StoredItem> self,
+                                  std::span<const StoredItem> other) {
+  std::vector<StoredItem> out(self.size() + other.size());
+  std::merge(self.begin(), self.end(), other.begin(), other.end(),
+             out.begin(), [](const StoredItem& a, const StoredItem& b) {
+               return a.time < b.time;
+             });
+  return out;
+}
+
 void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
                                             double now) {
   FlushExpiry(now);
@@ -288,19 +299,13 @@ void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
     bound = std::min(bound, it.threshold);
   }
   // Candidates: the time-sorted union of the current sets, self first
-  // for equal times (stable), matching the accumulation order of every
-  // earlier merge so priority ties resolve deterministically.
-  std::vector<StoredItem> candidates;
-  candidates.reserve(current_.size());
-  for (size_t i = 0; i < current_.size(); ++i) {
-    candidates.push_back(ItemAt(i));
-  }
-  candidates.insert(candidates.end(), snap.current.begin(),
-                    snap.current.end());
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const StoredItem& a, const StoredItem& b) {
-                     return a.time < b.time;
-                   });
+  // for equal times, matching the accumulation order of every earlier
+  // merge so priority ties resolve deterministically. Both sides are
+  // already in time order, so one stable std::merge builds it.
+  std::vector<StoredItem> own;
+  own.reserve(current_.size());
+  for (size_t i = 0; i < current_.size(); ++i) own.push_back(ItemAt(i));
+  std::vector<StoredItem> candidates = MergeByTime(own, snap.current);
   std::erase_if(candidates, [bound](const StoredItem& it) {
     return it.priority >= bound;
   });
@@ -347,16 +352,7 @@ void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
   // Union the expired sets in time order; they feed the G&L threshold of
   // the merged sampler. Self expiry at `now` already trimmed both sides
   // (the snapshot was filtered at `now`).
-  const auto expired_live = ExpiredItems();
-  std::vector<StoredItem> merged_expired(expired_live.begin(),
-                                         expired_live.end());
-  merged_expired.insert(merged_expired.end(), snap.expired.begin(),
-                        snap.expired.end());
-  std::stable_sort(merged_expired.begin(), merged_expired.end(),
-                   [](const StoredItem& a, const StoredItem& b) {
-                     return a.time < b.time;
-                   });
-  expired_ = std::move(merged_expired);
+  expired_ = MergeByTime(ExpiredItems(), snap.expired);
   expired_head_ = 0;
 }
 

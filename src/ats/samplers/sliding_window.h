@@ -365,6 +365,10 @@ class SlidingWindowSampler {
   // MergeManyFrames: folds one input snapshot (already filtered at
   // `now`) into `this`.
   void MergeOneSnapshot(WindowSnapshot snap, double now);
+  // Time-ordered union of two time-ordered runs; on equal times the
+  // `self` items come first (std::merge is stable), as in every merge.
+  static std::vector<StoredItem> MergeByTime(
+      std::span<const StoredItem> self, std::span<const StoredItem> other);
 
   size_t k_;
   double window_;

@@ -146,7 +146,7 @@ class TimeDecaySampler {
 
   /// Threshold-pruned k-way merge: observationally identical to merging
   /// the inputs with Merge() in span order (see SampleStore::MergeMany);
-  /// inputs aliasing `this` are skipped.
+  /// inputs aliasing `this` are skipped and are only read.
   void MergeMany(std::span<const TimeDecaySampler* const> inputs) {
     std::vector<const BottomK<Stored>*> sketches;
     sketches.reserve(inputs.size());
@@ -155,6 +155,17 @@ class TimeDecaySampler {
     }
     sketch_.MergeMany(sketches);
   }
+
+  /// The k-way merge one input at a time, for callers that reach the
+  /// inputs under separate locks (the concurrent tier): optionally lower
+  /// the log-key threshold by any bound >= the final merged threshold,
+  /// Gather each input (SampleStore::Gather: one pre-filtered scan of
+  /// its raw columns, `in` only read), then PurgeAboveThreshold().
+  void LowerLogKeyThreshold(double t) { sketch_.LowerThreshold(t); }
+  void Gather(const TimeDecaySampler& in) {
+    sketch_.store().Gather(in.sketch_.store());
+  }
+  void PurgeAboveThreshold() { sketch_.PurgeAboveThreshold(); }
 
   // --- Versioned wire format (magic "TDK1") ---
   //

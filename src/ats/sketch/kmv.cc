@@ -8,20 +8,6 @@
 namespace {
 constexpr uint32_t kKmvMagic = ats::KmvSketch::kWireMagic;
 constexpr uint32_t kKmvVersion = ats::KmvSketch::kWireVersion;
-
-// A live sketch as a MergeInputs input: its canonical columns, in
-// unspecified order (so every entry is a candidate).
-struct SketchInput {
-  double threshold_value;
-  const double* priorities;
-  const uint64_t* keys;
-  size_t count;
-
-  double threshold() const { return threshold_value; }
-  size_t PrefixBelow(double) const { return count; }
-  double priority(size_t i) const { return priorities[i]; }
-  uint64_t key(size_t i) const { return keys[i]; }
-};
 }  // namespace
 
 namespace ats {
@@ -102,50 +88,63 @@ void KmvSketch::Merge(const KmvSketch& other) {
 
 template <typename Input>
 void KmvSketch::MergeInputs(std::span<const Input> inputs) {
-  // Pass 1: global acceptance bound, taken before any member moves.
-  double bound = store_.Threshold();
-  for (const Input& in : inputs) bound = std::min(bound, in.threshold());
+  // Global acceptance bound, taken before any member moves; then one
+  // pre-filtered gather per input, then one purge (SampleStore::MergeMany
+  // has the equivalence argument). Only gather survivors reach the
+  // per-item duplicate check, so rejected members never touch the seen_
+  // set or the key column.
+  double bound = store_.AcceptBound();
+  for (const Input& in : inputs) bound = std::min(bound, AcceptBoundOf(in));
   store_.LowerThreshold(bound);
-  // Pass 2: block-prefiltered gather of each input's candidates. Only
-  // survivors reach the per-item duplicate check (OfferPriority re-checks
-  // the live bound, which compactions tighten below the global min as
-  // evictions accumulate). Rejected members never touch the seen_ set or
-  // the key column -- exactly the items a pairwise chain would admit
-  // early and purge later.
-  alignas(64) double block[internal::kIngestBlock];
-  for (const Input& in : inputs) {
-    const size_t n = in.PrefixBelow(bound);
-    size_t i = 0;
-    for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
-      for (size_t j = 0; j < internal::kIngestBlock; ++j) {
-        block[j] = in.priority(i + j);
-      }
-      internal::VisitBlockCandidates(
-          block, store_.AcceptBound(),
-          [&](size_t j) { OfferPriority(block[j], in.key(i + j)); });
-    }
-    for (; i < n; ++i) {
-      const double p = in.priority(i);
-      if (p < store_.AcceptBound()) OfferPriority(p, in.key(i));
-    }
-  }
+  for (const Input& in : inputs) GatherInput(in);
   store_.PurgeAboveThreshold();
 }
 
+void KmvSketch::GatherInput(const FrameView& in) {
+  // Canonical frames are ascending, so the bound cuts each frame to a
+  // PREFIX (FrameView::PrefixBelow) and the tail is never decoded. The
+  // strided entries are copied into an aligned block for the pre-filter.
+  store_.LowerThreshold(in.threshold());
+  alignas(64) double block[internal::kIngestBlock];
+  const size_t n = in.PrefixBelow(store_.AcceptBound());
+  size_t i = 0;
+  for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
+    for (size_t j = 0; j < internal::kIngestBlock; ++j) {
+      block[j] = in.priority(i + j);
+    }
+    internal::VisitBlockCandidates(
+        block, store_.AcceptBound(),
+        [&](size_t j) { OfferPriority(block[j], in.key(i + j)); });
+  }
+  for (; i < n; ++i) {
+    const double p = in.priority(i);
+    if (p < store_.AcceptBound()) OfferPriority(p, in.key(i));
+  }
+}
+
 void KmvSketch::MergeMany(std::span<const KmvSketch* const> others) {
-  std::vector<SketchInput> inputs;
+  std::vector<const KmvSketch*> inputs;
   inputs.reserve(others.size());
   for (const KmvSketch* o : others) {
     if (o == this) continue;
     ATS_CHECK(hash_salt_ == o->hash_salt_);
-    // Threshold() canonicalizes, so the columns below are dense.
-    const double t = o->Threshold();
-    inputs.push_back(SketchInput{t, o->store_.priorities().data(),
-                                 o->store_.payloads().data(), o->size()});
+    inputs.push_back(o);
   }
   // No real inputs: strict no-op, like the zero-length pairwise chain
   // (the closing purge must only run on behalf of an actual merge).
-  if (!inputs.empty()) MergeInputs<SketchInput>(inputs);
+  if (!inputs.empty()) MergeInputs<const KmvSketch*>(inputs);
+}
+
+void KmvSketch::Gather(const KmvSketch& other) {
+  if (&other == this) return;
+  ATS_CHECK(hash_salt_ == other.hash_salt_);
+  // The input's RAW buffered columns, never canonicalized: entries above
+  // its canonical threshold are candidates the closing purge drops.
+  store_.LowerThreshold(other.store_.AcceptBound());
+  other.store_.ScanBuffered([this] { return store_.AcceptBound(); },
+                            [this](double priority, uint64_t key) {
+                              OfferPriority(priority, key);
+                            });
 }
 
 size_t KmvSketch::FrameView::PrefixBelow(double bound) const {
@@ -197,9 +196,7 @@ bool KmvSketch::MergeManyFrames(std::span<const std::string_view> frames) {
     return v.hash_salt() == hash_salt_;
   });
   if (!views) return false;
-  // Canonical frames are ascending, so the global bound cuts each frame to
-  // a PREFIX (FrameView::PrefixBelow) and the tail is never decoded. No
-  // frames: strict no-op, no closing purge.
+  // No frames: strict no-op, no closing purge.
   if (!views->empty()) MergeInputs<FrameView>(*views);
   return true;
 }

@@ -95,13 +95,26 @@ class KmvSketch {
   // Threshold-pruned k-way union: observationally identical to merging
   // the inputs with Merge() in span order (same members, same theta --
   // coordinated hashing makes duplicate suppression order-independent),
-  // but the global bound min(theta_this, theta_1, ..., theta_S) is taken
-  // before any member moves and each input's priority column is
+  // but the global bound (min of every acceptance bound) is taken before
+  // any member moves and each input's raw priority column is
   // block-prefiltered against it, so the S-shard fan-in costs one
   // selection instead of S merge+compaction rounds (see
   // SampleStore::MergeMany). All inputs must share this sketch's hash
-  // salt; inputs aliasing `this` are skipped.
+  // salt; inputs aliasing `this` are skipped. The inputs are pure reads
+  // (never canonicalized).
   void MergeMany(std::span<const KmvSketch* const> others);
+
+  // One input of the k-way union, for callers that reach the inputs one
+  // at a time (the concurrent tier gathers each shard under its own
+  // lock): lowers to `other`'s acceptance bound and offers its raw
+  // buffered members that pass the block pre-filter through the
+  // duplicate check (SampleStore::Gather). A sequence of gathers is a
+  // MergeMany once PurgeAboveThreshold() closes it. Same salt required;
+  // self-gather is a no-op; `other` is only read.
+  void Gather(const KmvSketch& other);
+
+  // Closes a sequence of Gather calls: drops members at/above theta.
+  void PurgeAboveThreshold() { store_.PurgeAboveThreshold(); }
 
   // Zero-copy view over a whole serialized KMV frame (SerializeToString
   // layout): header and every entry validated once, entries exposed as a
@@ -202,9 +215,16 @@ class KmvSketch {
   void CompactSeen();
 
   // The k-way union core shared by MergeMany and MergeManyFrames (see
-  // kmv.cc): `inputs` is non-empty and pre-vetted.
+  // kmv.cc): `inputs` is non-empty and pre-vetted. Input is a live
+  // sketch pointer or a FrameView; the overloads below read each kind.
   template <typename Input>
   void MergeInputs(std::span<const Input> inputs);
+  static double AcceptBoundOf(const KmvSketch* in) {
+    return in->store_.AcceptBound();
+  }
+  static double AcceptBoundOf(const FrameView& in) { return in.threshold(); }
+  void GatherInput(const KmvSketch* in) { Gather(*in); }
+  void GatherInput(const FrameView& in);
 
   uint64_t hash_salt_;
   SampleStore<uint64_t> store_;  // priority column + key payload column

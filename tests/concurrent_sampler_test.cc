@@ -18,6 +18,7 @@
 #include <barrier>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <thread>
@@ -698,6 +699,295 @@ TEST(ConcurrentTimeAxis, WriterLocalMultiWriterWindowIsValid) {
   const auto sample = conc.ImprovedSample(3.5);
   EXPECT_LE(sample.size(), k);
   EXPECT_GT(conc.MergedStoredCount(3.5), 0u);
+}
+
+// --- Multi-round rebuild oracle -----------------------------------------
+//
+// Every dirty Snapshot() folds the shards into an accumulator that
+// starts lowered to the PREVIOUS snapshot's threshold. These cases take
+// a snapshot after every barrier-separated round -- one large round,
+// then many small ones, so successive thresholds sit within a fraction
+// of a percent of each other and a bound even slightly below the true
+// merged threshold changes the answer -- and require each to be
+// bit-identical (threshold, column order, wire bytes) to an unpruned
+// reference over the same prefix, on the routed and the writer-local
+// path.
+
+// chunks[r][w]: writer w's fixed input for round r.
+template <typename T>
+using RoundChunks = std::vector<std::vector<std::vector<T>>>;
+
+constexpr size_t kOracleShards = 8;
+constexpr size_t kOracleWriters = 4;
+constexpr size_t kOracleRounds = 14;
+
+// Round sizes (items per round, all writers together): one big warm-up
+// round, then small increments.
+size_t OracleRoundSize(size_t r) { return r == 0 ? 12000 : 24; }
+
+// Builds every round from consecutive keys and hands each item to the
+// writer owning its shard (writer = shard % writers), so on the routed
+// path every shard is fed by exactly one writer and its per-shard order
+// -- hence every per-shard RNG draw -- is deterministic.
+template <typename Conc, typename MakeItem>
+RoundChunks<typename Conc::Item> ShardOwnedRounds(const Conc& conc,
+                                                  MakeItem&& make_item) {
+  RoundChunks<typename Conc::Item> chunks(kOracleRounds);
+  uint64_t next_key = 0;
+  for (size_t r = 0; r < kOracleRounds; ++r) {
+    chunks[r].resize(kOracleWriters);
+    for (size_t i = 0; i < OracleRoundSize(r); ++i) {
+      const uint64_t key = next_key++;  // the item's routing key
+      chunks[r][conc.ShardOf(key) % kOracleWriters].push_back(make_item(key));
+    }
+  }
+  return chunks;
+}
+
+// Drives the rounds: writer threads ingest round r (routed AddBatch, or
+// writer-local handles registered up front in index order), then the
+// reader snapshots and calls check(r, snapshot). Returns the number of
+// rounds whose snapshot was a fresh rebuild.
+template <typename Conc, typename Check>
+size_t RunOracleRounds(Conc& conc, bool writer_local,
+                       const RoundChunks<typename Conc::Item>& chunks,
+                       Check&& check) {
+  using Item = typename Conc::Item;
+  std::vector<typename Conc::Writer> handles;
+  if (writer_local) {
+    for (size_t w = 0; w < kOracleWriters; ++w) {
+      handles.push_back(conc.RegisterWriter());
+    }
+  }
+  std::barrier sync(static_cast<std::ptrdiff_t>(kOracleWriters + 1));
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kOracleWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t r = 0; r < chunks.size(); ++r) {
+        const std::span<const Item> chunk(chunks[r][w]);
+        if (writer_local) {
+          handles[w].AddBatch(chunk);
+        } else {
+          conc.AddBatch(chunk);
+        }
+        sync.arrive_and_wait();  // round ingested
+        sync.arrive_and_wait();  // reader finished checking
+      }
+    });
+  }
+  size_t rebuilds = 0;
+  std::shared_ptr<const typename Conc::Merged> previous;
+  for (size_t r = 0; r < chunks.size(); ++r) {
+    sync.arrive_and_wait();
+    const auto snap = conc.Snapshot();  // dirty: drains, rebuilds
+    rebuilds += snap != previous ? 1 : 0;
+    previous = snap;
+    check(r, *snap);
+    sync.arrive_and_wait();
+  }
+  for (auto& t : threads) t.join();
+  return rebuilds;
+}
+
+// The writer-local reference: the same rounds replayed single-threaded
+// on a fresh sampler (same registration order, Drain() after every round
+// -- so every mini lifecycle and generation salt matches), read ONCE at
+// the end: its only rebuild, hence unpruned.
+template <typename Make, typename Item>
+auto ReplayWriterLocal(const Make& make, const RoundChunks<Item>& chunks,
+                       size_t last_round) {
+  const auto conc = make();
+  std::vector<typename decltype(conc)::element_type::Writer> handles;
+  for (size_t w = 0; w < kOracleWriters; ++w) {
+    handles.push_back(conc->RegisterWriter());
+  }
+  for (size_t r = 0; r <= last_round; ++r) {
+    for (size_t w = 0; w < kOracleWriters; ++w) {
+      handles[w].AddBatch(chunks[r][w]);
+    }
+    conc->Drain();
+  }
+  return conc->Snapshot();  // `handles` dies first, as it must
+}
+
+TEST(ConcurrentRebuildOracle, IndependentPriorityRoundsMatchReference) {
+  const size_t k = 64;
+  const uint64_t seed = 13;
+  const auto make = [&] {
+    return std::make_unique<ConcurrentPrioritySampler>(
+        kOracleShards, k, /*coordinated=*/false, seed);
+  };
+  Xoshiro256 rng(17);
+  const auto chunks = ShardOwnedRounds(*make(), [&](uint64_t key) {
+    return Item{key, std::exp(0.5 * rng.NextGaussian())};
+  });
+  for (const bool writer_local : {false, true}) {
+    SCOPED_TRACE(writer_local ? "writer-local" : "routed");
+    // Routed: the sequential sharded front-end (identical shard seeds
+    // and routing) fed the same per-shard streams.
+    ShardedSampler sharded(kOracleShards, k, /*coordinated=*/false, seed);
+    const auto conc = make();
+    const size_t rebuilds = RunOracleRounds(
+        *conc, writer_local, chunks, [&](size_t r, const BottomK<Item>& snap) {
+          SCOPED_TRACE(testing::Message() << "round " << r);
+          if (writer_local) {
+            const auto ref = ReplayWriterLocal(make, chunks, r);
+            EXPECT_EQ(snap.Threshold(), ref->Threshold());
+            EXPECT_EQ(snap.store().priorities(), ref->store().priorities());
+            EXPECT_EQ(snap.SerializeToString(), ref->SerializeToString());
+            return;
+          }
+          for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
+          BottomK<Item> ref(k);
+          std::vector<const BottomK<Item>*> shards;
+          for (size_t s = 0; s < kOracleShards; ++s) {
+            shards.push_back(&sharded.shard(s).sketch());
+          }
+          ref.MergeMany(shards);
+          EXPECT_EQ(snap.Threshold(), sharded.MergedThreshold());
+          EXPECT_EQ(snap.store().priorities(), ref.store().priorities());
+          EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
+        });
+    EXPECT_GE(rebuilds, kOracleRounds / 2);
+  }
+}
+
+TEST(ConcurrentRebuildOracle, KmvRoundsMatchSingleSketchPrefixes) {
+  // Coordinated hashing: every snapshot equals the single sketch of the
+  // keys ingested so far, on both paths, with duplicate keys spread
+  // across writers (and, writer-local, across their mini-sketches).
+  const size_t k = 64;
+  const uint64_t salt = 5;
+  RoundChunks<uint64_t> chunks(kOracleRounds);
+  Xoshiro256 rng(19);
+  uint64_t fresh = 1u << 20;
+  for (size_t r = 0; r < kOracleRounds; ++r) {
+    chunks[r].resize(kOracleWriters);
+    for (size_t i = 0; i < OracleRoundSize(r); ++i) {
+      // Half duplicates of early keys, half never-seen keys.
+      const uint64_t key = rng.NextBelow(2) == 0 ? rng.NextBelow(4000)
+                                                 : fresh++;
+      chunks[r][i % kOracleWriters].push_back(key);
+    }
+  }
+  for (const bool writer_local : {false, true}) {
+    SCOPED_TRACE(writer_local ? "writer-local" : "routed");
+    KmvSketch single(k, 1.0, salt);
+    ConcurrentKmvSketch conc(kOracleShards, k, salt);
+    const size_t rebuilds = RunOracleRounds(
+        conc, writer_local, chunks, [&](size_t r, const KmvSketch& snap) {
+          SCOPED_TRACE(testing::Message() << "round " << r);
+          for (const auto& chunk : chunks[r]) single.AddKeys(chunk);
+          EXPECT_EQ(snap.Threshold(), single.Threshold());
+          EXPECT_EQ(snap.members(), single.members());
+          EXPECT_EQ(snap.SerializeToString(), single.SerializeToString());
+        });
+    EXPECT_GE(rebuilds, kOracleRounds / 2);
+  }
+}
+
+TEST(ConcurrentRebuildOracle, DecayRoundsMatchReference) {
+  const size_t k = 64;
+  const uint64_t seed = 23;
+  const auto make = [&] {
+    return std::make_unique<ConcurrentDecaySampler>(kOracleShards, k, seed);
+  };
+  Xoshiro256 rng(29);
+  const auto chunks = ShardOwnedRounds(*make(), [&](uint64_t key) {
+    const double weight = std::exp(0.4 * rng.NextGaussian());
+    // Time-ordered within every shard (keys ascend with time).
+    return TimeDecaySampler::TimedItem{key, weight, weight,
+                                       1e-4 * static_cast<double>(key)};
+  });
+  for (const bool writer_local : {false, true}) {
+    SCOPED_TRACE(writer_local ? "writer-local" : "routed");
+    ShardedDecaySampler sharded(kOracleShards, k, seed);
+    const auto conc = make();
+    const size_t rebuilds = RunOracleRounds(
+        *conc, writer_local, chunks,
+        [&](size_t r, const TimeDecaySampler& snap) {
+          SCOPED_TRACE(testing::Message() << "round " << r);
+          if (writer_local) {
+            const auto ref = ReplayWriterLocal(make, chunks, r);
+            EXPECT_EQ(snap.LogKeyThreshold(), ref->LogKeyThreshold());
+            EXPECT_EQ(snap.SerializeToString(), ref->SerializeToString());
+            return;
+          }
+          for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
+          TimeDecaySampler ref(k, /*seed=*/1);
+          std::vector<const TimeDecaySampler*> shards;
+          for (size_t s = 0; s < kOracleShards; ++s) {
+            shards.push_back(&sharded.shard(s));
+          }
+          ref.MergeMany(shards);
+          EXPECT_EQ(snap.LogKeyThreshold(), sharded.LogKeyThreshold());
+          EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
+        });
+    EXPECT_GE(rebuilds, kOracleRounds / 2);
+  }
+}
+
+TEST(ConcurrentKmvSketch, ReadersRaceWritersAndSeeValidSnapshots) {
+  // The KMV reader/writer probe: routed and writer-local writers ingest
+  // overlapping keys while two readers validate every snapshot (at most
+  // k members, threshold monotone non-increasing, estimate monotone
+  // non-decreasing -- shards only grow); the quiesced union is exact.
+  const size_t k = 64;
+  const uint64_t salt = 11;
+  std::vector<uint64_t> keys(40000);
+  Xoshiro256 rng(43);
+  for (auto& key : keys) key = rng.NextBelow(15000);
+  ConcurrentKmvSketch conc(/*num_shards=*/8, k, salt);
+
+  const size_t writers = 4;
+  std::vector<std::vector<uint64_t>> slices(writers);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    slices[i % writers].push_back(keys[i]);
+  }
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      double last_threshold = 1.0;
+      double last_estimate = 0.0;
+      while (!done.load(std::memory_order_relaxed)) {
+        const auto snap = conc.Snapshot();
+        ASSERT_LE(snap->size(), k);
+        ASSERT_LE(snap->Threshold(), last_threshold);
+        ASSERT_GE(snap->Estimate(), last_estimate);
+        last_threshold = snap->Threshold();
+        last_estimate = snap->Estimate();
+      }
+    });
+  }
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < writers; ++w) {
+    threads.emplace_back([&conc, &slices, w] {
+      const auto& slice = slices[w];
+      const size_t chunk = 500;
+      if (w % 2 == 0) {
+        for (size_t i = 0; i < slice.size(); i += chunk) {
+          const size_t len = std::min(chunk, slice.size() - i);
+          conc.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
+        }
+        return;
+      }
+      auto writer = conc.RegisterWriter();
+      for (size_t i = 0; i < slice.size(); i += chunk) {
+        const size_t len = std::min(chunk, slice.size() - i);
+        writer.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  KmvSketch single(k, 1.0, salt);
+  single.AddKeys(keys);
+  const auto snap = conc.Snapshot();
+  EXPECT_EQ(snap->Threshold(), single.Threshold());
+  EXPECT_EQ(snap->members(), single.members());
 }
 
 // --- The lock-free clean-read probe ------------------------------------

@@ -48,6 +48,11 @@ class MergeManySweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MergeManySweep, StoreMergeManyEqualsSequentialPairwise) {
   Xoshiro256 rng(GetParam() * 1013 + 7);
+  // MergeMany must read RAW buffers: inputs holding more than k entries
+  // between compactions (the state the concurrent snapshot fold gathers
+  // from). The pairwise chain canonicalizes its inputs, so every
+  // MergeMany leg below runs before it, on untouched inputs.
+  size_t raw_inputs = 0;
   for (size_t k : {1u, 2u, 7u, 33u}) {
     const size_t num_inputs = 1 + rng.NextBelow(8);
     std::vector<SampleStore<uint64_t>> inputs(
@@ -69,16 +74,48 @@ TEST_P(MergeManySweep, StoreMergeManyEqualsSequentialPairwise) {
         ++id;
       }
     }
+    const SampleStore<uint64_t> warm = many;
+    // Copies keep the raw buffers for the pre-lowered legs below.
+    const std::vector<SampleStore<uint64_t>> raw_copies = inputs;
     std::vector<const SampleStore<uint64_t>*> ptrs;
-    for (const auto& in : inputs) ptrs.push_back(&in);
+    std::vector<size_t> buffered;
+    for (const auto& in : inputs) {
+      ptrs.push_back(&in);
+      buffered.push_back(in.BufferedSize());
+      raw_inputs += in.BufferedSize() > k ? 1 : 0;
+    }
 
-    for (const auto* in : ptrs) seq.Merge(*in);
     many.MergeMany(ptrs);
+    // Pure reads: MergeMany left every input's raw buffer as it was.
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_EQ(inputs[i].BufferedSize(), buffered[i]);
+    }
+    for (const auto* in : ptrs) seq.Merge(*in);
 
     ASSERT_DOUBLE_EQ(many.Threshold(), seq.Threshold()) << "k=" << k;
     ASSERT_EQ(many.saturated(), seq.saturated());
     ASSERT_EQ(Snapshot(many), Snapshot(seq)) << "k=" << k;
+    // Column order too: both are the stable, input-major survivors.
+    ASSERT_EQ(many.priorities(), seq.priorities()) << "k=" << k;
+    ASSERT_EQ(many.payloads(), seq.payloads()) << "k=" << k;
+
+    // Pre-lowered accumulator (the concurrent rebuild's start): any
+    // bound at or above the chain's final threshold -- here exactly that
+    // threshold, and a looser one -- followed by one Gather per raw
+    // input and one purge, must equal the chain.
+    const double final_threshold = seq.Threshold();
+    for (const double bound :
+         {final_threshold, final_threshold * (1.0 + rng.NextDouble())}) {
+      SampleStore<uint64_t> pruned = warm;
+      pruned.LowerThreshold(bound);
+      for (const auto& in : raw_copies) pruned.Gather(in);
+      pruned.PurgeAboveThreshold();
+      ASSERT_DOUBLE_EQ(pruned.Threshold(), final_threshold) << "k=" << k;
+      ASSERT_EQ(pruned.priorities(), seq.priorities()) << "k=" << k;
+      ASSERT_EQ(pruned.payloads(), seq.payloads()) << "k=" << k;
+    }
   }
+  EXPECT_GT(raw_inputs, 0u) << "no input held a raw (> k) buffer";
 }
 
 TEST_P(MergeManySweep, BottomKFramesEqualSequentialDeserializeMerge) {
@@ -149,8 +186,10 @@ TEST_P(MergeManySweep, KmvMergeManyEqualsSequentialPairwise) {
     }
     std::vector<const KmvSketch*> ptrs;
     for (const auto& in : inputs) ptrs.push_back(&in);
-    for (const auto* in : ptrs) seq.Merge(*in);
+    // MergeMany first: it must read the inputs' raw (uncompacted)
+    // buffers, which the pairwise chain below canonicalizes.
     many.MergeMany(ptrs);
+    for (const auto* in : ptrs) seq.Merge(*in);
 
     ASSERT_DOUBLE_EQ(many.Threshold(), seq.Threshold()) << "k=" << k;
     ASSERT_EQ(many.members(), seq.members()) << "k=" << k;
