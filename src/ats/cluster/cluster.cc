@@ -142,19 +142,20 @@ void ClusterSim::Dispatch(const Delivery& delivery) {
 
 void ClusterSim::EmitTick() {
   for (auto& agent : agents_) {
-    agent->EmitSnapshotIfAdvanced(now_);
     // Checkpoints ride the same cadence: the snapshot the parent gets
-    // and the one the disk gets cover the same stream position.
-    agent->MaybeCheckpoint();
+    // and the one the disk gets cover the same stream position, so they
+    // share one serialization.
+    agent->OnCadence(now_);
     // Naive re-ship baseline: a protocol with no acks, no change
     // detection, and no supersession ships every live node's (agents
     // AND interior relays) full snapshot at every cadence point, for as
     // long as the cluster runs -- without acks it never learns that the
     // receiver is up to date, so re-shipping is its only way to bound
-    // staleness against possible loss.
+    // staleness against possible loss. Counted from the frame length
+    // alone: no frame is built to be measured.
     if (!agent->down() && agent->epoch() > 0) {
       naive_reship_bytes_ +=
-          kEnvelopeOverhead + agent->sketch().SerializeToString().size();
+          kEnvelopeOverhead + agent->sketch().SerializedSize();
     }
   }
   // Interior aggregators (every one but the root) relay upward.
@@ -162,8 +163,7 @@ void ClusterSim::EmitTick() {
     aggregators_[i]->EmitSnapshotIfAdvanced(now_);
     if (aggregators_[i]->merged_epoch() > 0) {
       naive_reship_bytes_ +=
-          kEnvelopeOverhead +
-          aggregators_[i]->merged().SerializeToString().size();
+          kEnvelopeOverhead + aggregators_[i]->merged().SerializedSize();
     }
   }
 }

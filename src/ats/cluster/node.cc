@@ -92,8 +92,24 @@ void AgentNode::Ingest(std::span<const uint64_t> keys) {
 }
 
 void AgentNode::EmitSnapshotIfAdvanced(uint64_t now) {
-  if (down_ || epoch() == last_emitted_epoch_) return;
-  outbox_.EnqueueSnapshot(epoch(), sketch_.SerializeToString(), now);
+  if (SnapshotDue()) EnqueueSnapshot(sketch_.SerializeToString(), now);
+}
+
+void AgentNode::MaybeCheckpoint() {
+  if (CheckpointDue()) WriteCheckpoint(sketch_.SerializeToString());
+}
+
+void AgentNode::OnCadence(uint64_t now) {
+  const bool snapshot = SnapshotDue();
+  const bool checkpoint = CheckpointDue();
+  if (!snapshot && !checkpoint) return;
+  const std::string payload = sketch_.SerializeToString();
+  if (snapshot) EnqueueSnapshot(payload, now);
+  if (checkpoint) WriteCheckpoint(payload);
+}
+
+void AgentNode::EnqueueSnapshot(std::string_view payload, uint64_t now) {
+  outbox_.EnqueueSnapshot(epoch(), payload, now);
   last_emitted_epoch_ = epoch();
 }
 
@@ -104,10 +120,7 @@ void AgentNode::Receive(std::string_view bytes) {
   if (view.kind == EnvelopeKind::kAck) outbox_.HandleAck(view);
 }
 
-void AgentNode::MaybeCheckpoint() {
-  if (down_ || !checkpoint_policy_.enabled()) return;
-  if (epochs_since_checkpoint() < checkpoint_policy_.every_epochs) return;
-  const std::string payload = sketch_.SerializeToString();
+void AgentNode::WriteCheckpoint(std::string_view payload) {
   if (persist::CheckpointWriter::Write(checkpoint_policy_.path,
                                        persist::SchemeKind::kKmv, epoch(),
                                        payload) !=

@@ -129,6 +129,14 @@ class FrameOutbox {
 
   bool empty() const { return pending_.empty(); }
   uint64_t incarnation() const { return incarnation_; }
+  // The most recently enqueued envelope still awaiting its ack (empty
+  // when none): what the outbox keeps retransmitting for the newest
+  // snapshot. Views the outbox's own copy; valid until the next
+  // non-const call.
+  std::string_view newest_envelope() const {
+    return pending_.empty() ? std::string_view()
+                            : std::string_view(pending_.rbegin()->second.bytes);
+  }
 
   // Lifetime counters (survive Reset): unique frames enqueued,
   // retransmissions beyond the first send, frames cancelled as
@@ -232,6 +240,12 @@ class AgentNode {
   // advanced since the last emission (no-op while down or idle).
   void EmitSnapshotIfAdvanced(uint64_t now);
 
+  // One cadence point: EmitSnapshotIfAdvanced(now) then MaybeCheckpoint(),
+  // sharing ONE serialization of the sketch. Both cover the same stream
+  // position, so the outbox snapshot and the checkpoint payload are the
+  // same bytes; serializing twice would only repeat the work.
+  void OnCadence(uint64_t now);
+
   // Envelopes due for (re)transmission; empty while down.
   std::vector<std::string> CollectDue(uint64_t now) {
     return down_ ? std::vector<std::string>{} : outbox_.CollectDue(now);
@@ -305,6 +319,15 @@ class AgentNode {
   }
 
  private:
+  bool SnapshotDue() const { return !down_ && epoch() != last_emitted_epoch_; }
+  bool CheckpointDue() const {
+    return !down_ && checkpoint_policy_.enabled() &&
+           epochs_since_checkpoint() >= checkpoint_policy_.every_epochs;
+  }
+  // The halves of a cadence point, given the serialized sketch.
+  void EnqueueSnapshot(std::string_view payload, uint64_t now);
+  void WriteCheckpoint(std::string_view payload);
+
   uint64_t id_;
   size_t k_;
   uint64_t hash_salt_;

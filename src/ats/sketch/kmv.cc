@@ -64,11 +64,50 @@ double KmvSketch::Estimate() const {
   return static_cast<double>(store_.size()) / store_.Threshold();
 }
 
+std::vector<KmvSketch::Entry> KmvSketch::AscendingEntries() const {
+  const double theta = store_.Threshold();  // canonicalizes first
+  const std::vector<double>& priorities = store_.priorities();
+  const std::vector<uint64_t>& keys = store_.payloads();
+  const size_t n = priorities.size();
+  std::vector<Entry> out(n);
+  if (n == 0) return out;
+  // n buckets of equal width over (0, theta): about one entry each.
+  const double scale = static_cast<double>(n) / theta;
+  const auto bucket_of = [scale, n](double p) -> size_t {
+    const double b = p * scale;
+    if (!(b > 0.0)) return 0;
+    return b < static_cast<double>(n) ? static_cast<size_t>(b) : n - 1;
+  };
+  // Counting sort into buckets. end[b + 1] first counts bucket b; the
+  // prefix sum turns end[b] into bucket b's start, and the scatter
+  // advances it to bucket b's end (= bucket b + 1's start).
+  std::vector<size_t> end(n + 1, 0);
+  for (const double p : priorities) ++end[bucket_of(p) + 1];
+  for (size_t b = 1; b < n; ++b) end[b] += end[b - 1];
+  for (size_t i = 0; i < n; ++i) {
+    out[end[bucket_of(priorities[i])]++] = {priorities[i], keys[i]};
+  }
+  // Each bucket is sorted on its own; std::sort insertion-sorts the
+  // small ones and bounds a crowded (skewed) bucket at O(m log m).
+  size_t begin = 0;
+  for (size_t b = 0; b < n; ++b) {
+    if (end[b] - begin > 1) {
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                out.begin() + static_cast<std::ptrdiff_t>(end[b]),
+                [](const Entry& x, const Entry& y) {
+                  return x.priority < y.priority;
+                });
+    }
+    begin = end[b];
+  }
+  return out;
+}
+
 std::vector<std::pair<double, uint64_t>> KmvSketch::members() const {
   std::vector<std::pair<double, uint64_t>> out;
   out.reserve(store_.size());
-  for (size_t i : store_.SortedOrder()) {
-    out.emplace_back(store_.priorities()[i], store_.payloads()[i]);
+  for (const Entry& e : AscendingEntries()) {
+    out.emplace_back(e.priority, e.key);
   }
   return out;
 }
@@ -211,17 +250,22 @@ void KmvSketch::SerializeTo(ByteWriter& w) const {
   w.WriteU64(hash_salt_);
   w.WriteDouble(store_.initial_threshold());
   w.WriteDouble(store_.Threshold());
-  w.WriteU64(store_.size());
-  for (const auto& [priority, key] : members()) {
-    w.WriteDouble(priority);
-    w.WriteU64(key);
-  }
+  const std::vector<Entry> entries = AscendingEntries();
+  w.WriteU64(entries.size());
+  // Entry is the wire entry layout, so the sorted run is the entry
+  // region: one append instead of two writes per entry.
+  w.WriteBytes(std::string_view(reinterpret_cast<const char*>(entries.data()),
+                                entries.size() * sizeof(Entry)));
 }
 
 std::optional<KmvSketch> KmvSketch::Deserialize(ByteReader& r) {
   const auto view = ViewBody(r);
   if (!view) return std::nullopt;
   KmvSketch sketch(view->k(), view->initial_threshold(), view->hash_salt());
+  // seen_ grows one insert at a time, deliberately without a reserve: a
+  // reserve picks a different bucket count than incremental growth
+  // reaches, and MemoryFootprint models the bucket array, so a restored
+  // node's reported memory would shift with it.
   for (size_t i = 0; i < view->size(); ++i) {
     const double p = view->priority(i);
     sketch.seen_.insert(std::bit_cast<uint64_t>(p));

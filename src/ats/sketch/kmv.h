@@ -25,6 +25,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -83,7 +84,8 @@ class KmvSketch {
   // Unbiased distinct-count estimate: size / theta.
   double Estimate() const;
 
-  // Retained (priority, key) pairs, ascending by priority.
+  // Retained (priority, key) pairs, ascending by priority (the canonical
+  // wire order; see AscendingEntries).
   std::vector<std::pair<double, uint64_t>> members() const;
 
   // Merges another KMV sketch over the SAME key universe hashing (same
@@ -195,6 +197,12 @@ class KmvSketch {
   void SerializeTo(ByteWriter& w) const;
   static std::optional<KmvSketch> Deserialize(ByteReader& r);
   std::string SerializeToString() const { return SerializeSketch(*this); }
+  // Exact byte length of SerializeToString(), without building the frame:
+  // 8-byte header, five 8-byte fields, 16 bytes per retained entry, and
+  // the 4-byte checksum, i.e. 52 + 16 * size().
+  size_t SerializedSize() const {
+    return kFrameOverhead + FrameView::kStride * size();
+  }
   static std::optional<KmvSketch> Deserialize(std::string_view bytes) {
     return DeserializeSketch<KmvSketch>(bytes);
   }
@@ -209,8 +217,33 @@ class KmvSketch {
 
   static constexpr uint32_t kWireMagic = 0x4b4d5632;  // "KMV2"
   static constexpr uint32_t kWireVersion = 1;
+  // Bytes of a KMV2 frame that do not depend on the entry count: magic
+  // and version, k, salt, initial threshold, threshold, count, checksum.
+  static constexpr size_t kFrameOverhead =
+      2 * sizeof(uint32_t) + 5 * sizeof(uint64_t) + sizeof(uint32_t);
 
  private:
+  // One retained entry, laid out as a KMV2 wire entry (priority f64 |
+  // key u64, the host byte order every ByteWriter field uses), so a
+  // sorted run of them is the frame's entry region verbatim.
+  struct Entry {
+    double priority;
+    uint64_t key;
+  };
+  static_assert(sizeof(Entry) == FrameView::kStride &&
+                std::is_trivially_copyable_v<Entry>);
+
+  // The canonical member order shared by SerializeTo and members(): the
+  // retained entries ascending by priority. KMV priorities are distinct
+  // (seen_ suppresses duplicates), so the order is unique and any
+  // correct sort yields the same bytes. Expected O(n): a counting pass
+  // buckets the entries by value over (0, theta), where hash-derived
+  // priorities are uniform, then each bucket is sorted on its own.
+  // Skewed priorities (weighted U/w, OfferPriority) only crowd buckets,
+  // and a crowded bucket costs O(m log m), so the worst case stays
+  // O(n log n).
+  std::vector<Entry> AscendingEntries() const;
+
   // Rebuilds seen_ from the retained priorities, shedding evicted ones.
   void CompactSeen();
 

@@ -53,6 +53,9 @@ class ByteWriter {
     Append(bytes.data(), bytes.size());
   }
 
+  // Capacity hint for writers that know their final size up front.
+  void Reserve(size_t n) { bytes_.reserve(n); }
+
   const std::string& bytes() const { return bytes_; }
   std::string Take() { return std::move(bytes_); }
 
@@ -203,10 +206,15 @@ inline uint32_t FrameChecksum(std::string_view bytes) {
 
 // Whole-buffer framing: serialize a sketch into an owned byte string with
 // a trailing checksum over the sketch bytes (nested sketches embedded via
-// SerializeTo are covered by the outer frame).
+// SerializeTo are covered by the outer frame). A family that knows its
+// frame length (`SerializedSize()`, checksum included) gets the buffer
+// sized once, so neither the body nor the checksum append reallocates.
 template <MergeableSketch T>
 std::string SerializeSketch(const T& sketch) {
   ByteWriter w;
+  if constexpr (requires { sketch.SerializedSize(); }) {
+    w.Reserve(sketch.SerializedSize());
+  }
   sketch.SerializeTo(w);
   std::string bytes = w.Take();
   const uint32_t checksum = FrameChecksum(bytes);

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "ats/cluster/cluster.h"
+#include "ats/cluster/envelope.h"
+#include "ats/persist/checkpoint.h"
 #include "ats/sketch/kmv.h"
 
 namespace ats::cluster {
@@ -324,6 +326,59 @@ TEST(ClusterCheckpoint, RestartFromCheckpointIsBitIdenticalToFullReplay) {
   EXPECT_EQ(agent.checkpoint_restore_failures(), 0u);
   EXPECT_EQ(agent.sketch().SerializeToString(), expected)
       << "restore + bounded-suffix replay == full replay, bit for bit";
+}
+
+TEST(ClusterCheckpoint, CadenceCheckpointCarriesTheOutboxSnapshot) {
+  // One serialization per agent per cadence point: the checkpoint the
+  // disk gets and the snapshot the outbox enqueued cover the same stream
+  // position, so they must be the same payload bytes. Checked at every
+  // cadence point of a fixed-seed checkpointed chaos run under a fan-in
+  // tree (crashes included, so restored agents are covered too).
+  ClusterConfig config = BaseConfig(Scenarios().back(), /*num_agents=*/8,
+                                    /*fan_in=*/4);
+  ASSERT_GT(config.agent_crash_rate, 0.0);
+  config.checkpoint_every_epochs = config.snapshot_every * config.keys_per_tick;
+  config.checkpoint_dir = FreshCheckpointDir("cadence_payload");
+  ClusterSim sim(config);
+
+  uint64_t compared = 0;
+  while (!sim.IngestDone() || !sim.Quiescent()) {
+    ASSERT_LT(sim.now(), config.max_ticks);
+    std::vector<uint64_t> written_before;
+    for (const auto& agent : sim.agents()) {
+      written_before.push_back(agent->checkpoints_written());
+    }
+    sim.Tick();
+    for (const auto& agent : sim.agents()) {
+      if (agent->checkpoints_written() == written_before[agent->id()]) {
+        continue;
+      }
+      SCOPED_TRACE("agent " + std::to_string(agent->id()) + " tick " +
+                   std::to_string(sim.now()));
+      ASSERT_EQ(sim.now() % config.snapshot_every, 0u)
+          << "checkpoints are written at cadence points only";
+      persist::CheckpointReader reader;
+      ASSERT_EQ(persist::CheckpointReader::Open(
+                    agent->checkpoint_policy().path, &reader,
+                    persist::OpenMode::kBuffered),
+                persist::CheckpointFault::kNone);
+      EnvelopeView sent;
+      ASSERT_EQ(DecodeEnvelope(agent->outbox().newest_envelope(), &sent),
+                FrameFault::kNone);
+      EXPECT_EQ(sent.epoch, reader.epoch());
+      EXPECT_EQ(sent.payload, reader.payload());
+      ++compared;
+    }
+  }
+  const ClusterMetrics m = sim.Metrics();
+  EXPECT_EQ(compared, m.checkpoints_written);
+  EXPECT_GT(m.checkpoints_written, 0u);
+  EXPECT_GT(m.checkpoint_restores, 0u);
+  EXPECT_EQ(sim.root().SnapshotFrame(), sim.FaultFreeRootFrame());
+  // The naive re-ship baseline is counted from frame lengths
+  // (KmvSketch::SerializedSize), not built frames; the pinned count is
+  // the sum of the built frames' sizes for this run.
+  EXPECT_EQ(m.naive_reship_bytes, 466372u);
 }
 
 TEST(ClusterCheckpoint, MissingCheckpointFailsClosedToFullLogReplay) {

@@ -32,6 +32,7 @@
 #include "ats/sketch/kmv.h"
 #include "ats/sketch/lcs_merge.h"
 #include "ats/util/stats.h"
+#include "tests/conformance/structural_mutations.h"
 
 namespace ats {
 namespace {
@@ -288,15 +289,20 @@ BudgetSampler RandomBudgetSampler(uint64_t seed) {
 }
 
 // One registered frame kind: how to build a randomized valid frame and
-// how to run each parse path. `check_merge_fail_closed` feeds a good
-// and a corrupted frame through MergeManyFrames and asserts the target
+// how to run each parse path. `reserialize` is the eager parse followed
+// by SerializeToString (empty when the parse fails), `diagnose` the
+// family's typed DiagnoseFrame. `check_merge_fail_closed` feeds a good
+// and a rejected frame through MergeManyFrames and asserts the target
 // stays byte-identical (all-or-nothing).
 struct FrameKindEntry {
   const char* name;
   std::function<std::string(uint64_t)> make_frame;
   std::function<bool(std::string_view)> parse_eager;
   std::function<bool(std::string_view)> parse_view;
-  std::function<void(uint64_t, const std::string&)> check_merge_fail_closed;
+  std::function<std::string(std::string_view)> reserialize;
+  std::function<FrameFault(std::string_view)> diagnose;
+  std::function<void(uint64_t, const std::string&, const std::string&)>
+      check_merge_fail_closed;
 };
 
 template <typename Sketch, typename MakeSampler>
@@ -312,13 +318,18 @@ FrameKindEntry RegisterFrameKind(const char* name, MakeSampler make) {
   entry.parse_view = [](std::string_view bytes) {
     return Sketch::DeserializeView(bytes).has_value();
   };
+  entry.reserialize = [](std::string_view bytes) {
+    const auto sketch = Sketch::Deserialize(bytes);
+    return sketch ? sketch->SerializeToString() : std::string();
+  };
+  entry.diagnose = [](std::string_view bytes) {
+    return Sketch::DiagnoseFrame(bytes);
+  };
   entry.check_merge_fail_closed = [make](uint64_t seed,
-                                         const std::string& good) {
+                                         const std::string& good,
+                                         const std::string& corrupt) {
     Sketch target = make(seed);
     const std::string before = target.SerializeToString();
-    std::string corrupt = good;
-    corrupt[corrupt.size() / 2] =
-        static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x10);
     const std::vector<std::string_view> frames{good, corrupt};
     EXPECT_FALSE(target.MergeManyFrames(frames));
     EXPECT_EQ(target.SerializeToString(), before);
@@ -375,7 +386,49 @@ TEST_P(FuzzSweep, RegisteredFrameKindsHostileBytesFailCleanly) {
     const std::string frame = entry.make_frame(GetParam() * 37 + 11);
     ExpectHostileBytesFailCleanly(frame, entry.parse_eager,
                                   entry.parse_view);
-    entry.check_merge_fail_closed(GetParam() * 41 + 3, frame);
+    std::string corrupt = frame;
+    corrupt[corrupt.size() / 2] =
+        static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x10);
+    entry.check_merge_fail_closed(GetParam() * 41 + 3, frame, corrupt);
+  }
+}
+
+TEST_P(FuzzSweep, RegisteredFrameKindsStructuralMutationsAgreeAcrossParsers) {
+  // The bit flips above are stopped by the checksum before any field
+  // validator runs. The conformance kit's checksum-repairing structural
+  // mutations (word +-1, swaps, copies -- count fields included) reach
+  // the validators of every registered kind at randomized states: eager,
+  // view and DiagnoseFrame must agree on each mutation, an accepted one
+  // must be canonical (re-serialize to itself), and a rejected one must
+  // leave a MergeManyFrames target byte-identical.
+  for (const FrameKindEntry& entry : FrameKindRegistry()) {
+    SCOPED_TRACE(entry.name);
+    const std::string frame = entry.make_frame(GetParam() * 59 + 17);
+    const std::vector<std::string> mutations =
+        conformance::StructuralMutations(frame);
+    ASSERT_FALSE(mutations.empty());
+    size_t rejected = 0;
+    for (size_t i = 0; i < mutations.size(); ++i) {
+      const std::string& m = mutations[i];
+      ASSERT_TRUE(CheckedFrameBody(m).has_value()) << "mutation " << i;
+      const bool eager = entry.parse_eager(m);
+      const bool view = entry.parse_view(m);
+      const FrameFault fault = entry.diagnose(m);
+      EXPECT_EQ(eager, view) << "mutation " << i;
+      EXPECT_EQ(fault == FrameFault::kNone, view) << "mutation " << i;
+      if (eager) {
+        EXPECT_EQ(entry.reserialize(m), m)
+            << "mutation " << i << " parsed but is not canonical";
+        continue;
+      }
+      EXPECT_NE(fault, FrameFault::kTruncated) << "mutation " << i;
+      ++rejected;
+      if (i % 7 == 0) {
+        entry.check_merge_fail_closed(GetParam() * 61 + 5, frame, m);
+      }
+    }
+    // The validators were reached: some checksum-valid frames failed.
+    EXPECT_GT(rejected, 0u);
   }
 }
 

@@ -1,15 +1,21 @@
 // Tests for ats/sketch/kmv.h: distinct-count accuracy/unbiasedness,
-// dedup, merge == single-stream, and the Section 3.4 weighted variant.
+// dedup, merge == single-stream, the Section 3.4 weighted variant, and
+// the KMV2 encoding pinned against an independent reference encoder.
 #include "ats/sketch/kmv.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ats/core/random.h"
+#include "ats/sketch/group_distinct.h"
+#include "ats/sketch/theta.h"
 #include "ats/util/stats.h"
 
 namespace ats {
@@ -157,6 +163,234 @@ TEST(Kmv, ThresholdMonotoneDecreasing) {
     ASSERT_LE(sketch.Threshold(), prev);
     prev = sketch.Threshold();
   }
+}
+
+// --- KMV2 golden encoding ---------------------------------------------
+//
+// A reference encoder written from docs/WIRE_FORMAT.md's KMV2 table
+// alone, sharing no code with the library's writer: little-endian fields
+// appended byte by byte, entries ordered by std::sort on priority, and
+// FNV-1a-32 over the body. The library's bucketed ordering and one-pass
+// entry copy must reproduce it byte for byte.
+
+void PutLe(std::string& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void PutF64(std::string& out, double v) {
+  PutLe(out, std::bit_cast<uint64_t>(v), 8);
+}
+
+std::string WithChecksum(std::string body) {
+  uint32_t h = 2166136261u;
+  for (const unsigned char c : body) {
+    h ^= c;
+    h *= 16777619u;
+  }
+  PutLe(body, h, 4);
+  return body;
+}
+
+// The retained (priority, key) pairs from the raw store columns, sorted
+// by priority with std::sort.
+std::vector<std::pair<double, uint64_t>> ReferenceOrder(const KmvSketch& s) {
+  const auto& priorities = s.store().priorities();
+  const auto& keys = s.store().payloads();
+  std::vector<std::pair<double, uint64_t>> entries;
+  for (size_t i = 0; i < priorities.size(); ++i) {
+    entries.emplace_back(priorities[i], keys[i]);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return entries;
+}
+
+// header | k u64 | hash_salt u64 | initial_threshold f64 | threshold f64
+//        | count u64 | count x (priority f64 | key u64)
+std::string ReferenceKmv2Body(const KmvSketch& s) {
+  std::string body;
+  PutLe(body, 0x4b4d5632, 4);  // "KMV2"
+  PutLe(body, 1, 4);
+  PutLe(body, s.k(), 8);
+  PutLe(body, s.hash_salt(), 8);
+  PutF64(body, s.store().initial_threshold());
+  PutF64(body, s.Threshold());
+  const auto entries = ReferenceOrder(s);
+  PutLe(body, entries.size(), 8);
+  for (const auto& [priority, key] : entries) {
+    PutF64(body, priority);
+    PutLe(body, key, 8);
+  }
+  return body;
+}
+
+struct GoldenCase {
+  const char* name;
+  KmvSketch sketch;
+};
+
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+  Xoshiro256 rng(2024);
+  const auto keys = [&rng](size_t n) {
+    std::vector<uint64_t> out(n);
+    for (auto& key : out) key = rng.Next();
+    return out;
+  };
+  cases.push_back({"empty", KmvSketch(16, 1.0, 5)});
+  {
+    KmvSketch s(64, 1.0, 5);
+    s.AddKeys(keys(40));
+    cases.push_back({"warm_up", s});
+  }
+  {
+    KmvSketch s(4096, 1.0, 0x5eed);
+    s.AddKeys(keys(100000));
+    cases.push_back({"saturated_uniform", s});
+  }
+  {
+    KmvSketch s(257, 1.0, 7);
+    s.AddKeys(keys(20000));
+    cases.push_back({"saturated_odd_k", s});
+  }
+  {
+    KmvSketch s(1, 1.0, 11);
+    s.AddKeys(keys(500));
+    cases.push_back({"k_equals_1", s});
+  }
+  {
+    KmvSketch s(300, 0.01, 3);
+    s.AddKeys(keys(40000));
+    cases.push_back({"initial_threshold", s});
+  }
+  {
+    KmvSketch s(512, 1.0, 13);
+    s.AddKeys(keys(20000));
+    s.LowerThreshold(s.Threshold() * 0.37);
+    cases.push_back({"lowered_saturated", s});
+  }
+  {
+    KmvSketch s(512, 1.0, 13);
+    s.AddKeys(keys(100));
+    s.LowerThreshold(0.4);
+    cases.push_back({"lowered_warm_up", s});
+  }
+  {
+    // Every priority inside one interval of width 1e-9: the whole sketch
+    // lands in one bucket, so the crowded-bucket fallback orders it.
+    KmvSketch s(2048, 1.0, 17);
+    for (uint64_t i = 0; i < 1500; ++i) {
+      s.OfferPriority(0.25 + 1e-9 * rng.NextDoubleOpenZero(), i);
+    }
+    cases.push_back({"skewed_narrow_warm_up", s});
+  }
+  {
+    // Saturated with a narrow cluster just below theta plus a uniform
+    // sprinkle: the top buckets crowd while the rest stay sparse.
+    KmvSketch s(256, 1.0, 19);
+    for (uint64_t i = 0; i < 5000; ++i) {
+      const double p = i % 50 == 0 ? rng.NextDoubleOpenZero()
+                                   : 0.5 + 1e-7 * rng.NextDoubleOpenZero();
+      s.OfferPriority(p, i);
+    }
+    cases.push_back({"skewed_narrow_saturated", s});
+  }
+  {
+    // Weighted priorities U/w with heavy-tailed weights pile up near 0:
+    // buckets of every size, from empty to crowded.
+    KmvSketch s(1024, 1.0, 23);
+    for (uint64_t i = 0; i < 30000; ++i) {
+      const double w = std::pow(rng.NextDoubleOpenZero(), -2.0);
+      s.OfferPriority(rng.NextDoubleOpenZero() / w, i);
+    }
+    cases.push_back({"weighted_skew", s});
+  }
+  return cases;
+}
+
+TEST(KmvGolden, SerializeMatchesReferenceEncoderByteForByte) {
+  for (const GoldenCase& c : GoldenCases()) {
+    SCOPED_TRACE(c.name);
+    const std::string frame = c.sketch.SerializeToString();
+    EXPECT_EQ(frame, WithChecksum(ReferenceKmv2Body(c.sketch)));
+    EXPECT_EQ(c.sketch.members(), ReferenceOrder(c.sketch));
+  }
+}
+
+TEST(KmvGolden, SerializedSizeIsTheFrameLength) {
+  for (const GoldenCase& c : GoldenCases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.sketch.SerializedSize(),
+              c.sketch.SerializeToString().size());
+    EXPECT_EQ(c.sketch.SerializedSize(), 52 + 16 * c.sketch.size());
+  }
+}
+
+TEST(KmvGolden, RestoredSketchIsTheSameSketch) {
+  // The bulk-append restore path rebuilds the state itself, not only the
+  // bytes: the restored sketch re-serializes to the frame and keeps
+  // suppressing duplicates of its retained keys as the original does.
+  for (const GoldenCase& c : GoldenCases()) {
+    SCOPED_TRACE(c.name);
+    const std::string frame = c.sketch.SerializeToString();
+    auto restored = KmvSketch::Deserialize(std::string_view(frame));
+    ASSERT_TRUE(restored.has_value());
+    EXPECT_EQ(restored->SerializeToString(), frame);
+    KmvSketch original = c.sketch;
+    for (const auto& [priority, key] : c.sketch.members()) {
+      original.OfferPriority(priority, key);
+      restored->OfferPriority(priority, key);
+    }
+    std::vector<uint64_t> more(3000);
+    Xoshiro256 rng(99);
+    for (auto& key : more) key = rng.NextBelow(2000);
+    original.AddKeys(more);
+    restored->AddKeys(more);
+    EXPECT_EQ(restored->SerializeToString(), original.SerializeToString());
+  }
+}
+
+TEST(KmvGolden, EmbeddingFramesStayByteIdentical) {
+  // Theta (stream mode) embeds a bare KMV2 body after its own header and
+  // mode word; GroupDistinct embeds one per promoted group. Both must
+  // carry the reference body and round-trip byte for byte.
+  Xoshiro256 rng(31);
+  for (const size_t n : {0u, 37u, 5000u}) {
+    SCOPED_TRACE(n);
+    ThetaSketch theta(256, 41);
+    KmvSketch kmv(256, 1.0, 41);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = rng.Next();
+      theta.AddKey(key);
+      kmv.AddKey(key);
+    }
+    std::string body;
+    PutLe(body, 0x54485432, 4);  // "THT2"
+    PutLe(body, 1, 4);
+    PutLe(body, 0, 4);  // stream mode
+    body += ReferenceKmv2Body(kmv);
+    const std::string frame = theta.SerializeToString();
+    EXPECT_EQ(frame, WithChecksum(body));
+    const auto parsed = ThetaSketch::Deserialize(std::string_view(frame));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->SerializeToString(), frame);
+  }
+
+  GroupDistinctSketch grouped(/*m=*/4, /*k=*/64, /*hash_salt=*/43);
+  for (uint64_t i = 0; i < 20000; ++i) {
+    // Zipf-like group sizes: a few heavy groups get promoted sketches,
+    // the tail stays in the pool.
+    const uint64_t group = static_cast<uint64_t>(
+        std::pow(rng.NextDoubleOpenZero(), 3.0) * 40.0);
+    grouped.Add(group, rng.NextBelow(50000));
+  }
+  ASSERT_GT(grouped.NumPromoted(), 0u);
+  const std::string frame = grouped.SerializeToString();
+  const auto parsed = GroupDistinctSketch::Deserialize(std::string_view(frame));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->SerializeToString(), frame);
 }
 
 }  // namespace
