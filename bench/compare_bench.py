@@ -35,7 +35,7 @@ are single-thread throughputs where core count is noise, not identity.
 --require-scaling PREFIX asserts multi-writer scaling within the
 CURRENT file alone: for every benchmark named PREFIX/T (optionally with
 a /real_time suffix), throughput(T) / throughput(1) must be at least
-0.5 * min(T, num_cpus). This is the wait-free ingest acceptance gate:
+0.5 * min(T, num_cpus). This is the concurrent ingest acceptance gate:
 >= T/2 ideal-normalized scaling, capped by the cores the runner
 actually has. On a 1-CPU runner (or when num_cpus is missing) the check
 is skipped with a note -- scaling is unobservable there, and failing
@@ -45,7 +45,7 @@ baseline comparison was skipped via --missing-baseline-ok.
 Usage:
   bench/compare_bench.py BASELINE.json CURRENT.json \
       [--max-regression 0.15] [--missing-baseline-ok] \
-      [--require-scaling BM_ConcurrentWriterLocalIngest]
+      [--require-scaling BM_ConcurrentIngest]
 
 Exit status: 0 when no benchmark regresses past the threshold and every
 --require-scaling gate holds (or is skipped), 1 otherwise, 2 on
@@ -148,7 +148,7 @@ def check_scaling(cur_doc, cur, prefix):
     num_cpus = int(num_cpus)
 
     # PREFIX/T with an optional google-benchmark modifier suffix
-    # (e.g. BM_ConcurrentWriterLocalIngest/8/real_time).
+    # (e.g. BM_ConcurrentIngest/8/real_time).
     pattern = re.compile(re.escape(prefix) + r"/(\d+)(/|$)")
     by_threads = {}
     for name, throughput in cur.items():

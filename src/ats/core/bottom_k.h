@@ -419,8 +419,7 @@ class PrioritySampler {
   // `others` with Merge() in span order (RNG state and coordination
   // flags do not participate in a merge), but pruned by the global min
   // threshold first (see SampleStore::MergeMany). Inputs aliasing
-  // `this` are skipped. The concurrent tier's writer-local drain runs
-  // through this.
+  // `this` are skipped.
   void MergeMany(std::span<const PrioritySampler* const> others);
 
   // Wire format. The RNG state travels with the sample so a restored

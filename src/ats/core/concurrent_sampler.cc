@@ -14,10 +14,10 @@ namespace internal {
 // scan of at most 2k buffered shard entries appends the survivors, and
 // the single purge runs in FinishMerge, lock-free. No shard is copied or
 // canonicalized. The accumulator starts lowered to the previous
-// snapshot's canonical threshold: shards only grow (ingest and drains
-// add items, nothing removes them), and a bottom-k threshold never rises
-// as its stream grows, so that threshold is >= the new merged threshold
-// -- a valid pre-filter bound by threshold substitutability (Theorem 6;
+// snapshot's canonical threshold: shards only grow (ingest adds items,
+// nothing removes them), and a bottom-k threshold never rises as its
+// stream grows, so that threshold is >= the new merged threshold -- a
+// valid pre-filter bound by threshold substitutability (Theorem 6;
 // SampleStore::MergeMany has the equivalence argument). Between two
 // rebuilds only the candidates below it survive the scan.
 

@@ -1,15 +1,15 @@
 // Concurrent ingestion tier: internally thread-safe streaming front-ends
-// with epoch-snapshot queries and a wait-free writer-local write path.
+// with one locked write path and epoch-snapshot queries.
 //
 // Everything below tier 4 treats thread-parallelism as the caller's
 // problem: ShardedSampler::AddShardBatch is only safe when callers
 // hand-partition shards across their own threads, and every query API
 // must be quiesced against ingest. ConcurrentSampler<Scenario> closes
 // that gap. It owns S shards -- each an ordinary full-capacity sampler
-// over a disjoint hash partition of the key space -- and offers two
-// write paths plus one read protocol:
+// over a disjoint hash partition of the key space -- and offers one
+// write path plus one read protocol:
 //
-// Locked write path (Add / AddBatch / AddShardBatch). An ingest call
+// Write path (Add / AddBatch / AddShardBatch). An ingest call
 // partitions its batch into per-shard runs, takes each touched shard's
 // stripe lock, feeds the run through the shard's batched ingest path
 // (the fused hash->priority->pre-filter pipeline of sample_store.h),
@@ -17,24 +17,7 @@
 // atomic slot (PublishedEpochs). Distinct shards never contend; two
 // writers hitting the same shard serialize only for that run. Shard
 // state is always current, so TotalRetained and footprint reads need no
-// reconciliation.
-//
-// Wait-free write path (RegisterWriter). A registered writer owns a
-// private block of per-shard mini-samplers (writer_local.h) and ingests
-// into it with ZERO shared-state writes except two release-ordered
-// atomics: the block mailbox and the writer's epoch counter. No mutex,
-// no CAS loop, no contention with other writers or readers -- each
-// ingest is a bounded number of steps regardless of what any other
-// thread does. The mergeable-sample algebra makes the deferral sound: a
-// mini-sampler over a writer's substream merges EXACTLY into the
-// authoritative shard (the scenario's MergeMany: the threshold-pruned
-// k-way engine the cluster tier trusts for the bottom-k scenarios, the
-// pairwise Merge chain for windows -- see sliding_window.h), so
-// reconciliation can happen lazily at epoch boundaries -- a reader that
-// finds the cache dirty drains every writer's published block into the
-// shards (Drain() forces the same thing deterministically) -- instead
-// of on every batch. Drain order is canonical: writers in registration
-// order, shards ascending, so a quiesced drain is reproducible.
+// reconciliation, and the per-shard epochs are the only dirtiness axis.
 //
 // Reader protocol. A query loads the current snapshot pointer -- a raw
 // std::atomic<const SnapshotState*>, genuinely lock-free (statically
@@ -42,55 +25,49 @@
 // scheme was NOT: libstdc++ implements it with a per-object lock, and
 // its atomic free functions with a shared mutex pool, so the old "lock-
 // free shared_ptr load" claim was false) -- and validates it against
-// the published shard epochs and writer epochs with acquire loads. On a
-// clean cache the whole read is the pointer load, a refcount upgrade
-// through enable_shared_from_this, and O(S + W) atomic compares: no
-// lock is ever acquired (the lock-counting probe and the TSan suite pin
-// this), so clean reads never block writers and writers never block
-// reads. When an epoch moved, ONE reader rebuilds (a rebuild mutex
-// serializes rebuilders only): it drains the writer-local blocks, then
-// folds the shards into one accumulator, each while holding only that
-// shard's lock, and finishes and publishes the new snapshot lock-free.
+// the published shard epochs with acquire loads. On a clean cache the
+// whole read is the pointer load, a refcount upgrade through
+// enable_shared_from_this, and O(S) atomic compares: no lock is ever
+// acquired (the lock-counting probe and the TSan suite pin this), so
+// clean reads never block writers and writers never block reads. When
+// an epoch moved, ONE reader rebuilds (a rebuild mutex serializes
+// rebuilders only): it folds the shards into one accumulator, each
+// while holding only that shard's lock, and finishes and publishes the
+// new snapshot lock-free.
 // For the bottom-k scenarios (priority, KMV, decay) the fold copies
 // nothing: under each lock it runs one block-prefiltered scan of the
 // shard's raw buffered columns (at most 2k entries, never canonicalized
-// -- SampleStore::Gather), so a locked-path writer waits at most for
-// that scan plus an O(k) accumulator compaction, never for a merge;
-// the single purge runs after the last lock is released. The
-// accumulator starts lowered to the PREVIOUS snapshot's threshold:
-// shards only grow, and a bottom-k threshold never rises as its stream
-// grows, so that threshold bounds the new one from above and is a valid
-// pre-filter (threshold substitutability, Theorem 6) -- between two
-// rebuilds only candidates below it survive the scan, and the snapshot
-// stays bit-identical to the unpruned k-way merge. Windows are excluded
-// from the prune: their thresholds are clock-sensitive and RECOVER as
-// items expire, so the previous snapshot bounds nothing; their fold
-// copies each shard under its lock (O(k)) and runs the pairwise Merge
-// chain lock-free. Retired snapshots park in a graveyard
-// that is reclaimed only when a seq_cst reader-in-flight counter reads
-// zero, so a reader that already loaded the raw pointer can always
-// finish its refcount upgrade safely.
+// -- SampleStore::Gather), so a writer waits at most for that scan plus
+// an O(k) accumulator compaction, never for a merge; the single purge
+// runs after the last lock is released. The accumulator starts lowered
+// to the PREVIOUS snapshot's threshold: shards only grow, and a
+// bottom-k threshold never rises as its stream grows, so that threshold
+// bounds the new one from above and is a valid pre-filter (threshold
+// substitutability, Theorem 6) -- between two rebuilds only candidates
+// below it survive the scan, and the snapshot stays bit-identical to
+// the unpruned k-way merge. Windows are excluded from the prune: their
+// thresholds are clock-sensitive and RECOVER as items expire, so the
+// previous snapshot bounds nothing; their fold copies each shard under
+// its lock (O(k)) and runs the pairwise Merge chain lock-free. Retired
+// snapshots park in a graveyard that is reclaimed only when a seq_cst
+// reader-in-flight counter reads zero, so a reader that already loaded
+// the raw pointer can always finish its refcount upgrade safely.
 //
 // Snapshot semantics. Because the per-shard streams are disjoint key
-// partitions and every drained mini is a sample of one writer's
-// substream prefix, any snapshot is a valid merged sample of a stream
-// the system actually ingested -- "epoch consistency". With
-// coordinated (hash-derived) priorities the snapshot taken after
-// writers quiesce and drain is EXACTLY the single-store sample of the
-// concatenated stream (same argument as sharded_sampler.h), which the
-// concurrent-equivalence differential tests pin down for both write
-// paths. Scenarios that draw priorities from per-sampler RNGs
-// (independent-mode bottom-k, window, decay) stay statistically exact
-// under writer-local ingest -- every mini generation gets a fresh
-// derived seed (WriterLocalSalt), never a replayed stream -- but are
-// bit-identical to the sequential reference only for a single
-// registered writer's first block generation (salt 0), which is what
-// the differential tests use.
+// partitions, any snapshot is a valid merged sample of a stream the
+// system actually ingested -- "epoch consistency". With coordinated
+// (hash-derived) priorities the snapshot taken after writers quiesce is
+// EXACTLY the single-store sample of the concatenated stream (same
+// argument as sharded_sampler.h), which the concurrent-equivalence
+// differential tests pin down. Scenarios that draw priorities from
+// per-shard RNGs (independent-mode bottom-k, window, decay) are
+// bit-identical to the sequential sharded reference whenever every
+// shard sees the same per-shard stream, e.g. one routing writer or
+// writers owning disjoint shards.
 //
 // Scenarios. The template is instantiated for every sampling scenario
 // in the library through small trait structs (routing key, shard
-// construction, per-shard ingest, epoch accessor, snapshot fold,
-// absorption).
+// construction, per-shard ingest, epoch accessor, snapshot fold).
 // The concrete front-ends below -- ConcurrentPrioritySampler,
 // ConcurrentKmvSketch, ConcurrentWindowSampler, ConcurrentDecaySampler
 // -- are public subclasses of ConcurrentSampler<Scenario> that add only
@@ -115,7 +92,6 @@
 #include "ats/core/random.h"
 #include "ats/core/shard_routing.h"
 #include "ats/core/sharded_sampler.h"
-#include "ats/core/writer_local.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/sketch/kmv.h"
@@ -150,13 +126,9 @@ class CountedLockGuard {
 ///     using Merged = ...;   // merged snapshot type
 ///     struct Config {...};  // construction parameters (k, seed, ...)
 ///     static constexpr uint64_t kRouteSalt;           // shard routing
-///     // Authoritative shards pass writer_salt 0; writer-local minis
-///     // pass WriterLocalSalt (writer_local.h).
-///     static Shard MakeShard(const Config&, size_t shard,
-///                            uint64_t writer_salt);
+///     static Shard MakeShard(const Config&, size_t shard);
 ///     static uint64_t RouteKey(const Item&);
 ///     static size_t Ingest(Shard&, std::span<const Item>);
-///     static void AbsorbMany(Shard&, std::span<const Shard* const>);
 ///     static uint64_t Epoch(const Shard&);  // O(1), non-canonicalizing
 ///     // Snapshot rebuild as a fold over the shards (RebuildSnapshot):
 ///     // StartMerge once (`previous` is the snapshot being replaced, or
@@ -173,7 +145,6 @@ class CountedLockGuard {
 ///
 /// Thread-safety contract (every public method unless noted): safe to
 /// call from any number of threads concurrently with any other method.
-/// Writer handles must not outlive the sampler they were registered on.
 template <typename Scenario>
 class ConcurrentSampler {
  public:
@@ -191,7 +162,7 @@ class ConcurrentSampler {
     shards_.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       shards_.push_back(std::make_unique<ShardSlot>(
-          Scenario::MakeShard(config, s, /*writer_salt=*/0)));
+          Scenario::MakeShard(config, s)));
       published_.Publish(s, Scenario::Epoch(shards_.back()->sampler));
     }
   }
@@ -247,182 +218,50 @@ class ConcurrentSampler {
     return accepted;
   }
 
-  // --- Wait-free writer-local ingest ----------------------------------
+  // --- Compatibility spellings ---------------------------------------
 
- private:
-  // Defined below with the other private types; declared here so the
-  // Writer class's member signatures can name it.
-  struct Block;
-
-  /// One batch split into per-shard runs, order-preserving within each
-  /// run. Reused across batches by its owner (a thread or a Writer):
-  /// `touched` lists exactly the runs the previous split left
-  /// non-empty, so clearing is O(touched), not O(S), and steady state
-  /// performs no allocation.
-  struct RunPartition {
-    std::vector<std::vector<Item>> runs;
-    std::vector<uint32_t> touched;
-  };
-
-  /// The routing split shared by the locked and writer-local paths.
-  void Partition(std::span<const Item> items, RunPartition& out) const {
-    if (out.runs.size() < shards_.size()) out.runs.resize(shards_.size());
-    for (const uint32_t s : out.touched) out.runs[s].clear();
-    out.touched.clear();
-    for (const Item& item : items) {
-      const size_t s = ShardOf(Scenario::RouteKey(item));
-      if (out.runs[s].empty()) {
-        out.touched.push_back(static_cast<uint32_t>(s));
-      }
-      out.runs[s].push_back(item);
-    }
-  }
-
- public:
-  class Writer;
-
-  /// Registers a wait-free writer handle. Thread-safe and lock-free;
-  /// at most internal::kMaxWriterSlots registrations per sampler
-  /// lifetime (slots are never reused). The handle is movable, must be
-  /// used by one thread at a time, and must not outlive the sampler.
-  /// Destroying the handle retires the writer; anything it published
-  /// but was not yet drained is picked up by the next drain -- items
-  /// are never lost, even when a writer goes away with pending state.
-  Writer RegisterWriter() {
-    auto reg = writers_.Register();
-    return Writer(this, reg.slot, reg.index);
-  }
-
-  /// Merges every registered writer's published mini-stores into the
-  /// authoritative shards, deterministically (registration order,
-  /// shards ascending). Dirty snapshots trigger the same drain; this
-  /// entry point exists so tests and quiesce points can force it.
-  /// Thread-safe; never blocks writer-local ingest (writers are
-  /// wait-free throughout a drain -- a writer that finds both its block
-  /// slots empty simply starts a fresh block).
-  void Drain() {
-    internal::CountedLockGuard drain(drain_mu_, lock_acquisitions_);
-    DrainLocked();
-  }
-
-  /// One writer's wait-free ingest handle. Ingest calls perform no
-  /// lock acquisition and no shared-state writes except the mailbox
-  /// store and the epoch publish (writer_local.h); the per-shard
-  /// routing scratch lives in the handle and is reused across calls,
-  /// so steady-state ingest (block recycled through the mailbox or
-  /// spare slot) performs no allocation at all.
+  /// Compatibility spelling for the perfbench ladder, which still drives
+  /// a writer-handle rung: a movable handle whose Add / AddBatch forward
+  /// to the routed Add / AddBatch above. To be removed, with Drain(), in
+  /// the benchmark-scoped change that retires that rung (ROADMAP.md,
+  /// item 6). Must not outlive the sampler.
   class Writer {
    public:
-    Writer(Writer&& other) noexcept
-        : owner_(other.owner_),
-          slot_(other.slot_),
-          index_(other.index_),
-          next_epoch_(other.next_epoch_),
-          scratch_(std::move(other.scratch_)) {
-      other.slot_ = nullptr;
-    }
-    Writer(const Writer&) = delete;
-    Writer& operator=(const Writer&) = delete;
-    Writer& operator=(Writer&&) = delete;
-
-    ~Writer() {
-      if (slot_ == nullptr) return;
-      // Retire: bump the epoch so the next drain/snapshot re-examines
-      // this slot and absorbs anything still sitting in the mailbox.
-      slot_->epoch.store(++next_epoch_, std::memory_order_release);
-      slot_ = nullptr;
-    }
-
-    /// Ingests one item. Returns the number accepted by the
-    /// mini-sampler (0 or 1).
-    size_t Add(const Item& item) {
-      return AddBatch(std::span<const Item>(&item, 1));
-    }
-
-    /// Routed batched ingest into this writer's private mini-stores.
-    /// Wait-free: no locks, no CAS loops, no waiting on any other
-    /// thread. Returns the number of items accepted by the minis (an
-    /// upper bound on what survives the drain merge, exactly like a
-    /// shard count before the k-way re-cap).
+    size_t Add(const Item& item) { return owner_->Add(item); }
     size_t AddBatch(std::span<const Item> items) {
-      ATS_CHECK(slot_ != nullptr);
-      if (items.empty()) return 0;
-      Block* block = TakeBlock();
-      const size_t num_shards = owner_->shards_.size();
-      size_t accepted = 0;
-      bool changed = false;
-      if (num_shards == 1) {
-        const uint64_t before = Scenario::Epoch(block->minis[0]);
-        accepted = Scenario::Ingest(block->minis[0], items);
-        changed = Scenario::Epoch(block->minis[0]) != before;
-      } else {
-        owner_->Partition(items, scratch_);
-        for (const uint32_t s : scratch_.touched) {
-          const uint64_t before = Scenario::Epoch(block->minis[s]);
-          accepted += Scenario::Ingest(block->minis[s], scratch_.runs[s]);
-          changed |= Scenario::Epoch(block->minis[s]) != before;
-        }
-      }
-      // Publish the block BEFORE the epoch (both release): a drainer
-      // that observes the new epoch and then finds the mailbox
-      // non-null is guaranteed to see this batch's minis. The mailbox
-      // is necessarily empty here -- only this writer stores into it,
-      // and TakeBlock emptied it.
-      slot_->mailbox.store(block, std::memory_order_release);
-      if (changed) {
-        slot_->epoch.store(++next_epoch_, std::memory_order_release);
-      }
-      return accepted;
+      return owner_->AddBatch(items);
     }
 
    private:
     friend class ConcurrentSampler;
-    using Slot = typename internal::WriterLocalRegistry<Block>::Slot;
-
-    Writer(ConcurrentSampler* owner, Slot* slot, size_t index)
-        : owner_(owner), slot_(slot), index_(index) {}
-
-    Block* TakeBlock() {
-      auto* block = slot_->mailbox.exchange(nullptr,
-                                            std::memory_order_acquire);
-      if (block == nullptr) {
-        block = slot_->spare.exchange(nullptr, std::memory_order_acquire);
-      }
-      // Both empty only while a drain holds the block: start fresh (the
-      // only allocating path; steady state recycles).
-      if (block == nullptr) block = owner_->NewBlock(*slot_, index_);
-      return block;
-    }
-
+    explicit Writer(ConcurrentSampler* owner) : owner_(owner) {}
     ConcurrentSampler* owner_;
-    Slot* slot_;
-    size_t index_;
-    uint64_t next_epoch_ = 0;
-    // Reusable routing scratch (the same allocation-free discipline as
-    // the locked path's thread-local scratch).
-    RunPartition scratch_;
   };
 
-  /// The merged snapshot. Clean cache (no shard epoch and no writer
-  /// epoch moved since the cached snapshot was built): a lock-free raw
-  /// atomic pointer load, a refcount upgrade, and O(S + W) atomic
-  /// epoch compares -- NO lock acquisition (asserted by the
-  /// lock-counting probe test), so clean reads never block writers.
-  /// Dirty cache: one reader drains the writer-local blocks and
-  /// rebuilds (fold each shard into the accumulator under its lock --
-  /// for bottom-k scenarios one pre-filtered scan of at most 2k raw
-  /// entries, pruned at the previous snapshot's threshold; for windows
-  /// an O(k) copy -- then finish and publish lock-free) while other
-  /// readers wait on the rebuild mutex only. The returned snapshot is
-  /// immutable and canonicalized: every const accessor on it is a pure
-  /// read, so any number of threads may query one snapshot
-  /// concurrently. It stays valid (and internally consistent) for as
-  /// long as the pointer is held, no matter how much ingest happens
-  /// after.
+  /// Compatibility spelling for the perfbench ladder (see Writer).
+  Writer RegisterWriter() { return Writer(this); }
+
+  /// Compatibility spelling for the perfbench ladder (see Writer): a
+  /// no-op, since every write lands in its shard before returning.
+  void Drain() {}
+
+  /// The merged snapshot. Clean cache (no shard epoch moved since the
+  /// cached snapshot was built): a lock-free raw atomic pointer load, a
+  /// refcount upgrade, and O(S) atomic epoch compares -- NO lock
+  /// acquisition (asserted by the lock-counting probe test), so clean
+  /// reads never block writers. Dirty cache: one reader rebuilds (fold
+  /// each shard into the accumulator under its lock -- for bottom-k
+  /// scenarios one pre-filtered scan of at most 2k raw entries, pruned
+  /// at the previous snapshot's threshold; for windows an O(k) copy --
+  /// then finish and publish lock-free) while other readers wait on the
+  /// rebuild mutex only. The returned snapshot is immutable and
+  /// canonicalized: every const accessor on it is a pure read, so any
+  /// number of threads may query one snapshot concurrently. It stays
+  /// valid (and internally consistent) for as long as the pointer is
+  /// held, no matter how much ingest happens after.
   std::shared_ptr<const Merged> Snapshot() const {
     auto state = AcquireSnapshot();
-    if (state == nullptr || !published_.Matches(state->epochs) ||
-        !WriterEpochsMatch(state->writer_epochs)) {
+    if (state == nullptr || !published_.Matches(state->epochs)) {
       state = RebuildSnapshot();
     }
     // Aliasing pointer: shares ownership of the whole snapshot state,
@@ -430,11 +269,10 @@ class ConcurrentSampler {
     return std::shared_ptr<const Merged>(state, &state->merged);
   }
 
-  /// Total items currently retained across the authoritative shards
-  /// (>= the merged sample size; the merge re-caps at k). Excludes
-  /// writer-local items not yet drained -- call Drain() first for a
-  /// full count. Takes each shard's lock in turn, so the total is a
-  /// sum of per-shard instants, not one global instant.
+  /// Total items currently retained across the shards (>= the merged
+  /// sample size; the merge re-caps at k). Takes each shard's lock in
+  /// turn, so the total is a sum of per-shard instants, not one global
+  /// instant.
   size_t TotalRetained() const
     requires requires(const Shard& s) { Scenario::Retained(s); }
   {
@@ -450,9 +288,7 @@ class ConcurrentSampler {
   const Config& config() const { return config_; }
 
   /// Live heap bytes across the shard slots plus the currently
-  /// published snapshot (util/memory.h convention). Excludes
-  /// writer-local blocks in flight (they are private to their writer or
-  /// the drainer and cannot be inspected safely). Takes each shard's
+  /// published snapshot (util/memory.h convention). Takes each shard's
   /// lock in turn -- like TotalRetained, the total is a sum of
   /// per-shard instants, not one global instant. Thread-safe like every
   /// other public method.
@@ -465,8 +301,7 @@ class ConcurrentSampler {
     const auto state = AcquireSnapshot();
     if (state != nullptr) {
       total += state->merged.MemoryFootprint() +
-               (state->epochs.size() + state->writer_epochs.size()) *
-                   sizeof(uint64_t);
+               state->epochs.size() * sizeof(uint64_t);
     }
     return total;
   }
@@ -474,8 +309,8 @@ class ConcurrentSampler {
   // --- Introspection probes (tests) ------------------------------------
 
   /// Total mutex acquisitions ever performed by this sampler, across
-  /// every path (shard stripes, rebuild, drain). The clean-read probe
-  /// test asserts this does not move across clean Snapshot() calls.
+  /// every path (shard stripes, rebuild). The clean-read probe test
+  /// asserts this does not move across clean Snapshot() calls.
   uint64_t LockAcquisitionsForTest() const {
     return lock_acquisitions_.load(std::memory_order_relaxed);
   }
@@ -497,28 +332,39 @@ class ConcurrentSampler {
     Shard sampler;
   };
 
-  /// One writer's private per-shard mini-samplers. minis[s] is dirty
-  /// iff its epoch moved off base_epochs[s] (recorded at construction /
-  /// reset), so the drain skips untouched shards without any flags.
-  struct Block {
-    std::vector<Shard> minis;
-    std::vector<uint64_t> base_epochs;
+  /// One batch split into per-shard runs, order-preserving within each
+  /// run. Reused across batches by its thread: `touched` lists exactly
+  /// the runs the previous split left non-empty, so clearing is
+  /// O(touched), not O(S), and steady state performs no allocation.
+  struct RunPartition {
+    std::vector<std::vector<Item>> runs;
+    std::vector<uint32_t> touched;
   };
 
+  /// The routing split of AddBatch.
+  void Partition(std::span<const Item> items, RunPartition& out) const {
+    if (out.runs.size() < shards_.size()) out.runs.resize(shards_.size());
+    for (const uint32_t s : out.touched) out.runs[s].clear();
+    out.touched.clear();
+    for (const Item& item : items) {
+      const size_t s = ShardOf(Scenario::RouteKey(item));
+      if (out.runs[s].empty()) {
+        out.touched.push_back(static_cast<uint32_t>(s));
+      }
+      out.runs[s].push_back(item);
+    }
+  }
+
   /// An immutable published snapshot: the merged sampler plus the
-  /// shard- and writer-epoch vectors it was built at (the validation
-  /// tokens). enable_shared_from_this is what lets a reader upgrade
-  /// the raw published pointer back to shared ownership without any
+  /// shard-epoch vector it was built at (the validation token).
+  /// enable_shared_from_this is what lets a reader upgrade the raw
+  /// published pointer back to shared ownership without any
   /// atomic<shared_ptr> machinery.
   struct SnapshotState : std::enable_shared_from_this<SnapshotState> {
-    SnapshotState(Merged m, std::vector<uint64_t> e,
-                  std::vector<uint64_t> w)
-        : merged(std::move(m)),
-          epochs(std::move(e)),
-          writer_epochs(std::move(w)) {}
+    SnapshotState(Merged m, std::vector<uint64_t> e)
+        : merged(std::move(m)), epochs(std::move(e)) {}
     Merged merged;
     std::vector<uint64_t> epochs;
-    std::vector<uint64_t> writer_epochs;
   };
 
   // The publication scheme exists to fix the non-lock-free
@@ -545,111 +391,12 @@ class ConcurrentSampler {
     return state;
   }
 
-  /// True iff every registered writer's published epoch equals the
-  /// snapshot's recorded (fully drained) epoch. Lock-free.
-  bool WriterEpochsMatch(const std::vector<uint64_t>& snap) const {
-    const size_t n = writers_.count();
-    if (snap.size() != n) return false;
-    for (size_t w = 0; w < n; ++w) {
-      if (writers_.slot(w).epoch.load(std::memory_order_acquire) !=
-          snap[w]) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Allocates a fresh block for `slot` with generation-salted minis
-  /// (see WriterLocalSalt: generation 0 of writer 0 mirrors the
-  /// authoritative shard seeds exactly).
-  Block* NewBlock(typename internal::WriterLocalRegistry<Block>::Slot& slot,
-                  size_t writer_index) const {
-    const uint64_t generation =
-        slot.generation.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t salt =
-        internal::WriterLocalSalt(writer_index, generation);
-    auto block = std::make_unique<Block>();
-    block->minis.reserve(shards_.size());
-    block->base_epochs.reserve(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      block->minis.push_back(Scenario::MakeShard(config_, s, salt));
-      block->base_epochs.push_back(Scenario::Epoch(block->minis.back()));
-    }
-    return block.release();
-  }
-
-  /// Drains every writer's published block into the authoritative
-  /// shards through the scenario's AbsorbMany (the shard's MergeMany).
-  /// Requires drain_mu_. Wait-free for writers throughout: the only
-  /// writer-shared state touched is the mailbox/spare exchanges.
-  void DrainLocked() const {
-    const size_t writer_count = writers_.count();
-    if (writer_count == 0) return;
-    auto& taken = drain_taken_;
-    taken.clear();
-    for (size_t w = 0; w < writer_count; ++w) {
-      auto& slot = writers_.slot(w);
-      const uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
-      if (epoch == slot.drained_epoch) continue;
-      Block* block =
-          slot.mailbox.exchange(nullptr, std::memory_order_acquire);
-      // Null mailbox: the writer is mid-batch holding the block. Its
-      // items ride in that block and will be re-published, so leaving
-      // drained_epoch stale (and the snapshot dirty) until the next
-      // drain loses nothing. Only a captured block justifies recording
-      // the epoch as absorbed.
-      if (block == nullptr) continue;
-      slot.drained_epoch = epoch;
-      taken.push_back(TakenBlock{block, w});
-    }
-    if (taken.empty()) return;
-    // Shards ascending, and per shard the minis in writer-registration
-    // order: the canonical drain order (MergeMany is observationally
-    // a fold in span order, so a quiesced drain is reproducible).
-    auto& minis = drain_minis_;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      minis.clear();
-      for (const TakenBlock& t : taken) {
-        if (Scenario::Epoch(t.block->minis[s]) != t.block->base_epochs[s]) {
-          minis.push_back(&t.block->minis[s]);
-        }
-      }
-      if (minis.empty()) continue;
-      ShardSlot& shard = *shards_[s];
-      internal::CountedLockGuard lock(shard.mu, lock_acquisitions_);
-      Scenario::AbsorbMany(shard.sampler, minis);
-      published_.Publish(s, Scenario::Epoch(shard.sampler));
-    }
-    // Reset the drained minis with fresh generation salts (a reused
-    // RNG stream would replay its draws) and recycle the blocks
-    // through the spare slots.
-    for (const TakenBlock& t : taken) {
-      auto& slot = writers_.slot(t.writer);
-      const uint64_t generation =
-          slot.generation.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t salt =
-          internal::WriterLocalSalt(t.writer, generation);
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if (Scenario::Epoch(t.block->minis[s]) == t.block->base_epochs[s]) {
-          continue;  // untouched mini: keep it (and its unused RNG)
-        }
-        t.block->minis[s] = Scenario::MakeShard(config_, s, salt);
-        t.block->base_epochs[s] = Scenario::Epoch(t.block->minis[s]);
-      }
-      Block* prev =
-          slot.spare.exchange(t.block, std::memory_order_acq_rel);
-      // A previous spare the writer never picked up is redundant now.
-      delete prev;
-    }
-  }
-
   std::shared_ptr<const SnapshotState> RebuildSnapshot() const {
     internal::CountedLockGuard rebuild(rebuild_mu_, lock_acquisitions_);
     // Double-check under the rebuild lock: another reader may have
     // published a fresh snapshot while this one waited.
     if (current_owner_ != nullptr &&
-        published_.Matches(current_owner_->epochs) &&
-        WriterEpochsMatch(current_owner_->writer_epochs)) {
+        published_.Matches(current_owner_->epochs)) {
       return current_owner_;
     }
     TryReclaimRetired();
@@ -658,33 +405,19 @@ class ConcurrentSampler {
     typename Scenario::Accumulator acc = Scenario::StartMerge(
         config_, current_owner_ != nullptr ? &current_owner_->merged
                                            : nullptr);
+    // Fold each shard into the accumulator under its own lock -- a
+    // writer waits at most for one O(k) gather of its shard -- recording
+    // the epoch the gather is consistent with.
     std::vector<uint64_t> epochs;
     epochs.reserve(shards_.size());
-    std::vector<uint64_t> writer_epochs;
-    {
-      internal::CountedLockGuard drain(drain_mu_, lock_acquisitions_);
-      DrainLocked();
-      // Record what the drain actually absorbed: a writer caught
-      // mid-batch keeps drained < published, which leaves the new
-      // snapshot conservatively dirty until its batch is drained.
-      const size_t writer_count = writers_.count();
-      writer_epochs.reserve(writer_count);
-      for (size_t w = 0; w < writer_count; ++w) {
-        writer_epochs.push_back(writers_.slot(w).drained_epoch);
-      }
-      // Fold each shard into the accumulator under its own lock -- a
-      // locked-path writer waits at most for one O(k) gather of its
-      // shard -- recording the epoch the gather is consistent with.
-      for (const auto& slot : shards_) {
-        internal::CountedLockGuard lock(slot->mu, lock_acquisitions_);
-        epochs.push_back(Scenario::Epoch(slot->sampler));
-        Scenario::GatherShard(acc, slot->sampler);
-      }
+    for (const auto& slot : shards_) {
+      internal::CountedLockGuard lock(slot->mu, lock_acquisitions_);
+      epochs.push_back(Scenario::Epoch(slot->sampler));
+      Scenario::GatherShard(acc, slot->sampler);
     }
     // Finish lock-free, then publish.
     auto next = std::make_shared<SnapshotState>(
-        Scenario::FinishMerge(config_, std::move(acc)), std::move(epochs),
-        std::move(writer_epochs));
+        Scenario::FinishMerge(config_, std::move(acc)), std::move(epochs));
     PublishCurrent(next);
     return next;
   }
@@ -715,26 +448,13 @@ class ConcurrentSampler {
     }
   }
 
-  struct TakenBlock {
-    Block* block;
-    size_t writer;
-  };
-
   Config config_;
   std::vector<std::unique_ptr<ShardSlot>> shards_;
   /// Per-shard atomic epochs (the lock-free cache validation); see
-  /// epoch_cache.h. Mutable: a drain triggered from a const Snapshot()
-  /// republishes shard epochs.
-  mutable PublishedEpochs published_;
-  /// Writer-local registration and block-handoff state.
-  mutable internal::WriterLocalRegistry<Block> writers_;
+  /// epoch_cache.h.
+  PublishedEpochs published_;
   /// Serializes snapshot rebuilds (readers only; writers never take it).
   mutable std::mutex rebuild_mu_;
-  /// Serializes drains (a rebuilding reader or an explicit Drain()).
-  mutable std::mutex drain_mu_;
-  /// Drain scratch, guarded by drain_mu_ (reused across drains).
-  mutable std::vector<TakenBlock> drain_taken_;
-  mutable std::vector<const Shard*> drain_minis_;
   /// The lock-free publication pair: the raw current-snapshot pointer
   /// and the reader-in-flight counter (see AcquireSnapshot).
   mutable std::atomic<const SnapshotState*> current_{nullptr};
@@ -761,19 +481,13 @@ struct PriorityScenario {
   using Item = PrioritySampler::Item;
   using Merged = BottomK<Item>;
   static constexpr uint64_t kRouteSalt = kShardRouteSalt;
-  static Shard MakeShard(const Config& config, size_t shard,
-                         uint64_t writer_salt) {
-    return PrioritySampler(
-        config.k, config.seed + kShardSeedStride * shard + writer_salt,
-        config.coordinated);
+  static Shard MakeShard(const Config& config, size_t shard) {
+    return PrioritySampler(config.k, config.seed + kShardSeedStride * shard,
+                           config.coordinated);
   }
   static uint64_t RouteKey(const Item& item) { return item.key; }
   static size_t Ingest(Shard& shard, std::span<const Item> items) {
     return shard.AddBatch(items);
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.sketch().store().mutation_epoch();
@@ -785,11 +499,11 @@ struct PriorityScenario {
   static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
-/// Scenario: KMV/Theta distinct counting. Every shard -- and every
-/// writer-local mini -- hashes with the SAME salt (coordinated by
-/// construction), so duplicate keys ingested by different writers
-/// collapse at the drain merge (duplicate priorities are duplicate
-/// keys) and the merged union is exactly the single-sketch union.
+/// Scenario: KMV/Theta distinct counting. Every shard hashes with the
+/// SAME salt (coordinated by construction) and a key always routes to
+/// the same shard, so duplicate keys ingested by different writers
+/// collapse in that shard and the merged union is exactly the
+/// single-sketch union, for any number of routed writers.
 struct KmvScenario {
   struct Config {
     size_t k;
@@ -799,19 +513,14 @@ struct KmvScenario {
   using Item = uint64_t;
   using Merged = KmvSketch;
   static constexpr uint64_t kRouteSalt = kShardRouteSalt;
-  static Shard MakeShard(const Config& config, size_t /*shard*/,
-                         uint64_t /*writer_salt*/) {
-    // Hash-coordinated: every shard and mini is the same empty sketch.
+  static Shard MakeShard(const Config& config, size_t /*shard*/) {
+    // Hash-coordinated: every shard is the same empty sketch.
     return KmvSketch(config.k, /*initial_threshold=*/1.0,
                      config.hash_salt);
   }
   static uint64_t RouteKey(uint64_t key) { return key; }
   static size_t Ingest(Shard& shard, std::span<const uint64_t> keys) {
     return shard.AddKeys(keys);
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.store().mutation_epoch();
@@ -824,16 +533,12 @@ struct KmvScenario {
 };
 
 /// Scenario: sliding-window sampling (the ShardedWindowSampler shard
-/// layout). Per SAMPLER, arrival times must be non-decreasing. On the
-/// locked path that means: one routing writer, or several writers
-/// owning disjoint shards (AddShardBatch) each in time order -- two
-/// routed locked writers interleave whole runs per shard and can hand
-/// a shard out-of-order times (tolerated silently; the sample would be
-/// quietly biased). The WRITER-LOCAL path has no such footgun: each
-/// mini sees exactly one writer's arrivals in that writer's own order,
-/// so any number of registered writers is valid as long as each one's
-/// own stream is time-ordered; the drain merge handles cross-writer
-/// time skew the same way the cluster merge does.
+/// layout). Per SHARD, arrival times must be non-decreasing, which
+/// leaves two valid ingest patterns: one routing writer, or several
+/// writers owning disjoint shards (AddShardBatch) each in time order.
+/// Two routed writers interleave whole runs per shard and can hand a
+/// shard out-of-order times, which would quietly bias the sample;
+/// debug builds check every arrival against the shard's last time.
 struct WindowScenario {
   struct Config {
     size_t k;
@@ -848,23 +553,18 @@ struct WindowScenario {
   using Item = Arrival;
   using Merged = SlidingWindowSampler;
   static constexpr uint64_t kRouteSalt = kTimeAxisRouteSalt;
-  static Shard MakeShard(const Config& config, size_t shard,
-                         uint64_t writer_salt) {
-    return SlidingWindowSampler(
-        config.k, config.window,
-        config.seed + kShardSeedStride * shard + writer_salt);
+  static Shard MakeShard(const Config& config, size_t shard) {
+    return SlidingWindowSampler(config.k, config.window,
+                                config.seed + kShardSeedStride * shard);
   }
   static uint64_t RouteKey(const Arrival& arrival) { return arrival.id; }
   static size_t Ingest(Shard& shard, std::span<const Arrival> items) {
     size_t stored = 0;
     for (const Arrival& a : items) {
+      ATS_DCHECK(a.time >= shard.last_time());
       stored += shard.Arrive(a.time, a.id) ? 1 : 0;
     }
     return stored;
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.mutation_epoch();
@@ -879,13 +579,11 @@ struct WindowScenario {
 };
 
 /// Scenario: time-decayed sampling (the ShardedDecaySampler shard
-/// layout). Per SAMPLER, item times must be non-decreasing -- the same
-/// ingest-pattern contract as WindowScenario, with the same resolution:
-/// writer-local ingest makes any number of registered writers valid
-/// (each mini sees one writer's own time order), while the locked
-/// routed path requires one writer or disjoint shard ownership. (The
-/// keyed scenarios have no such constraint: any number of writers on
-/// either path is always valid for bottom-k and KMV.)
+/// layout). Per shard, item times must be non-decreasing -- the same
+/// ingest-pattern contract as WindowScenario: one routing writer or
+/// disjoint shard ownership. (The keyed scenarios have no such
+/// constraint: any number of routed writers is always valid for
+/// bottom-k and KMV.)
 struct DecayScenario {
   struct Config {
     size_t k;
@@ -895,18 +593,12 @@ struct DecayScenario {
   using Item = TimeDecaySampler::TimedItem;
   using Merged = TimeDecaySampler;
   static constexpr uint64_t kRouteSalt = kTimeAxisRouteSalt;
-  static Shard MakeShard(const Config& config, size_t shard,
-                         uint64_t writer_salt) {
-    return TimeDecaySampler(
-        config.k, config.seed + kShardSeedStride * shard + writer_salt);
+  static Shard MakeShard(const Config& config, size_t shard) {
+    return TimeDecaySampler(config.k, config.seed + kShardSeedStride * shard);
   }
   static uint64_t RouteKey(const Item& item) { return item.key; }
   static size_t Ingest(Shard& shard, std::span<const Item> items) {
     return shard.AddBatch(items);
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.mutation_epoch();
@@ -930,10 +622,10 @@ extern template class ConcurrentSampler<internal::DecayScenario>;
 /// Internally thread-safe weighted bottom-k (priority sampling)
 /// front-end: the concurrent counterpart of ShardedSampler, with the
 /// identical shard layout. With coordinated priorities (the default)
-/// the merged snapshot after writers quiesce (and drain, for
-/// writer-local ingest) is EXACTLY the single-store sample of the
-/// concatenated stream -- on both write paths. Snapshot() is the merged
-/// BottomK<Item>; query it directly (Snapshot()->Threshold(), ...).
+/// the merged snapshot after writers quiesce is EXACTLY the
+/// single-store sample of the concatenated stream, for any number of
+/// writers. Snapshot() is the merged BottomK<Item>; query it directly
+/// (Snapshot()->Threshold(), ...).
 class ConcurrentPrioritySampler
     : public ConcurrentSampler<internal::PriorityScenario> {
  public:
@@ -953,9 +645,9 @@ class ConcurrentPrioritySampler
 /// Internally thread-safe KMV distinct-counting front-end (and, through
 /// KMV's theta duality, the concurrent entry point for Theta-style
 /// distinct unions): shards share one hash salt, so the merged snapshot
-/// is exactly the single-sketch union of the concatenated key stream --
-/// on both write paths (writer-local duplicates collapse at the drain).
-/// Items are raw keys; Snapshot() is the merged KmvSketch.
+/// is exactly the single-sketch union of the concatenated key stream,
+/// for any number of writers. Items are raw keys; Snapshot() is the
+/// merged KmvSketch.
 class ConcurrentKmvSketch : public ConcurrentSampler<internal::KmvScenario> {
  public:
   ConcurrentKmvSketch(size_t num_shards, size_t k, uint64_t hash_salt = 0);
@@ -963,15 +655,13 @@ class ConcurrentKmvSketch : public ConcurrentSampler<internal::KmvScenario> {
 
 /// Internally thread-safe sliding-window front-end: the concurrent
 /// counterpart of ShardedWindowSampler (identical shard layout, seeds,
-/// and merge). Arrival times must be non-decreasing PER SAMPLER. On
-/// the locked path that leaves two safe ingest patterns: a SINGLE
-/// thread driving the routed Add/AddBatch, or several writers owning
-/// DISJOINT shards via AddShardBatch (each feeding its shards in time
-/// order). The writer-local path (RegisterWriter) lifts the
-/// restriction: each registered writer's mini-samplers see only that
-/// writer's arrivals in its own order, so any number of concurrent
-/// registered writers is valid provided each one's own stream is
-/// time-ordered. The query helpers below evaluate one epoch-consistent
+/// and merge). Arrival times must be non-decreasing PER SHARD, which
+/// leaves two safe ingest patterns: a SINGLE thread driving the routed
+/// Add/AddBatch, or several writers owning DISJOINT shards via
+/// AddShardBatch (each feeding its shards in time order). Several
+/// time-ordered writers cannot share the routed path: their runs
+/// interleave per shard out of time order (a debug-build check fails).
+/// The query helpers below evaluate one epoch-consistent
 /// snapshot at `now` on a private O(k) copy: window queries advance
 /// expiry, so they must never run on the shared snapshot itself. `now`
 /// should be >= the times already ingested, as with the sequential
@@ -1000,10 +690,9 @@ class ConcurrentWindowSampler
 
 /// Internally thread-safe time-decay front-end: the concurrent
 /// counterpart of ShardedDecaySampler (identical shard layout, seeds,
-/// and merge). Per sampler, item times must be non-decreasing -- the
-/// same ingest-pattern contract as ConcurrentWindowSampler, with the
-/// same writer-local resolution: registered writers each feed their own
-/// time-ordered stream, in any number, concurrently. Snapshot() is the
+/// and merge). Per shard, item times must be non-decreasing -- the same
+/// ingest-pattern contract as ConcurrentWindowSampler: one routing
+/// writer, or writers owning disjoint shards. Snapshot() is the
 /// merged TimeDecaySampler, canonicalized so its const queries
 /// (LogKeyThreshold, SampleAt, EstimateDecayedTotal) are pure reads.
 class ConcurrentDecaySampler

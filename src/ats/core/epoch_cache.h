@@ -12,14 +12,11 @@
 // mutation_epoch() while a writer ingests is a data race. It instead
 // uses the atomic epoch protocol at the bottom of this header --
 // PublishedEpochs, an array of per-shard atomics that writers update
-// with release stores after every locked mutation (and the drain after
-// every writer-local absorption) and readers poll with acquire loads to
-// validate a cached snapshot without touching any shard lock. The
-// wait-free writer-local path layers a SECOND epoch axis on the same
-// idea: each registered writer release-publishes a private batch
-// counter (writer_local.h), and a snapshot is clean only when both the
-// per-shard AND the per-writer epochs still match the vectors recorded
-// at build time.
+// with release stores after every locked mutation and readers poll with
+// acquire loads to validate a cached snapshot without touching any
+// shard lock. It is the single epoch axis: every write lands in a shard
+// under its lock, so a snapshot is clean exactly when every per-shard
+// epoch still matches the vector recorded at build time.
 #ifndef ATS_CORE_EPOCH_CACHE_H_
 #define ATS_CORE_EPOCH_CACHE_H_
 

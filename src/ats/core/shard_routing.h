@@ -26,14 +26,6 @@ inline constexpr uint64_t kTimeAxisRouteSalt = 0x7e11ca7a11afe77ULL;
 // so per-shard seeds never collide for realistic shard counts).
 inline constexpr uint64_t kShardSeedStride = 0x9e3779b97f4a7c15ULL;
 
-// Salt for writer-local mini-sampler seed derivation (writer_local.h):
-// mini (writer w, generation g, shard s) is seeded with
-// seed + s * kShardSeedStride + WriterLocalSalt(w, g), hashed with this
-// salt so mini seeds fall off the authoritative per-shard seed lattice.
-// Distinct from every routing salt: seed derivation must never correlate
-// with the routing decision.
-inline constexpr uint64_t kWriterLocalSeedSalt = 0xd1f7ab1e5eed5a17ULL;
-
 }  // namespace ats::internal
 
 #endif  // ATS_CORE_SHARD_ROUTING_H_

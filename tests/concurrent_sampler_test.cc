@@ -451,254 +451,69 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
                    dref.EstimateDecayedTotal(final_now));
 }
 
-// --- Wait-free writer-local ingest -------------------------------------
+// --- Window ingest-order contract --------------------------------------
 
-TEST(ConcurrentPrioritySampler, WriterLocalIngestMatchesSingleStoreExactly) {
-  // Registered writers ingest through private mini-stores while a
-  // drainer races them (forcing mid-stream drains, block recycling, and
-  // generation resets). Coordinated priorities: the quiesced drained
-  // snapshot must equal the single store EXACTLY, like the locked path.
-  const size_t k = 100;
-  const auto stream = MakeStream(20000, 51);
-
-  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  for (const auto& item : stream) single.Add(item.key, item.weight);
-
-  for (size_t writers : {1u, 2u, 4u, 8u}) {
-    ConcurrentPrioritySampler conc(/*num_shards=*/8, k);
-    const auto slices = SliceStream(stream, writers);
-    std::atomic<bool> done{false};
-    std::thread drainer([&] {
-      while (!done.load(std::memory_order_relaxed)) conc.Drain();
-    });
-    std::vector<std::thread> threads;
-    threads.reserve(writers);
-    for (size_t w = 0; w < writers; ++w) {
-      threads.emplace_back([&conc, &slices, w] {
-        auto writer = conc.RegisterWriter();
-        // Chunked batches: the block cycles through the mailbox many
-        // times per writer, racing the drainer's exchanges.
-        const auto& slice = slices[w];
-        const size_t chunk = 257;
-        for (size_t i = 0; i < slice.size(); i += chunk) {
-          const size_t len = std::min(chunk, slice.size() - i);
-          writer.AddBatch(std::span<const Item>(slice.data() + i, len));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    done.store(true, std::memory_order_relaxed);
-    drainer.join();
-
-    const auto merged = conc.Merged();
-    EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold())
-        << "writers=" << writers;
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
-        << "writers=" << writers;
-  }
+TEST(ConcurrentWindowSamplerDeathTest, OutOfOrderShardArrivalFailsDebugCheck) {
+  // Arrival times must be non-decreasing per shard; two routed writers
+  // could interleave a shard's runs out of time order. Debug builds
+  // catch the first such arrival instead of quietly biasing the sample.
+  ConcurrentWindowSampler conc(/*num_shards=*/4, /*k=*/8, /*window=*/1.0);
+  uint64_t other = 1;
+  while (conc.ShardOf(other) != conc.ShardOf(0)) ++other;
+  EXPECT_DEBUG_DEATH(
+      {
+        conc.Add({2.0, 0});
+        conc.Add({1.0, other});
+      },
+      "last_time");
 }
 
-TEST(ConcurrentPrioritySampler,
-     WriterLocalBarrierSnapshotsMatchSingleStorePrefixes) {
-  // The writer-local counterpart of the barrier-schedule test: at every
-  // epoch boundary (all writers' round published, reader snapshots) the
-  // reader-triggered drain must produce exactly the single-store sample
-  // of the rounds ingested so far -- every round crosses a writer-drain
-  // boundary with mini-stores mid-lifecycle.
+// --- Compatibility spellings ---------------------------------------------
+
+TEST(ConcurrentPrioritySampler, WriterHandlesAreTheRoutedPath) {
+  // RegisterWriter / Writer / Drain remain only as spellings of the
+  // routed path. Handles on three threads, each owning the items of a
+  // disjoint set of shards (so every shard's arrival order, hence every
+  // column order, is fixed), then Drain(), must give exactly the
+  // snapshot of one routed AddBatch over the same stream -- and Drain()
+  // must take no lock.
   const size_t k = 64;
-  const size_t writers = 4;
-  const size_t rounds = 5;
-  const size_t chunk = 500;
-  const auto stream = MakeStream(writers * rounds * chunk, 61);
+  const size_t writers = 3;
+  const auto stream = MakeStream(20000, 51);
+  ConcurrentPrioritySampler routed(/*num_shards=*/8, k);
+  routed.AddBatch(stream);
 
-  std::vector<std::vector<std::span<const Item>>> chunk_of(writers);
-  for (size_t w = 0; w < writers; ++w) {
-    for (size_t r = 0; r < rounds; ++r) {
-      const size_t begin = (r * writers + w) * chunk;
-      chunk_of[w].push_back(
-          std::span<const Item>(stream.data() + begin, chunk));
-    }
+  ConcurrentPrioritySampler conc(/*num_shards=*/8, k);
+  std::vector<std::vector<Item>> slices(writers);
+  for (const Item& item : stream) {
+    slices[conc.ShardOf(item.key) % writers].push_back(item);
   }
-
-  ConcurrentPrioritySampler conc(/*num_shards=*/4, k);
-  std::barrier sync(static_cast<std::ptrdiff_t>(writers + 1));
+  std::vector<ConcurrentPrioritySampler::Writer> handles;
+  for (size_t w = 0; w < writers; ++w) {
+    handles.push_back(conc.RegisterWriter());
+  }
   std::vector<std::thread> threads;
-  threads.reserve(writers);
   for (size_t w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
-      auto writer = conc.RegisterWriter();
-      for (size_t r = 0; r < rounds; ++r) {
-        writer.AddBatch(chunk_of[w][r]);
-        sync.arrive_and_wait();  // round published
-        sync.arrive_and_wait();  // reader finished checking
-      }
-    });
-  }
-
-  PrioritySampler reference(k, /*seed=*/1, /*coordinated=*/true);
-  for (size_t r = 0; r < rounds; ++r) {
-    sync.arrive_and_wait();
-    for (size_t w = 0; w < writers; ++w) {
-      for (const Item& item : chunk_of[w][r]) {
-        reference.Add(item.key, item.weight);
-      }
-    }
-    const auto merged = conc.Merged();  // dirty: drains, rebuilds
-    EXPECT_DOUBLE_EQ(merged.threshold, reference.Threshold())
-        << "round " << r;
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(reference.Sample()))
-        << "round " << r;
-    sync.arrive_and_wait();
-  }
-  for (auto& t : threads) t.join();
-}
-
-TEST(ConcurrentPrioritySampler, RetiredWriterWithPendingItemsIsDrained) {
-  // A writer that goes away (handle destroyed) with published but
-  // undrained mini-stores must not lose items: the next drain --
-  // triggered here only by a reader finding the cache dirty -- picks
-  // its mailbox up.
-  const size_t k = 64;
-  const auto stream = MakeStream(8000, 71);
-  ConcurrentPrioritySampler conc(/*num_shards=*/4, k);
-  {
-    auto writer = conc.RegisterWriter();
-    writer.AddBatch(stream);
-  }  // retired with everything still in the mailbox
-
-  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  for (const auto& item : stream) single.Add(item.key, item.weight);
-
-  const auto merged = conc.Merged();
-  EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold());
-  EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()));
-
-  // And an explicit Drain() brings TotalRetained up to date the same
-  // way (nothing left in any mailbox afterwards).
-  conc.Drain();
-  EXPECT_GE(conc.TotalRetained(), merged.entries.size());
-}
-
-TEST(ConcurrentKmvSketch, WriterLocalDuplicatesAcrossWritersCollapseExactly) {
-  // Writers ingest overlapping key sets into private mini-sketches;
-  // coordinated hashing makes cross-mini duplicates identical
-  // priorities, which the drain's MergeMany treats as duplicate keys.
-  // The quiesced union must equal the single sketch EXACTLY.
-  const size_t k = 64;
-  const uint64_t salt = 7;
-  std::vector<uint64_t> keys(30000);
-  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i % 9000;
-
-  KmvSketch single(k, 1.0, salt);
-  single.AddKeys(keys);
-
-  const size_t writers = 4;
-  ConcurrentKmvSketch conc(/*num_shards=*/8, k, salt);
-  std::vector<std::vector<uint64_t>> slices(writers);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    slices[i % writers].push_back(keys[i]);
-  }
-  std::vector<std::thread> threads;
-  for (size_t w = 0; w < writers; ++w) {
-    threads.emplace_back([&conc, &slices, w] {
-      auto writer = conc.RegisterWriter();
       const auto& slice = slices[w];
-      const size_t chunk = 999;
+      const size_t chunk = 257;
       for (size_t i = 0; i < slice.size(); i += chunk) {
         const size_t len = std::min(chunk, slice.size() - i);
-        writer.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
+        handles[w].AddBatch(std::span<const Item>(slice.data() + i, len));
       }
     });
   }
   for (auto& t : threads) t.join();
+  const uint64_t locks_before = conc.LockAcquisitionsForTest();
+  conc.Drain();
+  EXPECT_EQ(conc.LockAcquisitionsForTest(), locks_before);
 
   const auto snap = conc.Snapshot();
-  EXPECT_DOUBLE_EQ(snap->Threshold(), single.Threshold());
-  EXPECT_DOUBLE_EQ(snap->Estimate(), single.Estimate());
-  EXPECT_EQ(snap->size(), single.size());
-}
-
-TEST(ConcurrentTimeAxis, WriterLocalSingleWriterMatchesShardedReference) {
-  // One registered writer, no mid-stream drain: generation 0 of writer
-  // 0 seeds its minis exactly like the authoritative shards
-  // (WriterLocalSalt(0, 0) == 0), so even the RNG-drawing time-axis
-  // scenarios must be bit-identical to the sequential sharded
-  // references after the final drain.
-  const size_t S = 8;
-  const size_t k = 100;
-  const double window = 1.0;
-  const uint64_t seed = 5;
-  const size_t n = 20000;
-
-  ShardedWindowSampler wref(S, k, window, seed);
-  ShardedDecaySampler dref(S, k, seed);
-  ConcurrentWindowSampler wconc(S, k, window, seed);
-  ConcurrentDecaySampler dconc(S, k, seed);
-
-  auto wwriter = wconc.RegisterWriter();
-  auto dwriter = dconc.RegisterWriter();
-  Xoshiro256 rng(83);
-  for (size_t i = 0; i < n; ++i) {
-    const double time = 3.0 * static_cast<double>(i) / double(n);
-    wref.Arrive(time, i);
-    wwriter.Add({time, i});
-    const double weight = std::exp(0.4 * rng.NextGaussian());
-    dref.Add(i, weight, weight, time);
-    dwriter.Add({i, weight, weight, time});
-  }
-
-  for (double now : {3.0, 3.4}) {
-    EXPECT_DOUBLE_EQ(wconc.ImprovedThreshold(now), wref.ImprovedThreshold(now))
-        << "now=" << now;
-    EXPECT_EQ(SortedSample(wconc.ImprovedSample(now)),
-              SortedSample(wref.ImprovedSample(now)))
-        << "now=" << now;
-  }
-  const double now = 5.0;
-  const auto dsnap = dconc.Snapshot();
-  EXPECT_DOUBLE_EQ(dsnap->LogKeyThreshold(), dref.LogKeyThreshold());
-  EXPECT_DOUBLE_EQ(dsnap->EstimateDecayedTotal(now),
-                   dref.EstimateDecayedTotal(now));
-}
-
-TEST(ConcurrentTimeAxis, WriterLocalMultiWriterWindowIsValid) {
-  // Multiple ROUTED window writers are unsound on the locked path (run
-  // interleaving can hand a shard out-of-order times) but sound on the
-  // writer-local path: each mini sees one writer's own time order.
-  // Readers race the writers; every snapshot obeys the invariants.
-  const size_t S = 4;
-  const size_t k = 50;
-  const size_t writers = 4;
-  const size_t n = 12000;
-  ConcurrentWindowSampler conc(S, k, /*window=*/1.0, /*seed=*/3);
-
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      const auto sample = conc.ImprovedSample(3.5);
-      ASSERT_LE(sample.size(), k);
-    }
-  });
-  std::vector<std::thread> threads;
-  for (size_t w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      auto writer = conc.RegisterWriter();
-      // Writer w's own arrivals are time-ordered; across writers the
-      // streams interleave arbitrarily.
-      for (size_t i = w; i < n; i += writers) {
-        const double time = 3.0 * static_cast<double>(i) / double(n);
-        writer.Add({time, i});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  done.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  conc.Drain();
-  const auto sample = conc.ImprovedSample(3.5);
-  EXPECT_LE(sample.size(), k);
-  EXPECT_GT(conc.MergedStoredCount(3.5), 0u);
+  const auto ref = routed.Snapshot();
+  EXPECT_EQ(snap->Threshold(), ref->Threshold());
+  EXPECT_EQ(SortedSample(conc.Merged().entries),
+            SortedSample(routed.Merged().entries));
+  EXPECT_EQ(snap->SerializeToString(), ref->SerializeToString());
 }
 
 // --- Multi-round rebuild oracle -----------------------------------------
@@ -710,8 +525,7 @@ TEST(ConcurrentTimeAxis, WriterLocalMultiWriterWindowIsValid) {
 // of a percent of each other and a bound even slightly below the true
 // merged threshold changes the answer -- and require each to be
 // bit-identical (threshold, column order, wire bytes) to an unpruned
-// reference over the same prefix, on the routed and the writer-local
-// path.
+// reference over the same prefix.
 
 // chunks[r][w]: writer w's fixed input for round r.
 template <typename T>
@@ -726,9 +540,9 @@ constexpr size_t kOracleRounds = 14;
 size_t OracleRoundSize(size_t r) { return r == 0 ? 12000 : 24; }
 
 // Builds every round from consecutive keys and hands each item to the
-// writer owning its shard (writer = shard % writers), so on the routed
-// path every shard is fed by exactly one writer and its per-shard order
-// -- hence every per-shard RNG draw -- is deterministic.
+// writer owning its shard (writer = shard % writers), so every shard is
+// fed by exactly one writer and its per-shard order -- hence every
+// per-shard RNG draw -- is deterministic.
 template <typename Conc, typename MakeItem>
 RoundChunks<typename Conc::Item> ShardOwnedRounds(const Conc& conc,
                                                   MakeItem&& make_item) {
@@ -744,32 +558,20 @@ RoundChunks<typename Conc::Item> ShardOwnedRounds(const Conc& conc,
   return chunks;
 }
 
-// Drives the rounds: writer threads ingest round r (routed AddBatch, or
-// writer-local handles registered up front in index order), then the
-// reader snapshots and calls check(r, snapshot). Returns the number of
-// rounds whose snapshot was a fresh rebuild.
+// Drives the rounds: writer threads ingest round r through the routed
+// AddBatch, then the reader snapshots and calls check(r, snapshot).
+// Returns the number of rounds whose snapshot was a fresh rebuild.
 template <typename Conc, typename Check>
-size_t RunOracleRounds(Conc& conc, bool writer_local,
+size_t RunOracleRounds(Conc& conc,
                        const RoundChunks<typename Conc::Item>& chunks,
                        Check&& check) {
   using Item = typename Conc::Item;
-  std::vector<typename Conc::Writer> handles;
-  if (writer_local) {
-    for (size_t w = 0; w < kOracleWriters; ++w) {
-      handles.push_back(conc.RegisterWriter());
-    }
-  }
   std::barrier sync(static_cast<std::ptrdiff_t>(kOracleWriters + 1));
   std::vector<std::thread> threads;
   for (size_t w = 0; w < kOracleWriters; ++w) {
     threads.emplace_back([&, w] {
       for (size_t r = 0; r < chunks.size(); ++r) {
-        const std::span<const Item> chunk(chunks[r][w]);
-        if (writer_local) {
-          handles[w].AddBatch(chunk);
-        } else {
-          conc.AddBatch(chunk);
-        }
+        conc.AddBatch(std::span<const Item>(chunks[r][w]));
         sync.arrive_and_wait();  // round ingested
         sync.arrive_and_wait();  // reader finished checking
       }
@@ -779,7 +581,7 @@ size_t RunOracleRounds(Conc& conc, bool writer_local,
   std::shared_ptr<const typename Conc::Merged> previous;
   for (size_t r = 0; r < chunks.size(); ++r) {
     sync.arrive_and_wait();
-    const auto snap = conc.Snapshot();  // dirty: drains, rebuilds
+    const auto snap = conc.Snapshot();  // dirty: rebuilds
     rebuilds += snap != previous ? 1 : 0;
     previous = snap;
     check(r, *snap);
@@ -789,73 +591,38 @@ size_t RunOracleRounds(Conc& conc, bool writer_local,
   return rebuilds;
 }
 
-// The writer-local reference: the same rounds replayed single-threaded
-// on a fresh sampler (same registration order, Drain() after every round
-// -- so every mini lifecycle and generation salt matches), read ONCE at
-// the end: its only rebuild, hence unpruned.
-template <typename Make, typename Item>
-auto ReplayWriterLocal(const Make& make, const RoundChunks<Item>& chunks,
-                       size_t last_round) {
-  const auto conc = make();
-  std::vector<typename decltype(conc)::element_type::Writer> handles;
-  for (size_t w = 0; w < kOracleWriters; ++w) {
-    handles.push_back(conc->RegisterWriter());
-  }
-  for (size_t r = 0; r <= last_round; ++r) {
-    for (size_t w = 0; w < kOracleWriters; ++w) {
-      handles[w].AddBatch(chunks[r][w]);
-    }
-    conc->Drain();
-  }
-  return conc->Snapshot();  // `handles` dies first, as it must
-}
-
 TEST(ConcurrentRebuildOracle, IndependentPriorityRoundsMatchReference) {
   const size_t k = 64;
   const uint64_t seed = 13;
-  const auto make = [&] {
-    return std::make_unique<ConcurrentPrioritySampler>(
-        kOracleShards, k, /*coordinated=*/false, seed);
-  };
+  ConcurrentPrioritySampler conc(kOracleShards, k, /*coordinated=*/false,
+                                 seed);
   Xoshiro256 rng(17);
-  const auto chunks = ShardOwnedRounds(*make(), [&](uint64_t key) {
+  const auto chunks = ShardOwnedRounds(conc, [&](uint64_t key) {
     return Item{key, std::exp(0.5 * rng.NextGaussian())};
   });
-  for (const bool writer_local : {false, true}) {
-    SCOPED_TRACE(writer_local ? "writer-local" : "routed");
-    // Routed: the sequential sharded front-end (identical shard seeds
-    // and routing) fed the same per-shard streams.
-    ShardedSampler sharded(kOracleShards, k, /*coordinated=*/false, seed);
-    const auto conc = make();
-    const size_t rebuilds = RunOracleRounds(
-        *conc, writer_local, chunks, [&](size_t r, const BottomK<Item>& snap) {
-          SCOPED_TRACE(testing::Message() << "round " << r);
-          if (writer_local) {
-            const auto ref = ReplayWriterLocal(make, chunks, r);
-            EXPECT_EQ(snap.Threshold(), ref->Threshold());
-            EXPECT_EQ(snap.store().priorities(), ref->store().priorities());
-            EXPECT_EQ(snap.SerializeToString(), ref->SerializeToString());
-            return;
-          }
-          for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
-          BottomK<Item> ref(k);
-          std::vector<const BottomK<Item>*> shards;
-          for (size_t s = 0; s < kOracleShards; ++s) {
-            shards.push_back(&sharded.shard(s).sketch());
-          }
-          ref.MergeMany(shards);
-          EXPECT_EQ(snap.Threshold(), sharded.MergedThreshold());
-          EXPECT_EQ(snap.store().priorities(), ref.store().priorities());
-          EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
-        });
-    EXPECT_GE(rebuilds, kOracleRounds / 2);
-  }
+  // The sequential sharded front-end (identical shard seeds and
+  // routing) fed the same per-shard streams.
+  ShardedSampler sharded(kOracleShards, k, /*coordinated=*/false, seed);
+  const size_t rebuilds = RunOracleRounds(
+      conc, chunks, [&](size_t r, const BottomK<Item>& snap) {
+        SCOPED_TRACE(testing::Message() << "round " << r);
+        for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
+        BottomK<Item> ref(k);
+        std::vector<const BottomK<Item>*> shards;
+        for (size_t s = 0; s < kOracleShards; ++s) {
+          shards.push_back(&sharded.shard(s).sketch());
+        }
+        ref.MergeMany(shards);
+        EXPECT_EQ(snap.Threshold(), sharded.MergedThreshold());
+        EXPECT_EQ(snap.store().priorities(), ref.store().priorities());
+        EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
+      });
+  EXPECT_GE(rebuilds, kOracleRounds / 2);
 }
 
 TEST(ConcurrentRebuildOracle, KmvRoundsMatchSingleSketchPrefixes) {
   // Coordinated hashing: every snapshot equals the single sketch of the
-  // keys ingested so far, on both paths, with duplicate keys spread
-  // across writers (and, writer-local, across their mini-sketches).
+  // keys ingested so far, with duplicate keys spread across writers.
   const size_t k = 64;
   const uint64_t salt = 5;
   RoundChunks<uint64_t> chunks(kOracleRounds);
@@ -870,68 +637,52 @@ TEST(ConcurrentRebuildOracle, KmvRoundsMatchSingleSketchPrefixes) {
       chunks[r][i % kOracleWriters].push_back(key);
     }
   }
-  for (const bool writer_local : {false, true}) {
-    SCOPED_TRACE(writer_local ? "writer-local" : "routed");
-    KmvSketch single(k, 1.0, salt);
-    ConcurrentKmvSketch conc(kOracleShards, k, salt);
-    const size_t rebuilds = RunOracleRounds(
-        conc, writer_local, chunks, [&](size_t r, const KmvSketch& snap) {
-          SCOPED_TRACE(testing::Message() << "round " << r);
-          for (const auto& chunk : chunks[r]) single.AddKeys(chunk);
-          EXPECT_EQ(snap.Threshold(), single.Threshold());
-          EXPECT_EQ(snap.members(), single.members());
-          EXPECT_EQ(snap.SerializeToString(), single.SerializeToString());
-        });
-    EXPECT_GE(rebuilds, kOracleRounds / 2);
-  }
+  KmvSketch single(k, 1.0, salt);
+  ConcurrentKmvSketch conc(kOracleShards, k, salt);
+  const size_t rebuilds = RunOracleRounds(
+      conc, chunks, [&](size_t r, const KmvSketch& snap) {
+        SCOPED_TRACE(testing::Message() << "round " << r);
+        for (const auto& chunk : chunks[r]) single.AddKeys(chunk);
+        EXPECT_EQ(snap.Threshold(), single.Threshold());
+        EXPECT_EQ(snap.members(), single.members());
+        EXPECT_EQ(snap.SerializeToString(), single.SerializeToString());
+      });
+  EXPECT_GE(rebuilds, kOracleRounds / 2);
 }
 
 TEST(ConcurrentRebuildOracle, DecayRoundsMatchReference) {
   const size_t k = 64;
   const uint64_t seed = 23;
-  const auto make = [&] {
-    return std::make_unique<ConcurrentDecaySampler>(kOracleShards, k, seed);
-  };
+  ConcurrentDecaySampler conc(kOracleShards, k, seed);
   Xoshiro256 rng(29);
-  const auto chunks = ShardOwnedRounds(*make(), [&](uint64_t key) {
+  const auto chunks = ShardOwnedRounds(conc, [&](uint64_t key) {
     const double weight = std::exp(0.4 * rng.NextGaussian());
     // Time-ordered within every shard (keys ascend with time).
     return TimeDecaySampler::TimedItem{key, weight, weight,
                                        1e-4 * static_cast<double>(key)};
   });
-  for (const bool writer_local : {false, true}) {
-    SCOPED_TRACE(writer_local ? "writer-local" : "routed");
-    ShardedDecaySampler sharded(kOracleShards, k, seed);
-    const auto conc = make();
-    const size_t rebuilds = RunOracleRounds(
-        *conc, writer_local, chunks,
-        [&](size_t r, const TimeDecaySampler& snap) {
-          SCOPED_TRACE(testing::Message() << "round " << r);
-          if (writer_local) {
-            const auto ref = ReplayWriterLocal(make, chunks, r);
-            EXPECT_EQ(snap.LogKeyThreshold(), ref->LogKeyThreshold());
-            EXPECT_EQ(snap.SerializeToString(), ref->SerializeToString());
-            return;
-          }
-          for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
-          TimeDecaySampler ref(k, /*seed=*/1);
-          std::vector<const TimeDecaySampler*> shards;
-          for (size_t s = 0; s < kOracleShards; ++s) {
-            shards.push_back(&sharded.shard(s));
-          }
-          ref.MergeMany(shards);
-          EXPECT_EQ(snap.LogKeyThreshold(), sharded.LogKeyThreshold());
-          EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
-        });
-    EXPECT_GE(rebuilds, kOracleRounds / 2);
-  }
+  ShardedDecaySampler sharded(kOracleShards, k, seed);
+  const size_t rebuilds = RunOracleRounds(
+      conc, chunks, [&](size_t r, const TimeDecaySampler& snap) {
+        SCOPED_TRACE(testing::Message() << "round " << r);
+        for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
+        TimeDecaySampler ref(k, /*seed=*/1);
+        std::vector<const TimeDecaySampler*> shards;
+        for (size_t s = 0; s < kOracleShards; ++s) {
+          shards.push_back(&sharded.shard(s));
+        }
+        ref.MergeMany(shards);
+        EXPECT_EQ(snap.LogKeyThreshold(), sharded.LogKeyThreshold());
+        EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
+      });
+  EXPECT_GE(rebuilds, kOracleRounds / 2);
 }
 
 TEST(ConcurrentKmvSketch, ReadersRaceWritersAndSeeValidSnapshots) {
-  // The KMV reader/writer probe: routed and writer-local writers ingest
-  // overlapping keys while two readers validate every snapshot (at most
-  // k members, threshold monotone non-increasing, estimate monotone
-  // non-decreasing -- shards only grow); the quiesced union is exact.
+  // The KMV reader/writer probe: routed writers ingest overlapping keys
+  // while two readers validate every snapshot (at most k members,
+  // threshold monotone non-increasing, estimate monotone non-decreasing
+  // -- shards only grow); the quiesced union is exact.
   const size_t k = 64;
   const uint64_t salt = 11;
   std::vector<uint64_t> keys(40000);
@@ -965,17 +716,9 @@ TEST(ConcurrentKmvSketch, ReadersRaceWritersAndSeeValidSnapshots) {
     threads.emplace_back([&conc, &slices, w] {
       const auto& slice = slices[w];
       const size_t chunk = 500;
-      if (w % 2 == 0) {
-        for (size_t i = 0; i < slice.size(); i += chunk) {
-          const size_t len = std::min(chunk, slice.size() - i);
-          conc.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
-        }
-        return;
-      }
-      auto writer = conc.RegisterWriter();
       for (size_t i = 0; i < slice.size(); i += chunk) {
         const size_t len = std::min(chunk, slice.size() - i);
-        writer.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
+        conc.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
       }
     });
   }
@@ -1012,11 +755,10 @@ TEST(ConcurrentPrioritySampler, CleanSnapshotAcquiresNoLockAndIsLockFree) {
   }
   EXPECT_EQ(conc.LockAcquisitionsForTest(), locks_before);
 
-  // Writer-local dirtiness is part of the clean-read validation: a
-  // registered writer's publication must invalidate without the reader
-  // having held any lock beforehand.
-  auto writer = conc.RegisterWriter();
-  writer.Add(Item{999999, 1e9});
+  // The published shard epochs are the whole clean-read validation: a
+  // routed Add must invalidate without the reader having held any lock
+  // beforehand.
+  conc.Add(Item{999999, 1e9});
   EXPECT_NE(conc.Snapshot().get(), first.get());
 }
 
@@ -1092,29 +834,6 @@ TEST(ConcurrentPrioritySampler, RoutedBatchSteadyStateDoesNotAllocate) {
   conc.AddBatch(rejected);  // warm the scratch for this exact batch
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 50; ++i) conc.AddBatch(rejected);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
-}
-
-TEST(ConcurrentPrioritySampler, WriterLocalSteadyStateDoesNotAllocate) {
-  if (!kAllocCountingEnabled) {
-    GTEST_SKIP() << "allocator owned by a sanitizer";
-  }
-  // Without a concurrent drain stealing the block, writer-local ingest
-  // recycles its block through the mailbox: after warmup (block
-  // allocated, minis saturated, scratch grown), rejected batches are
-  // allocation-free end to end.
-  ConcurrentPrioritySampler conc(/*num_shards=*/8, /*k=*/32);
-  auto writer = conc.RegisterWriter();
-  const auto stream = MakeStream(20000, 111);
-  writer.AddBatch(stream);
-
-  std::vector<Item> rejected(512);
-  for (size_t i = 0; i < rejected.size(); ++i) {
-    rejected[i] = Item{500000 + i, 1e-12};
-  }
-  writer.AddBatch(rejected);  // warm
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 50; ++i) writer.AddBatch(rejected);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
 

@@ -113,14 +113,13 @@ TEST(StatisticalInclusion, ConcurrentMergedSampleFrequenciesAreUniform) {
             ChiSquareCritical999(static_cast<int>(n) - 1));
 }
 
-TEST(StatisticalInclusion, WriterLocalSampleFrequenciesAreUniform) {
-  // The wait-free writer-local path in independent-priority mode: two
-  // registered writers ingest through private mini-stores whose RNG
-  // streams are salted per (writer, generation), with a mid-stream
-  // Drain() forcing a generation reset -- so three distinct salted
-  // streams contribute to every replicate. The drained merge must still
-  // be a uniform k-subset; a salt collision or a replayed RNG stream
-  // would correlate inclusions and blow up the chi-square.
+TEST(StatisticalInclusion, SlicedConcurrentSampleFrequenciesAreUniform) {
+  // Independent-priority mode, the stream ingested in three routed
+  // slices with a snapshot after the first: the second snapshot's
+  // rebuild is pruned at the first one's threshold and must still yield
+  // a uniform k-subset of the whole stream. A prune bound below the true
+  // merged threshold, or per-shard RNG streams that correlate across
+  // slices, would skew inclusions and blow up the chi-square.
   const size_t n = 32;
   const size_t k = 8;
   const int replicates = 2000;
@@ -131,13 +130,11 @@ TEST(StatisticalInclusion, WriterLocalSampleFrequenciesAreUniform) {
     ConcurrentPrioritySampler conc(/*num_shards=*/4, k,
                                    /*coordinated=*/false,
                                    kSeedBase + static_cast<uint64_t>(t));
-    auto a = conc.RegisterWriter();
-    auto b = conc.RegisterWriter();
-    a.AddBatch(std::span<const PrioritySampler::Item>(stream.data(), n / 2));
-    conc.Drain();  // writer a's next batch gets a fresh generation salt
-    a.AddBatch(std::span<const PrioritySampler::Item>(stream.data() + n / 2,
-                                                      n / 4));
-    b.AddBatch(std::span<const PrioritySampler::Item>(
+    conc.AddBatch(std::span<const PrioritySampler::Item>(stream.data(), n / 2));
+    conc.Snapshot();  // the next rebuild starts at this threshold
+    conc.AddBatch(std::span<const PrioritySampler::Item>(
+        stream.data() + n / 2, n / 4));
+    conc.AddBatch(std::span<const PrioritySampler::Item>(
         stream.data() + n / 2 + n / 4, n - n / 2 - n / 4));
     for (const auto& e : conc.Merged().entries) {
       counts[static_cast<size_t>(e.key)] += 1;

@@ -175,7 +175,7 @@ class CompareBenchTest(unittest.TestCase):
         write_bench_json(
             path,
             {
-                f"BM_ConcurrentWriterLocalIngest/{t}/real_time": v
+                f"BM_ConcurrentIngest/{t}/real_time": v
                 for t, v in per_thread.items()
             },
             context={"num_cpus": num_cpus})
@@ -186,9 +186,9 @@ class CompareBenchTest(unittest.TestCase):
         self.scaling_doc(cur, {1: 100.0, 8: 500.0}, num_cpus=16)
         result = run_tool([
             self.path("nonexistent.json"), cur, "--missing-baseline-ok",
-            "--require-scaling", "BM_ConcurrentWriterLocalIngest"])
+            "--require-scaling", "BM_ConcurrentIngest"])
         self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("scaling BM_ConcurrentWriterLocalIngest/8", result.stdout)
+        self.assertIn("scaling BM_ConcurrentIngest/8", result.stdout)
 
     def test_scaling_gate_fails_when_unmet(self):
         cur = self.path("cur.json")
@@ -197,7 +197,7 @@ class CompareBenchTest(unittest.TestCase):
         self.scaling_doc(cur, {1: 100.0, 8: 200.0}, num_cpus=16)
         result = run_tool([
             self.path("nonexistent.json"), cur, "--missing-baseline-ok",
-            "--require-scaling", "BM_ConcurrentWriterLocalIngest"])
+            "--require-scaling", "BM_ConcurrentIngest"])
         self.assertEqual(result.returncode, 1)
         self.assertIn("scaling requirement", result.stderr)
 
@@ -207,7 +207,7 @@ class CompareBenchTest(unittest.TestCase):
         self.scaling_doc(cur, {1: 100.0, 16: 210.0}, num_cpus=4)
         result = run_tool([
             self.path("nonexistent.json"), cur, "--missing-baseline-ok",
-            "--require-scaling", "BM_ConcurrentWriterLocalIngest"])
+            "--require-scaling", "BM_ConcurrentIngest"])
         self.assertEqual(result.returncode, 0, result.stderr)
 
     def test_scaling_gate_skips_on_one_cpu(self):
@@ -215,7 +215,7 @@ class CompareBenchTest(unittest.TestCase):
         self.scaling_doc(cur, {1: 100.0, 8: 100.0}, num_cpus=1)
         result = run_tool([
             self.path("nonexistent.json"), cur, "--missing-baseline-ok",
-            "--require-scaling", "BM_ConcurrentWriterLocalIngest"])
+            "--require-scaling", "BM_ConcurrentIngest"])
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("skipped", result.stdout)
 
@@ -227,7 +227,7 @@ class CompareBenchTest(unittest.TestCase):
                          context={"num_cpus": 16})
         result = run_tool([
             self.path("nonexistent.json"), cur, "--missing-baseline-ok",
-            "--require-scaling", "BM_ConcurrentWriterLocalIngest"])
+            "--require-scaling", "BM_ConcurrentIngest"])
         self.assertEqual(result.returncode, 1)
         self.assertIn("no benchmarks named", result.stderr)
 
