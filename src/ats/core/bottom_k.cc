@@ -23,8 +23,7 @@ size_t PrioritySampler::AddBatch(std::span<const Item> items) {
   batch_priorities_.resize(items.size());
   if (coordinated_) {
     for (size_t i = 0; i < items.size(); ++i) {
-      batch_priorities_[i] = PriorityDist::WeightedUniform(items[i].weight)
-                                 .FromHash(HashKey(items[i].key));
+      batch_priorities_[i] = CoordinatedPriority(items[i]);
     }
   } else {
     for (size_t i = 0; i < items.size(); ++i) {

@@ -399,6 +399,17 @@ class PrioritySampler {
   // Current adaptive threshold tau.
   double Threshold() const { return sketch_.Threshold(); }
 
+  // Externally lowers tau (a bound known to be >= the final threshold,
+  // e.g. a merged snapshot's); drops retained entries at/above it.
+  void LowerThreshold(double t) { sketch_.LowerThreshold(t); }
+
+  // The priority a coordinated sampler draws for `item`: a pure function
+  // of its key and weight.
+  static double CoordinatedPriority(const Item& item) {
+    return PriorityDist::WeightedUniform(item.weight)
+        .FromHash(HashKey(item.key));
+  }
+
   size_t size() const { return sketch_.size(); }
 
   // Live heap bytes of the sample state (util/memory.h convention);

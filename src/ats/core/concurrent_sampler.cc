@@ -14,12 +14,15 @@ namespace internal {
 // scan of at most 2k buffered shard entries appends the survivors, and
 // the single purge runs in FinishMerge, lock-free. No shard is copied or
 // canonicalized. The accumulator starts lowered to the previous
-// snapshot's canonical threshold: shards only grow (ingest adds items,
-// nothing removes them), and a bottom-k threshold never rises as its
-// stream grows, so that threshold is >= the new merged threshold -- a
-// valid pre-filter bound by threshold substitutability (Theorem 6;
-// SampleStore::MergeMany has the equivalence argument). Between two
-// rebuilds only the candidates below it survive the scan.
+// snapshot's canonical threshold: the shard union holds every offered
+// item below it (the writer-side prefilter and the shards' adoption of
+// the published bound remove only items at or above a published
+// threshold, and published thresholds never rise), and a bottom-k
+// threshold never rises as its stream grows, so that threshold is >=
+// the new merged threshold -- a valid pre-filter bound by threshold
+// substitutability (Theorem 6; SampleStore::MergeMany has the
+// equivalence argument). Between two rebuilds only the candidates below
+// it survive the scan.
 
 PriorityScenario::Accumulator PriorityScenario::StartMerge(
     const Config& config, const Merged* previous) {

@@ -19,6 +19,27 @@
 // state is always current, so TotalRetained and footprint reads need no
 // reconciliation, and the per-shard epochs are the only dirtiness axis.
 //
+// Writer-side prefilter (coordinated bottom-k only). Every rebuild
+// publishes its snapshot's canonical threshold in one atomic (the
+// prefilter bound; monotone non-increasing, since each rebuild starts
+// at the previous threshold). Once a bound exists, AddBatch (and Add,
+// its one-item case) computes each item's exact shard priority first
+// and routes only the items strictly below the bound -- a batch with no
+// survivor takes no lock at all -- and every shard ingest adopts the
+// bound under the stripe lock (LowerThreshold) before offering, which
+// drops the shard's buffered entries at or above it. This is sound
+// because a bottom-k threshold never rises as its stream grows: the
+// published threshold bounds every later one from above, so the
+// filtered items and the dropped entries could never enter a later
+// snapshot (threshold substitutability, Theorem 6). After adoption the
+// filter's `<` is the shard's own Offer test, so a priority tied AT the
+// bound behaves the same whether the writer or the shard rejects it.
+// Scenarios whose priorities come from per-shard RNGs (independent-mode
+// bottom-k, decay) or whose thresholds are clock-sensitive (windows)
+// never publish a bound and keep the unfiltered path; so, for now, does
+// KMV (its hashed priorities would qualify; ROADMAP.md item 3 says why
+// it waits).
+//
 // Reader protocol. A query loads the current snapshot pointer -- a raw
 // std::atomic<const SnapshotState*>, genuinely lock-free (statically
 // asserted; the previously documented std::atomic<std::shared_ptr>
@@ -40,9 +61,12 @@
 // -- SampleStore::Gather), so a writer waits at most for that scan plus
 // an O(k) accumulator compaction, never for a merge; the single purge
 // runs after the last lock is released. The accumulator starts lowered
-// to the PREVIOUS snapshot's threshold: shards only grow, and a
-// bottom-k threshold never rises as its stream grows, so that threshold
-// bounds the new one from above and is a valid pre-filter (threshold
+// to the PREVIOUS snapshot's threshold: the shard union still holds
+// every offered item below that threshold (ingest adds items; the
+// prefilter and adoption above remove only items at or above a
+// published threshold, which is >= the previous one), and a bottom-k
+// threshold never rises as its stream grows, so that threshold bounds
+// the new one from above and is a valid pre-filter (threshold
 // substitutability, Theorem 6) -- between two rebuilds only candidates
 // below it survive the scan, and the snapshot stays bit-identical to
 // the unpruned k-way merge. Windows are excluded from the prune: their
@@ -141,6 +165,19 @@ class CountedLockGuard {
 ///     static void GatherShard(Accumulator&, const Shard&);
 ///     static Merged FinishMerge(const Config&, Accumulator&&);
 ///     static size_t Retained(const Shard&);  // optional
+///     // Optional writer-side prefilter, both or neither. Prefilters says
+///     // whether an item's shard priority is a pure function of the item
+///     // (coordinated); VisitBelow visits, in order, each item whose
+///     // shard priority is strictly below `bound`, computed exactly as
+///     // Ingest computes it. The shard must offer LowerThreshold(double).
+///     // RebuildSnapshot then publishes the merged Threshold() as the
+///     // bound; routed ingest filters at it and shards adopt it, which is
+///     // sound only because the shard union keeps every offered item
+///     // below the last published threshold (see the file comment).
+///     static bool Prefilters(const Config&);
+///     template <typename Visit>
+///     static void VisitBelow(const Config&, std::span<const Item>,
+///                            double bound, Visit&& visit);
 ///   };
 ///
 /// Thread-safety contract (every public method unless noted): safe to
@@ -174,25 +211,31 @@ class ConcurrentSampler {
                                shards_.size());
   }
 
-  /// Routes one item to its shard and ingests it under that shard's
-  /// lock. Returns the number of accepted items (0 or 1).
+  /// AddBatch of one item: routes it to its shard and ingests it under
+  /// that shard's lock, unless the published prefilter bound rejects it
+  /// first (then no lock is taken). Returns the number of accepted items
+  /// (0 or 1).
   size_t Add(const Item& item) {
-    return AddShardBatch(ShardOf(Scenario::RouteKey(item)),
-                         std::span<const Item>(&item, 1));
+    return AddBatch(std::span<const Item>(&item, 1));
   }
 
   /// Routed batched ingest: partitions the batch into per-shard runs
   /// (order-preserving), then ingests each run under its shard's lock.
-  /// Writers touching disjoint shards proceed in parallel; two writers
-  /// hitting the same shard serialize per run. The partition scratch is
+  /// Once a prefilter bound is published, only the items whose priority
+  /// is below it are routed at all (see the file comment). Writers
+  /// touching disjoint shards proceed in parallel; two writers hitting
+  /// the same shard serialize per run. The partition scratch is
   /// thread-local and reused across calls -- steady state performs no
   /// allocation. Returns the number of accepted items.
   size_t AddBatch(std::span<const Item> items) {
-    if (shards_.size() == 1) return AddShardBatch(0, items);
+    const double bound = PrefilterBound();
+    if (shards_.size() == 1 && bound == kInfiniteThreshold) {
+      return AddShardBatch(0, items);
+    }
     // Per-thread routing scratch, grown to the largest shard count this
     // thread has routed for and retained until thread exit.
     static thread_local RunPartition scratch;
-    Partition(items, scratch);
+    Partition(items, bound, scratch);
     size_t accepted = 0;
     for (const uint32_t s : scratch.touched) {
       accepted += AddShardBatch(s, scratch.runs[s]);
@@ -203,7 +246,8 @@ class ConcurrentSampler {
   /// Feeds a pre-partitioned run straight into one shard under its lock
   /// (the per-thread shard-ownership entry point: S writer threads that
   /// partition upstream never contend at all). Every item must route to
-  /// `shard` (checked in debug builds). Returns the accepted count.
+  /// `shard` (checked in debug builds). The shard first adopts the
+  /// published prefilter bound, if any. Returns the accepted count.
   size_t AddShardBatch(size_t shard, std::span<const Item> items) {
     ATS_CHECK(shard < shards_.size());
 #ifndef NDEBUG
@@ -213,6 +257,10 @@ class ConcurrentSampler {
 #endif
     ShardSlot& slot = *shards_[shard];
     internal::CountedLockGuard lock(slot.mu, lock_acquisitions_);
+    if constexpr (kPrefilters) {
+      const double bound = PrefilterBound();
+      if (bound < kInfiniteThreshold) slot.sampler.LowerThreshold(bound);
+    }
     const size_t accepted = Scenario::Ingest(slot.sampler, items);
     published_.Publish(shard, Scenario::Epoch(slot.sampler));
     return accepted;
@@ -323,6 +371,23 @@ class ConcurrentSampler {
   }
 
  private:
+  /// Whether the scenario offers the writer-side prefilter traits.
+  static constexpr bool kPrefilters = requires(const Config& c) {
+    Scenario::Prefilters(c);
+  };
+
+  /// The published prefilter bound: the last snapshot's canonical
+  /// threshold, or infinite before the first snapshot and for scenarios
+  /// that do not prefilter. Relaxed: every value ever stored is a valid
+  /// bound, and a stale one is only looser.
+  double PrefilterBound() const {
+    if constexpr (kPrefilters) {
+      return prefilter_bound_.load(std::memory_order_relaxed);
+    } else {
+      return kInfiniteThreshold;
+    }
+  }
+
   /// One shard behind its stripe lock. Heap-allocated (stable address,
   /// std::mutex is immovable) and cache-line aligned so two shards'
   /// lock words never share a line.
@@ -341,18 +406,27 @@ class ConcurrentSampler {
     std::vector<uint32_t> touched;
   };
 
-  /// The routing split of AddBatch.
-  void Partition(std::span<const Item> items, RunPartition& out) const {
+  /// The routing split of AddBatch: routes every item, or with a finite
+  /// `bound` only the items whose priority is below it.
+  void Partition(std::span<const Item> items, double bound,
+                 RunPartition& out) const {
     if (out.runs.size() < shards_.size()) out.runs.resize(shards_.size());
     for (const uint32_t s : out.touched) out.runs[s].clear();
     out.touched.clear();
-    for (const Item& item : items) {
+    const auto route = [&](const Item& item) {
       const size_t s = ShardOf(Scenario::RouteKey(item));
       if (out.runs[s].empty()) {
         out.touched.push_back(static_cast<uint32_t>(s));
       }
       out.runs[s].push_back(item);
+    };
+    if constexpr (kPrefilters) {
+      if (bound < kInfiniteThreshold) {
+        Scenario::VisitBelow(config_, items, bound, route);
+        return;
+      }
     }
+    for (const Item& item : items) route(item);
   }
 
   /// An immutable published snapshot: the merged sampler plus the
@@ -400,8 +474,9 @@ class ConcurrentSampler {
       return current_owner_;
     }
     TryReclaimRetired();
-    // Shards only grow, so the snapshot being replaced bounds the new
-    // one from above; the scenario may start its accumulator there.
+    // The shard union holds every offered item below the snapshot being
+    // replaced's threshold, so that threshold bounds the new one from
+    // above; the scenario may start its accumulator there.
     typename Scenario::Accumulator acc = Scenario::StartMerge(
         config_, current_owner_ != nullptr ? &current_owner_->merged
                                            : nullptr);
@@ -418,6 +493,13 @@ class ConcurrentSampler {
     // Finish lock-free, then publish.
     auto next = std::make_shared<SnapshotState>(
         Scenario::FinishMerge(config_, std::move(acc)), std::move(epochs));
+    if constexpr (kPrefilters) {
+      // Monotone: the accumulator started at the previous threshold.
+      if (Scenario::Prefilters(config_)) {
+        prefilter_bound_.store(next->merged.Threshold(),
+                               std::memory_order_relaxed);
+      }
+    }
     PublishCurrent(next);
     return next;
   }
@@ -463,6 +545,11 @@ class ConcurrentSampler {
   /// mid-acquisition reader might still upgrade. Guarded by rebuild_mu_.
   mutable std::shared_ptr<const SnapshotState> current_owner_;
   mutable std::vector<std::shared_ptr<const SnapshotState>> graveyard_;
+  /// The writer-side prefilter bound (see PrefilterBound). Stored only
+  /// by RebuildSnapshot, under rebuild_mu_.
+  mutable std::atomic<double> prefilter_bound_{kInfiniteThreshold};
+  static_assert(std::atomic<double>::is_always_lock_free,
+                "the prefilter bound is read on every ingest call");
   /// Every mutex acquisition anywhere in this sampler (probe).
   mutable std::atomic<uint64_t> lock_acquisitions_{0};
 };
@@ -497,6 +584,27 @@ struct PriorityScenario {
   static Accumulator StartMerge(const Config& config, const Merged* previous);
   static void GatherShard(Accumulator& acc, const Shard& shard);
   static Merged FinishMerge(const Config& config, Accumulator&& acc);
+  // Only hash-derived priorities are a function of the item; independent
+  // mode draws from each shard's RNG, whose stream must not change.
+  static bool Prefilters(const Config& config) { return config.coordinated; }
+  // The shard's own coordinated priority, 64 at a time into a dense
+  // column for the block pre-filter.
+  template <typename Visit>
+  static void VisitBelow(const Config& /*config*/, std::span<const Item> items,
+                         double bound, Visit&& visit) {
+    alignas(64) double priorities[kIngestBlock];
+    size_t i = 0;
+    for (; i + kIngestBlock <= items.size(); i += kIngestBlock) {
+      for (size_t j = 0; j < kIngestBlock; ++j) {
+        priorities[j] = Shard::CoordinatedPriority(items[i + j]);
+      }
+      VisitBlockCandidates(priorities, bound,
+                           [&](size_t j) { visit(items[i + j]); });
+    }
+    for (; i < items.size(); ++i) {
+      if (Shard::CoordinatedPriority(items[i]) < bound) visit(items[i]);
+    }
+  }
 };
 
 /// Scenario: KMV/Theta distinct counting. Every shard hashes with the

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "ats/core/ht_estimator.h"
+#include "ats/core/priority.h"
 #include "ats/core/random.h"
 #include "ats/core/sharded_sampler.h"
 #include "ats/samplers/sharded_time_axis.h"
@@ -365,8 +366,9 @@ TEST(ConcurrentPrioritySampler, ReadersRaceWritersAndSeeValidSnapshots) {
 
   // Readers validate two snapshot invariants while writers run: the
   // merged sample never exceeds k, and the merged threshold is monotone
-  // non-increasing across successive snapshots (shards only grow, and
-  // each snapshot is epoch-consistent).
+  // non-increasing across successive snapshots (the shards keep every
+  // item below the last published threshold, and each snapshot is
+  // epoch-consistent).
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
@@ -676,6 +678,190 @@ TEST(ConcurrentRebuildOracle, DecayRoundsMatchReference) {
         EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
       });
   EXPECT_GE(rebuilds, kOracleRounds / 2);
+}
+
+TEST(ConcurrentRebuildOracle,
+     CoordinatedPriorityRoundsMatchSingleSamplerPrefixes) {
+  // From round 1 on, routed ingest is filtered at the previous
+  // snapshot's threshold and every touched shard adopts it. Each small
+  // round mixes ordinary items (almost all filtered out) with a few
+  // heavy ones whose priorities land anywhere below the threshold, so
+  // most rounds change the sample, and a filter bound even slightly
+  // below the true one would drop a sampled item.
+  const size_t k = 64;
+  ConcurrentPrioritySampler conc(kOracleShards, k);
+  RoundChunks<Item> chunks(kOracleRounds);
+  Xoshiro256 rng(37);
+  uint64_t next_key = 0;
+  for (size_t r = 0; r < kOracleRounds; ++r) {
+    chunks[r].resize(kOracleWriters);
+    for (size_t i = 0; i < OracleRoundSize(r); ++i) {
+      const double heavy = r > 0 && i % 6 == 0 ? 100.0 : 1.0;
+      chunks[r][i % kOracleWriters].push_back(
+          Item{next_key++, heavy * std::exp(0.5 * rng.NextGaussian())});
+    }
+  }
+  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
+  const size_t rebuilds = RunOracleRounds(
+      conc, chunks, [&](size_t r, const BottomK<Item>& snap) {
+        SCOPED_TRACE(testing::Message() << "round " << r);
+        for (const auto& chunk : chunks[r]) single.AddBatch(chunk);
+        const auto entries = MakeWeightedSample(snap.store());
+        EXPECT_EQ(snap.Threshold(), single.Threshold());
+        EXPECT_EQ(SortedSample(entries), SortedSample(single.Sample()));
+        EXPECT_DOUBLE_EQ(HtTotal(entries), HtTotal(single.Sample()));
+      });
+  EXPECT_GE(rebuilds, kOracleRounds / 2);
+}
+
+TEST(ConcurrentRebuildOracle, KmvDuplicatesAfterSnapshotMatchSingleSketch) {
+  // Duplicates of retained keys, of the key AT the threshold and of
+  // keys long evicted arrive after a snapshot, spread over routed
+  // writers; the union must still be the single sketch's.
+  const size_t k = 64;
+  const uint64_t salt = 3;
+  std::vector<uint64_t> first(12000);
+  for (size_t i = 0; i < first.size(); ++i) first[i] = i;
+  KmvSketch single(k, 1.0, salt);
+  single.AddKeys(first);
+  ConcurrentKmvSketch conc(kOracleShards, k, salt);
+  conc.AddBatch(first);
+  const auto snap0 = conc.Snapshot();
+  ASSERT_EQ(snap0->members(), single.members());
+
+  // The key at the threshold: the (k+1)-th smallest hash priority.
+  std::vector<std::pair<double, uint64_t>> by_priority;
+  for (const uint64_t key : first) {
+    by_priority.emplace_back(HashToUnit(HashKey(key, salt)), key);
+  }
+  std::sort(by_priority.begin(), by_priority.end());
+  ASSERT_EQ(by_priority[k].first, snap0->Threshold());
+
+  std::vector<uint64_t> second;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const auto& [priority, key] : snap0->members()) second.push_back(key);
+    second.push_back(by_priority[k].second);
+    for (uint64_t key = 0; key < 200; ++key) second.push_back(key);
+    for (uint64_t key = 0; key < 40; ++key) {
+      second.push_back(1000000 + 97 * key + static_cast<uint64_t>(copy));
+    }
+  }
+  single.AddKeys(second);
+  std::vector<std::thread> threads;
+  const auto slices = [&] {
+    std::vector<std::vector<uint64_t>> out(kOracleWriters);
+    for (size_t i = 0; i < second.size(); ++i) {
+      out[i % kOracleWriters].push_back(second[i]);
+    }
+    return out;
+  }();
+  for (size_t w = 0; w < kOracleWriters; ++w) {
+    threads.emplace_back([&conc, &slices, w] { conc.AddBatch(slices[w]); });
+  }
+  for (auto& t : threads) t.join();
+  const auto snap = conc.Snapshot();
+  EXPECT_EQ(snap->Threshold(), single.Threshold());
+  EXPECT_EQ(snap->members(), single.members());
+  EXPECT_EQ(snap->SerializeToString(), single.SerializeToString());
+}
+
+// --- Writer-side prefilter -----------------------------------------------
+
+double CoordinatedPriority(const Item& item) {
+  return PriorityDist::WeightedUniform(item.weight)
+      .FromHash(HashKey(item.key));
+}
+
+TEST(ConcurrentPrioritySampler, TieAtPublishedThresholdMatchesReference) {
+  // The filter keeps priorities strictly below the published threshold.
+  // The item whose priority IS the threshold (the (k+1)-th smallest)
+  // must be rejected without a lock, and re-ingesting it together with
+  // duplicates of retained items must still give the reference sample.
+  const size_t k = 64;
+  const auto stream = MakeStream(20000, 61);
+  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
+  single.AddBatch(stream);
+  ConcurrentPrioritySampler conc(/*num_shards=*/8, k);
+  conc.AddBatch(stream);
+  const double threshold = conc.Snapshot()->Threshold();
+
+  std::vector<std::pair<double, Item>> by_priority;
+  for (const Item& item : stream) {
+    by_priority.emplace_back(CoordinatedPriority(item), item);
+  }
+  std::sort(by_priority.begin(), by_priority.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const Item tie = by_priority[k].second;
+  ASSERT_EQ(by_priority[k].first, threshold);
+
+  const uint64_t locks = conc.LockAcquisitionsForTest();
+  EXPECT_EQ(conc.Add(tie), 0u);
+  EXPECT_EQ(conc.LockAcquisitionsForTest(), locks);
+  single.Add(tie.key, tie.weight);
+
+  // The tie again, plus a copy of each of the three smallest retained
+  // items (duplicates below the pivot, so no tie at the new threshold).
+  std::vector<Item> batch = {tie};
+  for (size_t i = 0; i < 3; ++i) batch.push_back(by_priority[i].second);
+  batch.push_back(tie);
+  conc.AddBatch(batch);
+  single.AddBatch(batch);
+
+  const auto merged = conc.Merged();
+  EXPECT_EQ(merged.threshold, single.Threshold());
+  EXPECT_LT(merged.threshold, threshold);
+  EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()));
+  EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()));
+}
+
+TEST(ConcurrentPrioritySampler, IngestWithNoSurvivorTakesNoLock) {
+  // Once a snapshot is published, items at or above its threshold are
+  // dropped before routing: neither Add nor AddBatch (block path and
+  // tail) takes a lock or moves an epoch, so the snapshot stays cached.
+  ConcurrentPrioritySampler conc(/*num_shards=*/8, /*k=*/64);
+  conc.AddBatch(MakeStream(20000, 71));
+  const auto snap = conc.Snapshot();
+
+  std::vector<Item> rejected(200);
+  for (size_t i = 0; i < rejected.size(); ++i) {
+    rejected[i] = Item{300000 + i, 1e-12};  // priority ~1e12
+  }
+  const uint64_t locks = conc.LockAcquisitionsForTest();
+  EXPECT_EQ(conc.Add(rejected[0]), 0u);
+  EXPECT_EQ(conc.AddBatch(rejected), 0u);
+  EXPECT_EQ(conc.LockAcquisitionsForTest(), locks);
+  EXPECT_EQ(conc.Snapshot().get(), snap.get());
+}
+
+TEST(ConcurrentPrioritySampler, TouchedShardsAdoptThePublishedThreshold) {
+  // Every saturated shard holds k entries until it adopts the published
+  // threshold; after a batch whose survivors reach every shard, the
+  // shards together keep little more than the k merged entries.
+  const size_t shards = 8;
+  const size_t k = 64;
+  const auto stream = MakeStream(20000, 81);
+  ConcurrentPrioritySampler conc(shards, k);
+  conc.AddBatch(stream);
+  ASSERT_EQ(conc.TotalRetained(), shards * k);
+  conc.Snapshot();
+
+  std::vector<Item> heavy;
+  std::vector<bool> reached(shards, false);
+  for (uint64_t key = 400000; heavy.size() < shards; ++key) {
+    const size_t s = conc.ShardOf(key);
+    if (reached[s]) continue;
+    reached[s] = true;
+    heavy.push_back(Item{key, 1e9});  // far below the threshold
+  }
+  EXPECT_EQ(conc.AddBatch(heavy), shards);
+  EXPECT_LE(conc.TotalRetained(), k + shards);
+
+  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
+  single.AddBatch(stream);
+  single.AddBatch(heavy);
+  const auto merged = conc.Merged();
+  EXPECT_EQ(merged.threshold, single.Threshold());
+  EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()));
 }
 
 TEST(ConcurrentKmvSketch, ReadersRaceWritersAndSeeValidSnapshots) {
