@@ -14,9 +14,10 @@
 //   * BM_MergeFramesPairwise/S/k vs BM_MergeManyFrames/S/k -- the wire
 //     fan-in: eager Deserialize+Merge per frame (materializes every
 //     sketch) vs zero-copy frame views pruned at the global threshold.
-//   * BM_ShardedQuery{Cold,Cached} -- the dirty-epoch cache: first query
-//     pays one k-way merge, repeat queries between ingest batches are
-//     cache reads.
+//   * BM_ShardedQuery{Cold,Cached} -- the sharded front-end's
+//     (ConcurrentPrioritySampler's) snapshot cache: a dirty query pays
+//     one snapshot rebuild, repeat queries between ingest batches are
+//     clean snapshot reads.
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,7 +28,7 @@
 
 #include "ats/core/bottom_k.h"
 #include "ats/core/random.h"
-#include "ats/core/sharded_sampler.h"
+#include "ats/core/concurrent_sampler.h"
 
 namespace ats {
 namespace {
@@ -129,18 +130,18 @@ BENCHMARK(BM_MergeManyFrames)->ArgsProduct({{8, 64, 512}, {256, 4096}});
 void BM_ShardedQueryCold(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 1024;
-  ShardedSampler sharded(num_shards, k);
-  std::vector<ShardedSampler::Item> items(1 << 17);
+  ConcurrentPrioritySampler sharded(num_shards, k);
+  std::vector<PrioritySampler::Item> items(1 << 17);
   Xoshiro256 rng(2);
   uint64_t key = 0;
   for (auto& item : items) item = {key++, 1.0 + rng.NextDouble()};
   sharded.AddBatch(items);
   for (auto _ : state) {
     state.PauseTiming();
-    // One accepted offer dirties its shard's epoch, forcing a re-merge
+    // One accepted offer dirties its shard's epoch, forcing a rebuild
     // (a huge weight makes the coordinated priority tiny, so the offer
     // is never rejected by the saturated threshold).
-    sharded.Add(key++, /*weight=*/1e9);
+    sharded.Add({key++, /*weight=*/1e9});
     state.ResumeTiming();
     benchmark::DoNotOptimize(sharded.Merged().threshold);
   }
@@ -152,8 +153,8 @@ BENCHMARK(BM_ShardedQueryCold)->Arg(8)->Arg(64);
 void BM_ShardedQueryCached(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 1024;
-  ShardedSampler sharded(num_shards, k);
-  std::vector<ShardedSampler::Item> items(1 << 17);
+  ConcurrentPrioritySampler sharded(num_shards, k);
+  std::vector<PrioritySampler::Item> items(1 << 17);
   Xoshiro256 rng(2);
   uint64_t key = 0;
   for (auto& item : items) item = {key++, 1.0 + rng.NextDouble()};

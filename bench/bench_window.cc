@@ -1,6 +1,6 @@
 // Time-axis sampler benchmarks (google-benchmark): the SampleStore-backed
 // sliding window and time-decay samplers, their batched ingest paths, the
-// k-way merges, and the sharded front-ends' epoch-dirty query caches.
+// k-way merges, and the sharded front-end's snapshot cache.
 //
 //   ./build/bench/bench_window
 //   ./build/bench/bench_window --json=BENCH_window.json
@@ -19,8 +19,10 @@
 //     pairwise core (the windowed rule is clock-sensitive, so there is
 //     no one-shot shortcut to compare -- see sliding_window.h).
 //   * BM_ShardedWindowQuery{Cold,Cached} / BM_ShardedDecayQueryCached --
-//     the mutation-epoch cache: repeat queries between ingest batches
-//     are cache reads.
+//     the sharded front-end's (ConcurrentWindowSampler's and
+//     ConcurrentDecaySampler's) snapshot cache: repeat queries between
+//     ingest batches reuse the snapshot (a window query still copies it,
+//     since window queries advance expiry).
 #include <algorithm>
 #include <deque>
 #include <string>
@@ -31,8 +33,8 @@
 
 #include "bench_json_main.h"
 
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
-#include "ats/samplers/sharded_time_axis.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 
@@ -297,9 +299,9 @@ BENCHMARK(BM_WindowFramesViews)->ArgsProduct({{8, 64}, {64, 512}});
 void BM_ShardedWindowQueryCold(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 256;
-  ShardedWindowSampler sharded(num_shards, k, 1.0, 5);
+  ConcurrentWindowSampler sharded(num_shards, k, 1.0, 5);
   for (size_t i = 0; i < 40000; ++i) {
-    sharded.Arrive(static_cast<double>(i) / 2000.0, i);
+    sharded.Add({static_cast<double>(i) / 2000.0, i});
   }
   const double now = 20.0;
   uint64_t extra = 1000000;
@@ -307,7 +309,7 @@ void BM_ShardedWindowQueryCold(benchmark::State& state) {
     // One arrival between queries keeps the cache dirty: every query
     // pays the full k-way rebuild.
     state.PauseTiming();
-    sharded.Arrive(now, extra++);
+    sharded.Add({now, extra++});
     state.ResumeTiming();
     benchmark::DoNotOptimize(sharded.ImprovedThreshold(now));
   }
@@ -319,9 +321,9 @@ BENCHMARK(BM_ShardedWindowQueryCold)->Arg(8);
 void BM_ShardedWindowQueryCached(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 256;
-  ShardedWindowSampler sharded(num_shards, k, 1.0, 5);
+  ConcurrentWindowSampler sharded(num_shards, k, 1.0, 5);
   for (size_t i = 0; i < 40000; ++i) {
-    sharded.Arrive(static_cast<double>(i) / 2000.0, i);
+    sharded.Add({static_cast<double>(i) / 2000.0, i});
   }
   const double now = 20.0;
   benchmark::DoNotOptimize(sharded.ImprovedThreshold(now));  // warm
@@ -336,7 +338,7 @@ BENCHMARK(BM_ShardedWindowQueryCached)->Arg(8);
 void BM_ShardedDecayQueryCached(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 256;
-  ShardedDecaySampler sharded(num_shards, k, 5);
+  ConcurrentDecaySampler sharded(num_shards, k, 5);
   Xoshiro256 rng(9);
   std::vector<TimeDecaySampler::TimedItem> items(40000);
   uint64_t key = 0;
@@ -345,9 +347,9 @@ void BM_ShardedDecayQueryCached(benchmark::State& state) {
             static_cast<double>(key) / 2000.0};
   }
   sharded.AddBatch(items);
-  benchmark::DoNotOptimize(sharded.EstimateDecayedTotal(20.0));  // warm
+  sharded.Snapshot();  // warm the cache
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sharded.EstimateDecayedTotal(20.0));
+    benchmark::DoNotOptimize(sharded.Snapshot()->EstimateDecayedTotal(20.0));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(num_shards * k));

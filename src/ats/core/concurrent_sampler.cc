@@ -4,8 +4,8 @@ namespace ats {
 namespace internal {
 
 // Every scenario's StartMerge / GatherShard / FinishMerge fold yields
-// exactly its sequential front-end's merge (same accumulator
-// construction and seed, same k-way union) and canonicalizes the result,
+// exactly the k-way MergeMany of its shards into a fresh accumulator
+// (seeded 1 where the type takes a seed) and canonicalizes the result,
 // so every const accessor on the published snapshot is a pure read --
 // that is what lets any number of reader threads share one snapshot.
 //
@@ -69,9 +69,9 @@ void WindowScenario::GatherShard(Accumulator& acc, const Shard& shard) {
 
 WindowScenario::Merged WindowScenario::FinishMerge(const Config& config,
                                                    Accumulator&& acc) {
-  // Seed 1, matching ShardedWindowSampler::MergedWindow: the merged
-  // sampler never draws priorities, but identical construction keeps
-  // the concurrent and sequential front-ends bit-equivalent.
+  // Seed 1, as for decay: the merged sampler never draws priorities,
+  // but a fixed construction keeps snapshots bit-identical to a
+  // per-shard reference merge.
   SlidingWindowSampler merged(config.k, config.window, /*seed=*/1);
   std::vector<const SlidingWindowSampler*> inputs;
   inputs.reserve(acc.size());
@@ -116,7 +116,8 @@ ConcurrentPrioritySampler::ConcurrentPrioritySampler(size_t num_shards,
   ATS_CHECK(k >= 1);
 }
 
-ShardedSampler::MergedSample ConcurrentPrioritySampler::Merged() const {
+ConcurrentPrioritySampler::MergedSample ConcurrentPrioritySampler::Merged()
+    const {
   const auto snapshot = Snapshot();
   return {MakeWeightedSample(snapshot->store()), snapshot->Threshold()};
 }

@@ -1,13 +1,25 @@
-// Concurrent ingestion tier: internally thread-safe streaming front-ends
-// with one locked write path and epoch-snapshot queries.
+// The sharded front-end: internally thread-safe streaming samplers with
+// one locked write path and epoch-snapshot queries.
 //
-// Everything below tier 4 treats thread-parallelism as the caller's
-// problem: ShardedSampler::AddShardBatch is only safe when callers
-// hand-partition shards across their own threads, and every query API
-// must be quiesced against ingest. ConcurrentSampler<Scenario> closes
-// that gap. It owns S shards -- each an ordinary full-capacity sampler
-// over a disjoint hash partition of the key space -- and offers one
-// write path plus one read protocol:
+// ConcurrentSampler<Scenario> is the library's one sharded type. It owns
+// S shards -- each an ordinary full-capacity sampler over a disjoint hash
+// partition of the key space -- and offers one write path plus one read
+// protocol. Externally synchronized single-threaded use is its
+// uncontended case: every stripe lock it takes is free.
+//
+// Exactness (Section 2.5). With coordinated priorities (hash-derived, a
+// pure function of the item) the key partition makes the per-shard
+// streams disjoint, and every one of the global bottom-k priorities is
+// necessarily among its own shard's bottom-k. Merging the per-shard
+// samples with the bottom-k union rule therefore reproduces EXACTLY the
+// sample and threshold a single k-capacity store would have produced
+// over the whole stream: the merge threshold (min of shard thresholds
+// and merge evictions) recovers the global (k+1)-th smallest priority.
+// Substitutability (Theorem 6) then makes the merged threshold usable by
+// the plain HT estimators unchanged. Where priorities come from
+// per-shard RNGs (independent-mode bottom-k, window, decay) the merged
+// sample is a valid sample of the stream -- HT estimates stay unbiased
+// -- just not bit-identical to a particular single-store run.
 //
 // Write path (Add / AddBatch / AddShardBatch). An ingest call
 // partitions its batch into per-shard runs, takes each touched shard's
@@ -81,13 +93,14 @@
 // partitions, any snapshot is a valid merged sample of a stream the
 // system actually ingested -- "epoch consistency". With coordinated
 // (hash-derived) priorities the snapshot taken after writers quiesce is
-// EXACTLY the single-store sample of the concatenated stream (same
-// argument as sharded_sampler.h), which the concurrent-equivalence
+// EXACTLY the single-store sample of the concatenated stream (the
+// exactness argument above), which the concurrent-equivalence
 // differential tests pin down. Scenarios that draw priorities from
 // per-shard RNGs (independent-mode bottom-k, window, decay) are
-// bit-identical to the sequential sharded reference whenever every
-// shard sees the same per-shard stream, e.g. one routing writer or
-// writers owning disjoint shards.
+// bit-identical to a per-shard reference -- the same shards built
+// sequentially and folded with the shard type's MergeMany -- whenever
+// every shard sees the same per-shard stream, e.g. one routing writer
+// or writers owning disjoint shards.
 //
 // Scenarios. The template is instantiated for every sampling scenario
 // in the library through small trait structs (routing key, shard
@@ -97,10 +110,10 @@
 // -- are public subclasses of ConcurrentSampler<Scenario> that add only
 // a positional constructor and, where a query cannot run on the shared
 // snapshot, a helper: ingest takes the scenario's Item, and every other
-// query is Snapshot()->X(). They reuse the existing sharded layouts
-// (same routing salts, same per-shard seeds, same merge), so the
-// concurrent and sequential front-ends are bit-equivalent over the same
-// per-shard streams.
+// query is Snapshot()->X(). The shard layout is fixed by
+// shard_routing.h (routing salt, per-shard seed seed + s *
+// kShardSeedStride) and the merge folds into a seed-1 accumulator, so a
+// test can rebuild the same shards sequentially as an oracle.
 #ifndef ATS_CORE_CONCURRENT_SAMPLER_H_
 #define ATS_CORE_CONCURRENT_SAMPLER_H_
 
@@ -112,10 +125,10 @@
 #include <utility>
 #include <vector>
 
+#include "ats/core/bottom_k.h"
 #include "ats/core/epoch_cache.h"
 #include "ats/core/random.h"
 #include "ats/core/shard_routing.h"
-#include "ats/core/sharded_sampler.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/sketch/kmv.h"
@@ -270,9 +283,10 @@ class ConcurrentSampler {
 
   /// Compatibility spelling for the perfbench ladder, which still drives
   /// a writer-handle rung: a movable handle whose Add / AddBatch forward
-  /// to the routed Add / AddBatch above. To be removed, with Drain(), in
-  /// the benchmark-scoped change that retires that rung (ROADMAP.md,
-  /// item 6). Must not outlive the sampler.
+  /// to the routed Add / AddBatch above. To be removed, with Drain() and
+  /// the ShardedSampler / ShardedWindowSampler spellings at the end of
+  /// this file, in the benchmark-scoped change that retires those rungs
+  /// (ROADMAP.md, item 6). Must not outlive the sampler.
   class Writer {
    public:
     size_t Add(const Item& item) { return owner_->Add(item); }
@@ -362,6 +376,10 @@ class ConcurrentSampler {
   uint64_t LockAcquisitionsForTest() const {
     return lock_acquisitions_.load(std::memory_order_relaxed);
   }
+
+  /// Shard `i`'s sampler, read without its lock: valid only while no
+  /// thread ingests.
+  const Shard& ShardForTest(size_t i) const { return shards_[i]->sampler; }
 
   /// Runtime confirmation that the snapshot publication pointer is
   /// lock-free on this platform (the static_assert below pins the
@@ -556,8 +574,7 @@ class ConcurrentSampler {
 
 namespace internal {
 
-/// Scenario: weighted bottom-k priority sampling (the ShardedSampler
-/// shard layout -- same per-shard seeds, same merge).
+/// Scenario: weighted bottom-k priority sampling.
 struct PriorityScenario {
   struct Config {
     size_t k;
@@ -640,10 +657,10 @@ struct KmvScenario {
   static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
-/// Scenario: sliding-window sampling (the ShardedWindowSampler shard
-/// layout). Per SHARD, arrival times must be non-decreasing, which
-/// leaves two valid ingest patterns: one routing writer, or several
-/// writers owning disjoint shards (AddShardBatch) each in time order.
+/// Scenario: sliding-window sampling. Per SHARD, arrival times must be
+/// non-decreasing, which leaves two valid ingest patterns: one routing
+/// writer, or several writers owning disjoint shards (AddShardBatch)
+/// each in time order.
 /// Two routed writers interleave whole runs per shard and can hand a
 /// shard out-of-order times, which would quietly bias the sample;
 /// debug builds check every arrival against the shard's last time.
@@ -686,12 +703,11 @@ struct WindowScenario {
   static Merged FinishMerge(const Config& config, Accumulator&& acc);
 };
 
-/// Scenario: time-decayed sampling (the ShardedDecaySampler shard
-/// layout). Per shard, item times must be non-decreasing -- the same
-/// ingest-pattern contract as WindowScenario: one routing writer or
-/// disjoint shard ownership. (The keyed scenarios have no such
-/// constraint: any number of routed writers is always valid for
-/// bottom-k and KMV.)
+/// Scenario: time-decayed sampling. Per shard, item times must be
+/// non-decreasing -- the same ingest-pattern contract as
+/// WindowScenario: one routing writer or disjoint shard ownership. (The
+/// keyed scenarios have no such constraint: any number of routed
+/// writers is always valid for bottom-k and KMV.)
 struct DecayScenario {
   struct Config {
     size_t k;
@@ -728,12 +744,11 @@ extern template class ConcurrentSampler<internal::WindowScenario>;
 extern template class ConcurrentSampler<internal::DecayScenario>;
 
 /// Internally thread-safe weighted bottom-k (priority sampling)
-/// front-end: the concurrent counterpart of ShardedSampler, with the
-/// identical shard layout. With coordinated priorities (the default)
-/// the merged snapshot after writers quiesce is EXACTLY the
-/// single-store sample of the concatenated stream, for any number of
-/// writers. Snapshot() is the merged BottomK<Item>; query it directly
-/// (Snapshot()->Threshold(), ...).
+/// front-end. With coordinated priorities (the default) the merged
+/// snapshot after writers quiesce is EXACTLY the single-store sample of
+/// the concatenated stream, for any number of writers (Section 2.5; see
+/// the file comment). Snapshot() is the merged BottomK<Item>; query it
+/// directly (Snapshot()->Threshold(), ...).
 class ConcurrentPrioritySampler
     : public ConcurrentSampler<internal::PriorityScenario> {
  public:
@@ -744,10 +759,17 @@ class ConcurrentPrioritySampler
   ConcurrentPrioritySampler(size_t num_shards, size_t k,
                             bool coordinated = true, uint64_t seed = 1);
 
+  /// Estimator-ready entries (inclusion probabilities at the merged
+  /// threshold) plus that threshold.
+  struct MergedSample {
+    std::vector<SampleEntry> entries;
+    double threshold;
+  };
+
   /// Merged sample + threshold from one epoch-consistent snapshot.
   /// Thread-safe; clean-cache calls acquire no lock and never block
   /// writers.
-  ShardedSampler::MergedSample Merged() const;
+  MergedSample Merged() const;
 };
 
 /// Internally thread-safe KMV distinct-counting front-end (and, through
@@ -761,19 +783,17 @@ class ConcurrentKmvSketch : public ConcurrentSampler<internal::KmvScenario> {
   ConcurrentKmvSketch(size_t num_shards, size_t k, uint64_t hash_salt = 0);
 };
 
-/// Internally thread-safe sliding-window front-end: the concurrent
-/// counterpart of ShardedWindowSampler (identical shard layout, seeds,
-/// and merge). Arrival times must be non-decreasing PER SHARD, which
-/// leaves two safe ingest patterns: a SINGLE thread driving the routed
-/// Add/AddBatch, or several writers owning DISJOINT shards via
-/// AddShardBatch (each feeding its shards in time order). Several
-/// time-ordered writers cannot share the routed path: their runs
-/// interleave per shard out of time order (a debug-build check fails).
-/// The query helpers below evaluate one epoch-consistent
-/// snapshot at `now` on a private O(k) copy: window queries advance
-/// expiry, so they must never run on the shared snapshot itself. `now`
-/// should be >= the times already ingested, as with the sequential
-/// sampler.
+/// Internally thread-safe sliding-window front-end. Arrival times must
+/// be non-decreasing PER SHARD, which leaves two safe ingest patterns: a
+/// SINGLE thread driving the routed Add/AddBatch, or several writers
+/// owning DISJOINT shards via AddShardBatch (each feeding its shards in
+/// time order). Several time-ordered writers cannot share the routed
+/// path: their runs interleave per shard out of time order (a
+/// debug-build check fails). The query helpers below evaluate one
+/// epoch-consistent snapshot at `now` on a private O(k) copy: window
+/// queries advance expiry, so they must never run on the shared
+/// snapshot itself. `now` should be >= the times already ingested, as
+/// with a single SlidingWindowSampler.
 class ConcurrentWindowSampler
     : public ConcurrentSampler<internal::WindowScenario> {
  public:
@@ -796,17 +816,51 @@ class ConcurrentWindowSampler
   size_t MergedStoredCount(double now) const;
 };
 
-/// Internally thread-safe time-decay front-end: the concurrent
-/// counterpart of ShardedDecaySampler (identical shard layout, seeds,
-/// and merge). Per shard, item times must be non-decreasing -- the same
-/// ingest-pattern contract as ConcurrentWindowSampler: one routing
-/// writer, or writers owning disjoint shards. Snapshot() is the
-/// merged TimeDecaySampler, canonicalized so its const queries
-/// (LogKeyThreshold, SampleAt, EstimateDecayedTotal) are pure reads.
+/// Internally thread-safe time-decay front-end. Per shard, item times
+/// must be non-decreasing -- the same ingest-pattern contract as
+/// ConcurrentWindowSampler: one routing writer, or writers owning
+/// disjoint shards. Snapshot() is the merged TimeDecaySampler,
+/// canonicalized so its const queries (LogKeyThreshold, SampleAt,
+/// EstimateDecayedTotal) are pure reads.
 class ConcurrentDecaySampler
     : public ConcurrentSampler<internal::DecayScenario> {
  public:
   ConcurrentDecaySampler(size_t num_shards, size_t k, uint64_t seed = 1);
+};
+
+// --- Compatibility spellings -------------------------------------------
+//
+// The perfbench ladder and window_monitor output check still name the
+// retired sequential front-ends; these keep those spellings compiling as
+// thin wrappers over the one sharded type (see Writer above for when
+// they go).
+
+/// Move-assignable handle on a ConcurrentPrioritySampler (the sampler
+/// itself holds a mutex and atomics).
+class ShardedSampler {
+ public:
+  ShardedSampler(size_t num_shards, size_t k, bool coordinated = true,
+                 uint64_t seed = 1)
+      : impl_(std::make_unique<ConcurrentPrioritySampler>(
+            num_shards, k, coordinated, seed)) {}
+
+  size_t AddBatch(std::span<const PrioritySampler::Item> items) {
+    return impl_->AddBatch(items);
+  }
+  const PrioritySampler& shard(size_t i) const {
+    return impl_->ShardForTest(i);
+  }
+
+ private:
+  std::unique_ptr<ConcurrentPrioritySampler> impl_;
+};
+
+/// ConcurrentWindowSampler with the sequential Arrive(time, id) spelling.
+class ShardedWindowSampler : public ConcurrentWindowSampler {
+ public:
+  using ConcurrentWindowSampler::ConcurrentWindowSampler;
+
+  bool Arrive(double time, uint64_t id) { return Add({time, id}) != 0; }
 };
 
 }  // namespace ats

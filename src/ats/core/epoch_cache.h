@@ -1,22 +1,12 @@
-// Helpers for the mutation-epoch dirty-cache pattern shared by the
-// sharded front-ends (ShardedSampler, ShardedWindowSampler,
-// ShardedDecaySampler): a cached merged result stays valid while every
-// shard's mutation epoch still matches the snapshot taken when the
-// cache was built. Keeping the check and the snapshot in one place
-// means a future change to the invalidation rule lands in every
-// front-end at once.
-//
-// The single-threaded front-ends read shard epochs directly
-// (EpochsClean / SnapshotEpochs below). The concurrent front-end
-// (concurrent_sampler.h) cannot: a reader polling a shard's
-// mutation_epoch() while a writer ingests is a data race. It instead
-// uses the atomic epoch protocol at the bottom of this header --
-// PublishedEpochs, an array of per-shard atomics that writers update
-// with release stores after every locked mutation and readers poll with
-// acquire loads to validate a cached snapshot without touching any
-// shard lock. It is the single epoch axis: every write lands in a shard
-// under its lock, so a snapshot is clean exactly when every per-shard
-// epoch still matches the vector recorded at build time.
+// The atomic epoch protocol behind the sharded front-end's snapshot
+// cache (concurrent_sampler.h). A reader polling a shard's
+// mutation_epoch() while a writer ingests would be a data race, so
+// writers release-store each shard's epoch into PublishedEpochs, an
+// array of per-shard atomics, after every locked mutation, and readers
+// poll it with acquire loads to validate a cached snapshot without
+// touching any shard lock. It is the single epoch axis: every write
+// lands in a shard under its lock, so a snapshot is clean exactly when
+// every per-shard epoch still matches the vector recorded at build time.
 #ifndef ATS_CORE_EPOCH_CACHE_H_
 #define ATS_CORE_EPOCH_CACHE_H_
 
@@ -27,31 +17,6 @@
 #include <vector>
 
 namespace ats {
-
-// True iff every shard's epoch equals its snapshot entry. `epoch_of`
-// maps a shard to its current mutation epoch.
-template <typename Shards, typename EpochOf>
-bool EpochsClean(const Shards& shards,
-                 const std::vector<uint64_t>& snapshot, EpochOf&& epoch_of) {
-  size_t i = 0;
-  for (const auto& shard : shards) {
-    if (epoch_of(shard) != snapshot[i++]) return false;
-  }
-  return true;
-}
-
-// Re-snapshots every shard's epoch; call right after rebuilding the
-// cached merge (the merge reads but never observably mutates the
-// shards, so a snapshot taken afterwards stays valid until the next
-// ingest).
-template <typename Shards, typename EpochOf>
-void SnapshotEpochs(const Shards& shards, std::vector<uint64_t>& snapshot,
-                    EpochOf&& epoch_of) {
-  snapshot.clear();
-  for (const auto& shard : shards) snapshot.push_back(epoch_of(shard));
-}
-
-// --- Atomic epoch protocol (the concurrent front-end) -----------------
 
 /// One shard's published epoch, padded to its own cache line so adjacent
 /// shards' publications never false-share: each writer thread touches

@@ -1,10 +1,8 @@
-// Shared shard-routing constants for the sharded and concurrent
-// front-ends. The sequential front-ends (ShardedSampler,
-// ShardedWindowSampler, ShardedDecaySampler) and their concurrent
-// counterparts (concurrent_sampler.h) must route keys identically and
-// derive per-shard seeds identically: that is what makes a concurrent
-// front-end bit-equivalent to its sequential sibling over the same
-// stream, which the differential tests rely on.
+// Shard-routing constants of the sharded front-end
+// (concurrent_sampler.h): the routing salts and the per-shard seed
+// stride. They are public so a test can rebuild the front-end's shards
+// sequentially -- same routing, same per-shard seeds -- and use their
+// merge as a bit-exact oracle.
 #ifndef ATS_CORE_SHARD_ROUTING_H_
 #define ATS_CORE_SHARD_ROUTING_H_
 

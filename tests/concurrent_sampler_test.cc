@@ -7,10 +7,11 @@
 // ingestion of the concatenated stream -- EXACTLY, not statistically.
 // The deterministic tests here drive K writer threads with fixed
 // per-thread streams (and barrier schedules for mid-stream snapshots)
-// and compare bit-for-bit against the single-store / sequential-sharded
-// references. The reader/writer tests are the ThreadSanitizer probes:
-// they exercise every lock and atomic in the epoch protocol while
-// asserting snapshot invariants (the CI TSan leg runs this binary).
+// and compare bit-for-bit against the single-store / per-shard
+// references (sharded_reference.h). The reader/writer tests are the
+// ThreadSanitizer probes: they exercise every lock and atomic in the
+// epoch protocol while asserting snapshot invariants (the CI TSan leg
+// runs this binary).
 #include "ats/core/concurrent_sampler.h"
 
 #include <algorithm>
@@ -30,9 +31,8 @@
 #include "ats/core/ht_estimator.h"
 #include "ats/core/priority.h"
 #include "ats/core/random.h"
-#include "ats/core/sharded_sampler.h"
-#include "ats/samplers/sharded_time_axis.h"
 #include "ats/sketch/kmv.h"
+#include "tests/sharded_reference.h"
 
 namespace ats {
 namespace {
@@ -79,8 +79,11 @@ TEST(ConcurrentPrioritySampler,
   PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
   for (const auto& item : stream) single.Add(item.key, item.weight);
 
-  ShardedSampler sharded(8, k);
-  sharded.AddBatch(stream);
+  auto sharded = PriorityReference(8, k);
+  for (const auto& item : stream) {
+    sharded.ShardFor(item.key).Add(item.key, item.weight);
+  }
+  const double sharded_threshold = sharded.Merged().Threshold();
 
   for (size_t writers : {1u, 2u, 4u, 8u}) {
     ConcurrentPrioritySampler conc(/*num_shards=*/8, k);
@@ -102,8 +105,8 @@ TEST(ConcurrentPrioritySampler,
         << "writers=" << writers;
     EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
         << "writers=" << writers;
-    // And with the sequential sharded front-end (identical shard layout).
-    EXPECT_DOUBLE_EQ(conc.Snapshot()->Threshold(), sharded.MergedThreshold())
+    // And with the per-shard reference (identical shard layout).
+    EXPECT_DOUBLE_EQ(conc.Snapshot()->Threshold(), sharded_threshold)
         << "writers=" << writers;
   }
 }
@@ -260,14 +263,14 @@ TEST(ConcurrentWindowSampler, ConcurrentIngestMatchesShardedReference) {
   const uint64_t seed = 5;
   const size_t n = 20000;
 
-  // Sequential reference: the existing sharded front-end over the same
-  // stream in global time order (identical shard seeds, routing, merge).
-  ShardedWindowSampler ref(S, k, window, seed);
+  // Per-shard reference over the same stream in global time order
+  // (identical shard seeds, routing, merge).
+  auto shards = WindowReference(S, k, window, seed);
   ConcurrentWindowSampler conc(S, k, window, seed);
   const auto by_shard = ArrivalsByShard(conc, S, n);
   for (size_t i = 0; i < n; ++i) {
     const double time = 3.0 * static_cast<double>(i) / double(n);
-    ref.Arrive(time, i);
+    shards.ShardFor(i).Arrive(time, i);
   }
 
   // 4 writer threads, each owning a disjoint set of whole shards, so
@@ -284,17 +287,21 @@ TEST(ConcurrentWindowSampler, ConcurrentIngestMatchesShardedReference) {
   for (auto& t : threads) t.join();
 
   for (double now : {3.0, 3.4}) {
-    EXPECT_DOUBLE_EQ(conc.ImprovedThreshold(now), ref.ImprovedThreshold(now))
+    // Window queries advance expiry: each runs on a fresh merge, as the
+    // front-end's queries run on a fresh copy of its snapshot.
+    EXPECT_DOUBLE_EQ(conc.ImprovedThreshold(now),
+                     shards.Merged().ImprovedThreshold(now))
         << "now=" << now;
-    EXPECT_DOUBLE_EQ(conc.GlThreshold(now), ref.GlThreshold(now))
+    EXPECT_DOUBLE_EQ(conc.GlThreshold(now), shards.Merged().GlThreshold(now))
         << "now=" << now;
     EXPECT_EQ(SortedSample(conc.ImprovedSample(now)),
-              SortedSample(ref.ImprovedSample(now)))
+              SortedSample(shards.Merged().ImprovedSample(now)))
         << "now=" << now;
     EXPECT_EQ(SortedSample(conc.GlSample(now)),
-              SortedSample(ref.GlSample(now)))
+              SortedSample(shards.Merged().GlSample(now)))
         << "now=" << now;
-    EXPECT_EQ(conc.MergedStoredCount(now), ref.MergedStoredCount(now))
+    EXPECT_EQ(conc.MergedStoredCount(now),
+              shards.Merged().StoredCount(now))
         << "now=" << now;
   }
 }
@@ -316,8 +323,14 @@ TEST(ConcurrentDecaySampler, ConcurrentIngestMatchesShardedReference) {
     stream[i].time = 5.0 * static_cast<double>(i) / double(n);
   }
 
-  ShardedDecaySampler ref(S, k, seed);
-  ref.AddBatch(stream);
+  auto shards = DecayReference(S, k, seed);
+  size_t ref_retained = 0;
+  for (const auto& item : stream) {
+    shards.ShardFor(item.key).Add(item.key, item.weight, item.value,
+                                  item.time);
+  }
+  for (size_t s = 0; s < S; ++s) ref_retained += shards.shard(s).size();
+  const TimeDecaySampler ref = shards.Merged();
 
   ConcurrentDecaySampler conc(S, k, seed);
   std::vector<std::vector<TimeDecaySampler::TimedItem>> by_shard(S);
@@ -340,7 +353,7 @@ TEST(ConcurrentDecaySampler, ConcurrentIngestMatchesShardedReference) {
   EXPECT_DOUBLE_EQ(snap->LogKeyThreshold(), ref.LogKeyThreshold());
   EXPECT_DOUBLE_EQ(snap->EstimateDecayedTotal(now),
                    ref.EstimateDecayedTotal(now));
-  EXPECT_EQ(conc.TotalRetained(), ref.TotalRetained());
+  EXPECT_EQ(conc.TotalRetained(), ref_retained);
   const auto conc_sample = snap->SampleAt(now);
   const auto ref_sample = ref.SampleAt(now);
   ASSERT_EQ(conc_sample.size(), ref_sample.size());
@@ -439,18 +452,18 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
   done.store(true, std::memory_order_relaxed);
   reader.join();
 
-  // Quiesced results still match the sequential references.
-  ShardedWindowSampler wref(S, 50, 1.0, 3);
-  ShardedDecaySampler dref(S, 50, 3);
+  // Quiesced results still match the per-shard references.
+  auto wref = WindowReference(S, 50, 1.0, 3);
+  auto dref = DecayReference(S, 50, 3);
   for (size_t i = 0; i < n; ++i) {
     const double time = 3.0 * static_cast<double>(i) / double(n);
-    wref.Arrive(time, i);
-    dref.Add(i, 1.0, 1.0, time);
+    wref.ShardFor(i).Arrive(time, i);
+    dref.ShardFor(i).Add(i, 1.0, 1.0, time);
   }
   EXPECT_DOUBLE_EQ(window.ImprovedThreshold(final_now),
-                   wref.ImprovedThreshold(final_now));
+                   wref.Merged().ImprovedThreshold(final_now));
   EXPECT_DOUBLE_EQ(decay.Snapshot()->EstimateDecayedTotal(final_now),
-                   dref.EstimateDecayedTotal(final_now));
+                   dref.Merged().EstimateDecayedTotal(final_now));
 }
 
 // --- Window ingest-order contract --------------------------------------
@@ -602,20 +615,20 @@ TEST(ConcurrentRebuildOracle, IndependentPriorityRoundsMatchReference) {
   const auto chunks = ShardOwnedRounds(conc, [&](uint64_t key) {
     return Item{key, std::exp(0.5 * rng.NextGaussian())};
   });
-  // The sequential sharded front-end (identical shard seeds and
-  // routing) fed the same per-shard streams.
-  ShardedSampler sharded(kOracleShards, k, /*coordinated=*/false, seed);
+  // The per-shard reference (identical shard seeds and routing) fed
+  // the same per-shard streams.
+  auto sharded = PriorityReference(kOracleShards, k, /*coordinated=*/false,
+                                   seed);
   const size_t rebuilds = RunOracleRounds(
       conc, chunks, [&](size_t r, const BottomK<Item>& snap) {
         SCOPED_TRACE(testing::Message() << "round " << r);
-        for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
-        BottomK<Item> ref(k);
-        std::vector<const BottomK<Item>*> shards;
-        for (size_t s = 0; s < kOracleShards; ++s) {
-          shards.push_back(&sharded.shard(s).sketch());
+        for (const auto& chunk : chunks[r]) {
+          for (const Item& item : chunk) {
+            sharded.ShardFor(item.key).Add(item.key, item.weight);
+          }
         }
-        ref.MergeMany(shards);
-        EXPECT_EQ(snap.Threshold(), sharded.MergedThreshold());
+        const BottomK<Item> ref = sharded.Merged().sketch();
+        EXPECT_EQ(snap.Threshold(), ref.Threshold());
         EXPECT_EQ(snap.store().priorities(), ref.store().priorities());
         EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
       });
@@ -663,18 +676,18 @@ TEST(ConcurrentRebuildOracle, DecayRoundsMatchReference) {
     return TimeDecaySampler::TimedItem{key, weight, weight,
                                        1e-4 * static_cast<double>(key)};
   });
-  ShardedDecaySampler sharded(kOracleShards, k, seed);
+  auto sharded = DecayReference(kOracleShards, k, seed);
   const size_t rebuilds = RunOracleRounds(
       conc, chunks, [&](size_t r, const TimeDecaySampler& snap) {
         SCOPED_TRACE(testing::Message() << "round " << r);
-        for (const auto& chunk : chunks[r]) sharded.AddBatch(chunk);
-        TimeDecaySampler ref(k, /*seed=*/1);
-        std::vector<const TimeDecaySampler*> shards;
-        for (size_t s = 0; s < kOracleShards; ++s) {
-          shards.push_back(&sharded.shard(s));
+        for (const auto& chunk : chunks[r]) {
+          for (const auto& item : chunk) {
+            sharded.ShardFor(item.key).Add(item.key, item.weight,
+                                           item.value, item.time);
+          }
         }
-        ref.MergeMany(shards);
-        EXPECT_EQ(snap.LogKeyThreshold(), sharded.LogKeyThreshold());
+        const TimeDecaySampler ref = sharded.Merged();
+        EXPECT_EQ(snap.LogKeyThreshold(), ref.LogKeyThreshold());
         EXPECT_EQ(snap.SerializeToString(), ref.SerializeToString());
       });
   EXPECT_GE(rebuilds, kOracleRounds / 2);

@@ -13,7 +13,6 @@
 #include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
 #include "ats/core/sample_store.h"
-#include "ats/core/sharded_sampler.h"
 #include "ats/samplers/budget_sampler.h"
 #include "ats/samplers/multi_objective.h"
 #include "ats/samplers/multi_stratified.h"
@@ -25,6 +24,7 @@
 #include "ats/sketch/kmv.h"
 #include "ats/sketch/lcs_merge.h"
 #include "ats/sketch/theta.h"
+#include "tests/sharded_reference.h"
 
 namespace ats {
 namespace {
@@ -162,12 +162,22 @@ TEST(MemoryFootprint, SamplerFamiliesReportGrowthUnderIngest) {
 TEST(MemoryFootprint, FrontEndsSumTheirShards) {
   Xoshiro256 rng(43);
 
-  ShardedSampler sharded(4, 16);
+  // The front-end's shards are the per-shard reference's, so its
+  // footprint covers the reference shards' sum.
+  ConcurrentPrioritySampler sharded(4, 16);
+  auto shards = PriorityReference(4, 16);
   const size_t sharded_empty = sharded.MemoryFootprint();
   for (int i = 0; i < 400; ++i) {
-    sharded.Add(rng.Next(), rng.NextDoubleOpenZero());
+    const PrioritySampler::Item item{rng.Next(), rng.NextDoubleOpenZero()};
+    sharded.Add(item);
+    shards.ShardFor(item.key).Add(item.key, item.weight);
+  }
+  size_t shard_sum = 0;
+  for (size_t s = 0; s < shards.num_shards(); ++s) {
+    shard_sum += shards.shard(s).MemoryFootprint();
   }
   EXPECT_GT(sharded.MemoryFootprint(), sharded_empty);
+  EXPECT_GE(sharded.MemoryFootprint(), shard_sum);
 
   ConcurrentKmvSketch concurrent(4, 32, 7);
   const size_t concurrent_empty = concurrent.MemoryFootprint();

@@ -1,29 +1,32 @@
-// Tests for ats/core/sharded_sampler.h: the hash-partitioned parallel
-// ingestion front-end. The load-bearing property (Section 2.5): with
-// coordinated priorities, the sharded-then-merged sample and threshold
-// are EXACTLY those of single-store ingestion, so estimates agree to the
-// last bit; with independent priorities the estimates stay unbiased.
-#include "ats/core/sharded_sampler.h"
+// Tests for the sharded front-end (concurrent_sampler.h) as a plain
+// hash-partitioned sampler, driven from one thread. The load-bearing
+// property (Section 2.5): with coordinated priorities, the
+// sharded-then-merged sample and threshold are EXACTLY those of
+// single-store ingestion, so estimates agree to the last bit -- for any
+// shard count (including one and odd counts), with snapshots taken
+// between rounds (which switch the writer-side prefilter on), and with
+// items fed one at a time.
+#include "ats/core/concurrent_sampler.h"
 
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ats/core/ht_estimator.h"
 #include "ats/core/random.h"
-#include "ats/util/stats.h"
-#include "ats/workload/synthetic.h"
 
 namespace ats {
 namespace {
 
-std::vector<ShardedSampler::Item> MakeStream(size_t n, uint64_t seed) {
+using Item = PrioritySampler::Item;
+
+std::vector<Item> MakeStream(size_t n, uint64_t seed) {
   Xoshiro256 rng(seed);
-  std::vector<ShardedSampler::Item> out(n);
+  std::vector<Item> out(n);
   uint64_t key = 0;
   for (auto& item : out) {
     item.key = key++;
@@ -42,45 +45,62 @@ std::vector<std::pair<double, uint64_t>> SortedSample(
 }
 
 TEST(ShardedSampler, CoordinatedShardingMatchesSingleStoreExactly) {
+  // Rounds of growing size; odd rounds are fed one item at a time
+  // through Add. A Snapshot() after every round publishes the prefilter
+  // bound, so from round 1 on, ingest is filtered before routing --
+  // at S = 1 too, where AddBatch otherwise skips the routing split.
   const size_t k = 100;
   const auto stream = MakeStream(20000, 11);
-
-  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  for (const auto& item : stream) single.Add(item.key, item.weight);
+  const size_t rounds = 6;
 
   for (size_t num_shards : {1u, 2u, 4u, 7u}) {
-    ShardedSampler sharded(num_shards, k);
-    sharded.AddBatch(stream);
+    SCOPED_TRACE(testing::Message() << "S=" << num_shards);
+    ConcurrentPrioritySampler sharded(num_shards, k);
+    PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
+    size_t begin = 0;
+    for (size_t r = 0; r < rounds; ++r) {
+      const size_t end =
+          r + 1 == rounds ? stream.size() : begin + 500 * (r + 1);
+      const std::span<const Item> chunk(stream.data() + begin, end - begin);
+      if (r % 2 == 1) {
+        for (const Item& item : chunk) sharded.Add(item);
+      } else {
+        sharded.AddBatch(chunk);
+      }
+      for (const Item& item : chunk) single.Add(item.key, item.weight);
+      begin = end;
 
-    const auto merged = sharded.Merged();
-    EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold())
-        << "S=" << num_shards;
-    EXPECT_DOUBLE_EQ(sharded.MergedThreshold(), merged.threshold);
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
-        << "S=" << num_shards;
-    // Same estimates, to the bit.
-    EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
-        << "S=" << num_shards;
+      const auto merged = sharded.Merged();
+      EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold()) << "round " << r;
+      EXPECT_DOUBLE_EQ(sharded.Snapshot()->Threshold(), merged.threshold);
+      EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
+          << "round " << r;
+      // Same estimates, to the bit.
+      EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
+          << "round " << r;
+    }
   }
 }
 
 TEST(ShardedSampler, ScalarAndBatchedIngestAgree) {
   const auto stream = MakeStream(5000, 13);
-  ShardedSampler scalar(4, 64), batched(4, 64);
-  for (const auto& item : stream) scalar.Add(item.key, item.weight);
+  ConcurrentPrioritySampler scalar(4, 64), batched(4, 64);
+  for (const auto& item : stream) scalar.Add(item);
   batched.AddBatch(stream);
-  EXPECT_DOUBLE_EQ(batched.MergedThreshold(), scalar.MergedThreshold());
-  EXPECT_EQ(SortedSample(batched.Sample()), SortedSample(scalar.Sample()));
+  EXPECT_DOUBLE_EQ(batched.Snapshot()->Threshold(),
+                   scalar.Snapshot()->Threshold());
+  EXPECT_EQ(SortedSample(batched.Merged().entries),
+            SortedSample(scalar.Merged().entries));
 }
 
 TEST(ShardedSampler, ShardsPartitionTheKeySpace) {
-  ShardedSampler sharded(8, 32);
+  ConcurrentPrioritySampler sharded(8, 32);
   const auto stream = MakeStream(4000, 17);
   sharded.AddBatch(stream);
   // Each retained key lives in exactly the shard its hash routes to.
   std::set<uint64_t> seen;
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    for (const auto& e : sharded.shard(s).Sample()) {
+    for (const auto& e : sharded.ShardForTest(s).Sample()) {
       EXPECT_EQ(sharded.ShardOf(e.key), s);
       EXPECT_TRUE(seen.insert(e.key).second) << "key in two shards";
     }
@@ -90,58 +110,12 @@ TEST(ShardedSampler, ShardsPartitionTheKeySpace) {
 
 TEST(ShardedSampler, MergedSampleSizeIsK) {
   const size_t k = 50;
-  ShardedSampler sharded(4, k);
+  ConcurrentPrioritySampler sharded(4, k);
   const auto stream = MakeStream(10000, 19);
   sharded.AddBatch(stream);
-  EXPECT_EQ(sharded.Sample().size(), k);
+  EXPECT_EQ(sharded.Merged().entries.size(), k);
   // Per-shard stores hold up to k each; the merge re-caps at k.
   EXPECT_GE(sharded.TotalRetained(), k);
-}
-
-TEST(ShardedSampler, IndependentModeHtTotalIsUnbiased) {
-  const auto population = MakeWeightedPopulation(600, 23, true);
-  double truth = 0.0;
-  std::vector<ShardedSampler::Item> stream;
-  for (const auto& it : population) {
-    truth += it.weight;
-    stream.push_back({it.key, it.weight});
-  }
-
-  RunningStat estimates;
-  const int trials = 300;
-  for (int t = 0; t < trials; ++t) {
-    ShardedSampler sharded(4, 40, /*coordinated=*/false,
-                           /*seed=*/1000 + static_cast<uint64_t>(t));
-    sharded.AddBatch(stream);
-    estimates.Add(HtTotal(sharded.Sample()));
-  }
-  const double se = estimates.StdDev() / std::sqrt(double(trials));
-  EXPECT_NEAR(estimates.mean(), truth, 4.0 * se + 1e-9);
-}
-
-TEST(ShardedSampler, ParallelShardIngestMatchesSequential) {
-  // Pre-partition the stream and feed each shard from its own thread via
-  // AddShardBatch; the result must equal sequential AddBatch ingestion.
-  const auto stream = MakeStream(8000, 27);
-  const size_t num_shards = 4;
-  ShardedSampler sequential(num_shards, 64), parallel(num_shards, 64);
-  sequential.AddBatch(stream);
-
-  std::vector<std::vector<ShardedSampler::Item>> parts(num_shards);
-  for (const auto& item : stream) {
-    parts[parallel.ShardOf(item.key)].push_back(item);
-  }
-  std::vector<std::thread> workers;
-  for (size_t s = 0; s < num_shards; ++s) {
-    workers.emplace_back(
-        [&parallel, &parts, s] { parallel.AddShardBatch(s, parts[s]); });
-  }
-  for (auto& worker : workers) worker.join();
-
-  EXPECT_DOUBLE_EQ(parallel.MergedThreshold(),
-                   sequential.MergedThreshold());
-  EXPECT_EQ(SortedSample(parallel.Sample()),
-            SortedSample(sequential.Sample()));
 }
 
 }  // namespace

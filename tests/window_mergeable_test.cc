@@ -18,12 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
-#include "ats/samplers/sharded_time_axis.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/util/serialize.h"
 #include "ats/workload/arrivals.h"
+#include "tests/sharded_reference.h"
 
 namespace ats {
 namespace {
@@ -695,44 +696,43 @@ TEST(DecayViewHostile, TruncationFlipsAndJunkFailCleanly) {
 }
 
 // ----------------------------------------------------------------------
-// Sharded front-ends: the epoch-dirty merge cache.
+// The sharded front-end on the time axis: snapshots equal the per-shard
+// reference merge (sharded_reference.h) and stay cached between batches.
 
 TEST(ShardedTimeAxis, WindowQueriesMatchManualMergeAndAreCached) {
   const size_t k = 32;
-  ShardedWindowSampler sharded(4, k, 1.0, /*seed=*/3);
+  ConcurrentWindowSampler sharded(4, k, 1.0, /*seed=*/3);
+  auto shards = WindowReference(4, k, 1.0, /*seed=*/3);
   ArrivalProcess arrivals(RateProfile::Constant(1500.0), 1700.0, 8);
   double now = 0.0;
   for (const Arrival& a : arrivals.Until(3.0)) {
-    sharded.Arrive(a.time, a.id);
+    sharded.Add({a.time, a.id});
+    shards.ShardFor(a.id).Arrive(a.time, a.id);
     now = a.time;
   }
-  // Manual reference: MergeMany over the shards into a fresh sampler.
-  SlidingWindowSampler manual(k, 1.0, /*seed=*/1);
-  std::vector<const SlidingWindowSampler*> shards;
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    shards.push_back(&sharded.shard(s));
-  }
-  manual.MergeMany(shards);
-
+  // Window queries advance expiry, so each runs on a fresh manual merge.
   const double t1 = sharded.ImprovedThreshold(now);
-  EXPECT_DOUBLE_EQ(t1, manual.ImprovedThreshold(now));
-  EXPECT_DOUBLE_EQ(sharded.GlThreshold(now), manual.GlThreshold(now));
+  EXPECT_DOUBLE_EQ(t1, shards.Merged().ImprovedThreshold(now));
+  EXPECT_DOUBLE_EQ(sharded.GlThreshold(now),
+                   shards.Merged().GlThreshold(now));
   EXPECT_EQ(sharded.ImprovedSample(now).size(),
-            manual.ImprovedSample(now).size());
-  // Cached: repeated queries agree without a rebuild.
+            shards.Merged().ImprovedSample(now).size());
+  // Cached: repeated clean snapshots are the same object.
+  const auto snapshot = sharded.Snapshot();
+  EXPECT_EQ(sharded.Snapshot().get(), snapshot.get());
   EXPECT_DOUBLE_EQ(sharded.ImprovedThreshold(now), t1);
   // New ingest invalidates the cache.
-  sharded.Arrive(now + 0.01, 999999);
-  SlidingWindowSampler manual2(k, 1.0, /*seed=*/1);
-  manual2.MergeMany(shards);
+  sharded.Add({now + 0.01, 999999});
+  shards.ShardFor(999999).Arrive(now + 0.01, 999999);
   EXPECT_DOUBLE_EQ(sharded.ImprovedThreshold(now + 0.01),
-                   manual2.ImprovedThreshold(now + 0.01));
+                   shards.Merged().ImprovedThreshold(now + 0.01));
 }
 
 TEST(ShardedTimeAxis, DecayBatchedIngestAndCachedQueriesStayExact) {
   const size_t k = 48;
-  ShardedDecaySampler sharded(6, k, /*seed=*/11);
-  ShardedDecaySampler scalar_fed(6, k, /*seed=*/11);
+  ConcurrentDecaySampler sharded(6, k, /*seed=*/11);
+  ConcurrentDecaySampler scalar_fed(6, k, /*seed=*/11);
+  auto shards = DecayReference(6, k, /*seed=*/11);
   Xoshiro256 data(13);
   std::vector<TimeDecaySampler::TimedItem> batch;
   uint64_t key = 0;
@@ -745,25 +745,21 @@ TEST(ShardedTimeAxis, DecayBatchedIngestAndCachedQueriesStayExact) {
     }
     sharded.AddBatch(batch);
     for (const auto& it : batch) {
-      scalar_fed.Add(it.key, it.weight, it.value, it.time);
+      scalar_fed.Add(it);
+      shards.ShardFor(it.key).Add(it.key, it.weight, it.value, it.time);
     }
     // Batched partitioned ingest is bit-identical to scalar routing.
     ASSERT_EQ(sharded.TotalRetained(), scalar_fed.TotalRetained());
-    ASSERT_DOUBLE_EQ(sharded.LogKeyThreshold(),
-                     scalar_fed.LogKeyThreshold());
-    // The merged cache: identical repeated answers, equal to the manual
-    // MergeMany reference.
-    TimeDecaySampler manual(k, /*seed=*/1);
-    std::vector<const TimeDecaySampler*> shards;
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      shards.push_back(&sharded.shard(s));
-    }
-    manual.MergeMany(shards);
+    const auto snapshot = sharded.Snapshot();
+    ASSERT_DOUBLE_EQ(snapshot->LogKeyThreshold(),
+                     scalar_fed.Snapshot()->LogKeyThreshold());
+    // The snapshot equals the manual MergeMany reference, and clean
+    // snapshots are the same object.
+    const TimeDecaySampler manual = shards.Merged();
     const double now = 0.2 * round + 1.0;
-    ASSERT_DOUBLE_EQ(sharded.EstimateDecayedTotal(now),
+    ASSERT_DOUBLE_EQ(snapshot->EstimateDecayedTotal(now),
                      manual.EstimateDecayedTotal(now));
-    ASSERT_DOUBLE_EQ(sharded.EstimateDecayedTotal(now),
-                     sharded.EstimateDecayedTotal(now));
+    ASSERT_EQ(sharded.Snapshot().get(), snapshot.get());
   }
 }
 
