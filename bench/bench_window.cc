@@ -15,9 +15,10 @@
 //     samples).
 //   * BM_WindowFramesEager/S/k vs BM_WindowFramesViews/S/k -- the
 //     windowed wire fan-in: Deserialize + Merge materializes a sampler
-//     per frame; MergeManyFrames folds zero-copy views through the same
-//     pairwise core (the windowed rule is clock-sensitive, so there is
-//     no one-shot shortcut to compare -- see sliding_window.h).
+//     per frame, then Merge runs the fold once per input;
+//     MergeManyFrames runs it once over zero-copy views (the windowed
+//     rule is clock-sensitive, so there is no one-shot shortcut to
+//     compare -- see sliding_window.h).
 //   * BM_ShardedWindowQuery{Cold,Cached} / BM_ShardedDecayQueryCached --
 //     the sharded front-end's (ConcurrentWindowSampler's and
 //     ConcurrentDecaySampler's) snapshot cache: repeat queries between

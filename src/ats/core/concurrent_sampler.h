@@ -84,7 +84,8 @@
 // the unpruned k-way merge. Windows are excluded from the prune: their
 // thresholds are clock-sensitive and RECOVER as items expire, so the
 // previous snapshot bounds nothing; their fold copies each shard under
-// its lock (O(k)) and runs the pairwise Merge chain lock-free. Retired
+// its lock (O(k)) and runs MergeMany, which computes the pairwise Merge
+// chain as one fold, lock-free. Retired
 // snapshots park in a graveyard that is reclaimed only when a seq_cst
 // reader-in-flight counter reads zero, so a reader that already loaded
 // the raw pointer can always finish its refcount upgrade safely.
@@ -695,8 +696,9 @@ struct WindowScenario {
     return shard.mutation_epoch();
   }
   // Windowed thresholds are clock-sensitive and RECOVER on expiry, so
-  // the previous snapshot bounds nothing: the fold copies each shard
-  // under its lock and FinishMerge runs the pairwise chain.
+  // the previous snapshot bounds nothing: GatherShard copies each shard
+  // under its lock and FinishMerge runs MergeMany, the one fold that
+  // computes the pairwise chain.
   using Accumulator = std::vector<Shard>;
   static Accumulator StartMerge(const Config& config, const Merged* previous);
   static void GatherShard(Accumulator& acc, const Shard& shard);

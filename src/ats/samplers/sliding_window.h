@@ -55,10 +55,11 @@
 // the full union. Unlike the sketches' threshold-pruned one-shot engine,
 // the windowed rule is clock-SENSITIVE -- improved thresholds recover as
 // old constraints expire -- so there is no clock-free global bound to
-// hoist: MergeMany/MergeManyFrames are DEFINED as the pairwise chain in
-// span order (one shared snapshot/selection core per input, frames all
-// validated before the first is applied) and differential-tested
-// bit-identical to the explicit Merge chain (window_mergeable_test.cc).
+// hoist: MergeMany/MergeManyFrames are defined by the pairwise chain in
+// span order, which is the test oracle (tests/window_chain_reference.h),
+// and computed as one fold that carries the chain's running clock and
+// current set across inputs and materializes the store and the expired
+// union once (frames all validated before the first is applied).
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
@@ -169,11 +170,12 @@ class SlidingWindowSampler {
   /// MergeMany({&other}); self-merge is a no-op.
   void Merge(const SlidingWindowSampler& other);
 
-  /// K-way merge: bit-identical to merging the inputs one by one with
-  /// Merge() in span order (differential-tested) -- the windowed rule is
-  /// clock-sensitive, so the chain IS the definition (see the file
-  /// comment). Inputs aliasing `this` are skipped; with no real inputs
-  /// this is a strict no-op.
+  /// K-way merge, defined by the pairwise chain: merging the inputs one
+  /// by one in span order, each step at the running clock max -- the
+  /// windowed rule is clock-sensitive (see the file comment). Computed as
+  /// one fold and differential-tested bit-identical to an independent
+  /// chain (tests/window_chain_reference.h). Inputs aliasing `this` are
+  /// skipped; with no real inputs this is a strict no-op.
   void MergeMany(std::span<const SlidingWindowSampler* const> inputs);
 
   // --- Versioned wire format (magic "SWN1") ---
@@ -254,14 +256,6 @@ class SlidingWindowSampler {
     uint64_t id = 0;
     double time = 0.0;
     double threshold = 1.0;
-  };
-
-  // One input of the shared merge core: a filtered view of a sampler or
-  // frame at the global merge instant `now` (current: time in
-  // (now - w, now]; expired: time in (now - 2w, now - w]).
-  struct WindowSnapshot {
-    std::vector<StoredItem> current;
-    std::vector<StoredItem> expired;
   };
 
   // The expiry hot path: pure MARKING. Entries leaving the window only
@@ -359,17 +353,9 @@ class SlidingWindowSampler {
   std::vector<SampleEntry> SampleWithThreshold(double threshold) const;
   // Improved threshold over the store as-is (no expiry advance).
   double CurrentMinThreshold() const;
-  // Snapshot of a (possibly lazily expired) sampler at global time `now`.
-  WindowSnapshot SnapshotAt(double now) const;
-  static WindowSnapshot SnapshotOfView(const FrameView& view, double now);
-  // The pairwise merge core shared by Merge, MergeMany, and
-  // MergeManyFrames: folds one input snapshot (already filtered at
-  // `now`) into `this`.
-  void MergeOneSnapshot(WindowSnapshot snap, double now);
-  // Time-ordered union of two time-ordered runs; on equal times the
-  // `self` items come first (std::merge is stable), as in every merge.
-  static std::vector<StoredItem> MergeByTime(
-      std::span<const StoredItem> self, std::span<const StoredItem> other);
+  // The k-way merge fold behind Merge, MergeMany and MergeManyFrames
+  // (defined and explained in the .cc).
+  class MergeFold;
 
   size_t k_;
   double window_;

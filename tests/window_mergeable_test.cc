@@ -5,6 +5,8 @@
 // zero-copy frame views, and the windowed/decayed MergeMany vs the
 // sequential pairwise-Merge chain (including empty windows, all-expired
 // stores, and k = 1) -- mirroring merge_many_test.cc for the sketches.
+// Window merges are also checked against the independent chain of
+// window_chain_reference.h, since Merge itself runs the same fold.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "ats/util/serialize.h"
 #include "ats/workload/arrivals.h"
 #include "tests/sharded_reference.h"
+#include "tests/window_chain_reference.h"
 
 namespace ats {
 namespace {
@@ -280,6 +283,34 @@ TEST(DecayBatch, AddBatchMatchesScalarLoopExactly) {
 // ----------------------------------------------------------------------
 // MergeMany vs the sequential pairwise chain.
 
+// A merged window sampler against the independent chain: the clock, the
+// region counts, every entry, and the SWN1 bytes.
+void ExpectMatchesChain(const SlidingWindowSampler& merged,
+                        const WindowChainReference& chain) {
+  ASSERT_TRUE(chain.valid());
+  const std::string frame = merged.SerializeToString();
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->last_time(), chain.last_time());
+  ASSERT_EQ(view->current_count(), chain.current().size());
+  ASSERT_EQ(view->expired_count(), chain.expired().size());
+  const auto expect_entry = [&](const SlidingWindowSampler::StoredItem& want,
+                                size_t i) {
+    const SlidingWindowSampler::StoredItem got = view->entry(i);
+    EXPECT_EQ(got.id, want.id) << "entry " << i;
+    EXPECT_EQ(got.time, want.time) << "entry " << i;
+    EXPECT_EQ(got.priority, want.priority) << "entry " << i;
+    EXPECT_EQ(got.threshold, want.threshold) << "entry " << i;
+  };
+  for (size_t i = 0; i < chain.current().size(); ++i) {
+    expect_entry(chain.current()[i], i);
+  }
+  for (size_t i = 0; i < chain.expired().size(); ++i) {
+    expect_entry(chain.expired()[i], chain.current().size() + i);
+  }
+  EXPECT_EQ(frame, chain.Frame());
+}
+
 class TimeAxisMergeSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TimeAxisMergeSweep, WindowMergeManyEqualsSequentialPairwise) {
@@ -323,9 +354,15 @@ TEST_P(TimeAxisMergeSweep, WindowMergeManyEqualsSequentialPairwise) {
     }
     std::vector<const SlidingWindowSampler*> ptrs;
     for (const auto& in : inputs) ptrs.push_back(&in);
+    WindowChainReference chain(many.SerializeToString());
+    for (const auto* in : ptrs) ASSERT_TRUE(chain.Merge(*in));
 
     for (const auto* in : ptrs) seq.Merge(*in);
     many.MergeMany(ptrs);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(many, chain))
+        << "k=" << k << " inputs=" << num_inputs;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(seq, chain))
+        << "k=" << k << " inputs=" << num_inputs;
 
     // Byte-level equality covers every observable at once: current and
     // expired regions (ids, times, priorities, per-item thresholds, in
@@ -354,14 +391,72 @@ TEST_P(TimeAxisMergeSweep, WindowMergeManyFramesEqualsDeserializeChain) {
             .SerializeToString());
   }
   SlidingWindowSampler seq(k, window, 7), many(k, window, 7);
+  WindowChainReference chain(many.SerializeToString());
   for (const std::string& f : frames) {
     auto in = SlidingWindowSampler::Deserialize(std::string_view(f));
     ASSERT_TRUE(in.has_value());
     seq.Merge(*in);
+    ASSERT_TRUE(chain.Merge(f));
   }
   std::vector<std::string_view> views(frames.begin(), frames.end());
   ASSERT_TRUE(many.MergeManyFrames(views));
   ASSERT_EQ(many.SerializeToString(), seq.SerializeToString());
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(many, chain));
+}
+
+// The regime window_monitor runs: 8 shards routed by kTimeAxisRouteSalt
+// at k = 256, a Poisson stream over four and a half windows, so that
+// every shard holds k current entries plus an expired region and the
+// shard clocks differ. MergeMany over the shards, MergeManyFrames over
+// their frames and the concurrent front-end's snapshot must all equal
+// the chain.
+TEST_P(TimeAxisMergeSweep, WindowBenchmarkShapeMatchesChainOnEveryPath) {
+  const size_t num_shards = 8;
+  const size_t k = 256;
+  const double window = 65536.0;
+  const uint64_t seed = GetParam();
+  ConcurrentWindowSampler concurrent(num_shards, k, window, seed);
+  auto shards = WindowReference(num_shards, k, window, seed);
+  ArrivalProcess stream(RateProfile::Constant(1.0), 1.1, seed + 90);
+  const std::vector<Arrival> arrivals = stream.Until(4.5 * window);
+  std::vector<ConcurrentWindowSampler::Arrival> batch;
+  for (const Arrival& a : arrivals) {
+    shards.ShardFor(a.id).Arrive(a.time, a.id);
+    batch.push_back({a.time, a.id});
+    if (batch.size() == 4096) {
+      concurrent.AddBatch(batch);
+      batch.clear();
+    }
+  }
+  concurrent.AddBatch(batch);
+
+  std::vector<const SlidingWindowSampler*> ptrs;
+  std::vector<std::string> frames;
+  std::vector<double> clocks;
+  for (size_t s = 0; s < num_shards; ++s) {
+    ptrs.push_back(&shards.shard(s));
+    frames.push_back(shards.shard(s).SerializeToString());
+    const auto view = SlidingWindowSampler::DeserializeView(frames.back());
+    ASSERT_TRUE(view.has_value());
+    ASSERT_EQ(view->current_count(), k) << "shard " << s;
+    ASSERT_GT(view->expired_count(), k / 2) << "shard " << s;
+    clocks.push_back(view->last_time());
+  }
+  std::sort(clocks.begin(), clocks.end());
+  ASSERT_LT(clocks.front(), clocks.back());
+
+  WindowChainReference chain(
+      SlidingWindowSampler(k, window, /*seed=*/1).SerializeToString());
+  for (const std::string& f : frames) ASSERT_TRUE(chain.Merge(f));
+
+  SlidingWindowSampler many(k, window, /*seed=*/1);
+  many.MergeMany(ptrs);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(many, chain));
+  SlidingWindowSampler framed(k, window, /*seed=*/1);
+  std::vector<std::string_view> views(frames.begin(), frames.end());
+  ASSERT_TRUE(framed.MergeManyFrames(views));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(framed, chain));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(*concurrent.Snapshot(), chain));
 }
 
 TEST_P(TimeAxisMergeSweep, DecayMergeManyEqualsSequentialPairwise) {
@@ -518,27 +613,8 @@ std::string HandcraftedWindowFrame(
     size_t k, double window, double last_time,
     const std::vector<SlidingWindowSampler::StoredItem>& current,
     const std::vector<SlidingWindowSampler::StoredItem>& expired) {
-  ByteWriter w;
-  w.WriteU32(0x53574e31);  // "SWN1"
-  w.WriteU32(1);
-  w.WriteU64(k);
-  w.WriteDouble(window);
-  w.WriteDouble(last_time);
-  WriteRngState(w, {1, 2, 3, 4});
-  w.WriteU64(current.size());
-  w.WriteU64(expired.size());
-  const auto write_entry = [&w](const SlidingWindowSampler::StoredItem& it) {
-    w.WriteU64(it.id);
-    w.WriteDouble(it.time);
-    w.WriteDouble(it.priority);
-    w.WriteDouble(it.threshold);
-  };
-  for (const auto& it : current) write_entry(it);
-  for (const auto& it : expired) write_entry(it);
-  std::string bytes = w.Take();
-  const uint32_t checksum = FrameChecksum(bytes);
-  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return bytes;
+  return EncodeWindowFrame(k, window, last_time, {1, 2, 3, 4}, current,
+                           expired);
 }
 
 TEST(TimeAxisMerge, TiedPrioritiesMergeIdenticallyOnBothPaths) {
@@ -556,14 +632,17 @@ TEST(TimeAxisMerge, TiedPrioritiesMergeIdenticallyOnBothPaths) {
   ASSERT_TRUE(SlidingWindowSampler::DeserializeView(frame_b).has_value());
 
   SlidingWindowSampler seq(3, 1.0, 1), many(3, 1.0, 1);
+  WindowChainReference chain(many.SerializeToString());
   for (const std::string& f : {frame_a, frame_b}) {
     auto in = SlidingWindowSampler::Deserialize(std::string_view(f));
     ASSERT_TRUE(in.has_value());
     seq.Merge(*in);
+    ASSERT_TRUE(chain.Merge(f));
   }
   std::vector<std::string_view> frames{frame_a, frame_b};
   ASSERT_TRUE(many.MergeManyFrames(frames));
   ASSERT_EQ(many.SerializeToString(), seq.SerializeToString());
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(many, chain));
 
   // Three candidates below the merge bound 0.5: ids 1, 4, 2 in time
   // order, all at priority 0.25 -- they fill k exactly; id 3 sits at the
@@ -573,6 +652,35 @@ TEST(TimeAxisMerge, TiedPrioritiesMergeIdenticallyOnBothPaths) {
   EXPECT_EQ(items[0].id, 1u);
   EXPECT_EQ(items[1].id, 4u);
   EXPECT_EQ(items[2].id, 2u);
+}
+
+TEST(TimeAxisMerge, TiesAtThePivotKeepTheChainsFirstArrivedEntries) {
+  // Every current entry ties in priority and three inputs tie in time at
+  // 9.2, so the k = 3 re-cap of the last step keeps ties at the pivot by
+  // time, then by the step that brought them in: ids 9, 1 and 5.
+  const std::string frame_a =
+      HandcraftedWindowFrame(4, 1.0, 10.0, {{1, 9.2, 0.25, 0.5}}, {});
+  const std::string frame_b =
+      HandcraftedWindowFrame(4, 1.0, 10.0, {{5, 9.2, 0.25, 0.6}}, {});
+  const std::string frame_c = HandcraftedWindowFrame(
+      4, 1.0, 10.0, {{9, 9.1, 0.25, 0.7}, {7, 9.2, 0.25, 0.7}},
+      {{8, 8.9, 0.25, 0.7}});
+  SlidingWindowSampler seq(3, 1.0, 1), many(3, 1.0, 1);
+  WindowChainReference chain(many.SerializeToString());
+  for (const std::string& f : {frame_a, frame_b, frame_c}) {
+    auto in = SlidingWindowSampler::Deserialize(std::string_view(f));
+    ASSERT_TRUE(in.has_value());
+    seq.Merge(*in);
+    ASSERT_TRUE(chain.Merge(f));
+  }
+  std::vector<std::string_view> frames{frame_a, frame_b, frame_c};
+  ASSERT_TRUE(many.MergeManyFrames(frames));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(many, chain));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesChain(seq, chain));
+  ASSERT_EQ(chain.current().size(), 3u);
+  EXPECT_EQ(chain.current()[0].id, 9u);
+  EXPECT_EQ(chain.current()[1].id, 1u);
+  EXPECT_EQ(chain.current()[2].id, 5u);
 }
 
 // ----------------------------------------------------------------------
