@@ -59,25 +59,21 @@ KmvScenario::Merged KmvScenario::FinishMerge(const Config& /*config*/,
 }
 
 WindowScenario::Accumulator WindowScenario::StartMerge(
-    const Config& /*config*/, const Merged* /*previous*/) {
-  return {};
-}
-
-void WindowScenario::GatherShard(Accumulator& acc, const Shard& shard) {
-  acc.push_back(shard);  // O(k) copy under the stripe lock
-}
-
-WindowScenario::Merged WindowScenario::FinishMerge(const Config& config,
-                                                   Accumulator&& acc) {
+    const Config& config, const Merged* /*previous*/) {
   // Seed 1, as for decay: the merged sampler never draws priorities,
   // but a fixed construction keeps snapshots bit-identical to a
   // per-shard reference merge.
-  SlidingWindowSampler merged(config.k, config.window, /*seed=*/1);
-  std::vector<const SlidingWindowSampler*> inputs;
-  inputs.reserve(acc.size());
-  for (const Shard& copy : acc) inputs.push_back(&copy);
-  merged.MergeMany(inputs);
-  return merged;
+  return SlidingWindowSampler::Fold(
+      SlidingWindowSampler(config.k, config.window, /*seed=*/1));
+}
+
+void WindowScenario::GatherShard(Accumulator& acc, const Shard& shard) {
+  acc.Step(shard);  // reads the shard in place, copies only survivors
+}
+
+WindowScenario::Merged WindowScenario::FinishMerge(const Config& /*config*/,
+                                                   Accumulator&& acc) {
+  return std::move(acc).Finish();
 }
 
 DecayScenario::Accumulator DecayScenario::StartMerge(

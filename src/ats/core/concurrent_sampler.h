@@ -49,8 +49,8 @@
 // Scenarios whose priorities come from per-shard RNGs (independent-mode
 // bottom-k, decay) or whose thresholds are clock-sensitive (windows)
 // never publish a bound and keep the unfiltered path; so, for now, does
-// KMV (its hashed priorities would qualify; ROADMAP.md item 3 says why
-// it waits).
+// KMV (its hashed priorities would qualify; ROADMAP.md's "KMV without
+// seen_" item says why it waits).
 //
 // Reader protocol. A query loads the current snapshot pointer -- a raw
 // std::atomic<const SnapshotState*>, genuinely lock-free (statically
@@ -83,9 +83,11 @@
 // below it survive the scan, and the snapshot stays bit-identical to
 // the unpruned k-way merge. Windows are excluded from the prune: their
 // thresholds are clock-sensitive and RECOVER as items expire, so the
-// previous snapshot bounds nothing; their fold copies each shard under
-// its lock (O(k)) and runs MergeMany, which computes the pairwise Merge
-// chain as one fold, lock-free. Retired
+// previous snapshot bounds nothing. Their accumulator is the window
+// merge fold (SlidingWindowSampler::Fold): under each lock it runs the
+// shard's chain step in place, and it materializes lock-free. So every
+// scenario rebuilds alike -- scan under each lock, finish outside them
+// -- and no shard is copied. Retired
 // snapshots park in a graveyard that is reclaimed only when a seq_cst
 // reader-in-flight counter reads zero, so a reader that already loaded
 // the raw pointer can always finish its refcount upgrade safely.
@@ -159,7 +161,7 @@ class CountedLockGuard {
 /// trait struct binding the template to one sampling scheme:
 ///
 ///   struct Scenario {
-///     using Shard = ...;    // per-shard sampler (copyable)
+///     using Shard = ...;    // per-shard sampler (movable)
 ///     using Item = ...;     // one ingest record
 ///     using Merged = ...;   // merged snapshot type
 ///     struct Config {...};  // construction parameters (k, seed, ...)
@@ -171,9 +173,10 @@ class CountedLockGuard {
 ///     // Snapshot rebuild as a fold over the shards (RebuildSnapshot):
 ///     // StartMerge once (`previous` is the snapshot being replaced, or
 ///     // null), GatherShard for each shard in index order while that
-///     // shard's stripe lock is held -- it must only READ the shard and
-///     // stay O(k) -- then FinishMerge lock-free. The result must equal
-///     // the shard union's k-way merge bit for bit.
+///     // shard's stripe lock is held -- it must only READ the shard, keep
+///     // nothing that refers to it, and stay O(k) -- then FinishMerge
+///     // lock-free. The result must equal the shard union's k-way merge
+///     // bit for bit.
 ///     using Accumulator = ...;
 ///     static Accumulator StartMerge(const Config&, const Merged* previous);
 ///     static void GatherShard(Accumulator&, const Shard&);
@@ -287,7 +290,8 @@ class ConcurrentSampler {
   /// to the routed Add / AddBatch above. To be removed, with Drain() and
   /// the ShardedSampler / ShardedWindowSampler spellings at the end of
   /// this file, in the benchmark-scoped change that retires those rungs
-  /// (ROADMAP.md, item 6). Must not outlive the sampler.
+  /// (ROADMAP.md, the "One benchmark" item). Must not outlive the
+  /// sampler.
   class Writer {
    public:
     size_t Add(const Item& item) { return owner_->Add(item); }
@@ -315,13 +319,14 @@ class ConcurrentSampler {
   /// reads never block writers. Dirty cache: one reader rebuilds (fold
   /// each shard into the accumulator under its lock -- for bottom-k
   /// scenarios one pre-filtered scan of at most 2k raw entries, pruned
-  /// at the previous snapshot's threshold; for windows an O(k) copy --
-  /// then finish and publish lock-free) while other readers wait on the
-  /// rebuild mutex only. The returned snapshot is immutable and
-  /// canonicalized: every const accessor on it is a pure read, so any
-  /// number of threads may query one snapshot concurrently. It stays
-  /// valid (and internally consistent) for as long as the pointer is
-  /// held, no matter how much ingest happens after.
+  /// at the previous snapshot's threshold; for windows one in-place
+  /// step of the merge fold -- then finish and publish lock-free) while
+  /// other readers wait on the rebuild mutex only. The returned snapshot
+  /// is immutable and canonicalized: every const accessor on it is a
+  /// pure read, so any number of threads may query one snapshot
+  /// concurrently. It stays valid (and internally consistent) for as
+  /// long as the pointer is held, no matter how much ingest happens
+  /// after.
   std::shared_ptr<const Merged> Snapshot() const {
     auto state = AcquireSnapshot();
     if (state == nullptr || !published_.Matches(state->epochs)) {
@@ -696,10 +701,11 @@ struct WindowScenario {
     return shard.mutation_epoch();
   }
   // Windowed thresholds are clock-sensitive and RECOVER on expiry, so
-  // the previous snapshot bounds nothing: GatherShard copies each shard
-  // under its lock and FinishMerge runs MergeMany, the one fold that
-  // computes the pairwise chain.
-  using Accumulator = std::vector<Shard>;
+  // the previous snapshot bounds nothing. The accumulator is the window
+  // merge fold: StartMerge opens it on a seed-1 sampler, GatherShard
+  // runs the shard's chain step in place under its lock, and
+  // FinishMerge materializes the merged sampler lock-free.
+  using Accumulator = SlidingWindowSampler::Fold;
   static Accumulator StartMerge(const Config& config, const Merged* previous);
   static void GatherShard(Accumulator& acc, const Shard& shard);
   static Merged FinishMerge(const Config& config, Accumulator&& acc);

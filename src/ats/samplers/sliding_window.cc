@@ -276,6 +276,33 @@ void MergeTwoByTime(const StoredItem* a, size_t na, const StoredItem* b,
   std::copy(b + ib, b + jb, front);
 }
 
+// A current entry's place in the chain's order: time, then the run
+// (step) that contributed it, then its position there.
+struct TieKey {
+  double time;
+  size_t run;
+  size_t index;
+  friend bool operator<(const TieKey& a, const TieKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.run != b.run) return a.run < b.run;
+    return a.index < b.index;
+  }
+};
+
+// Index of the first entry with time > cut in a fold input's whole
+// sequence: its expired region, then its current region.
+template <typename Input>
+size_t FirstAfter(const Input& in, double cut) {
+  const size_t expired = in.expired_size();
+  if (expired > 0 && in.expired_time(expired - 1) > cut) {
+    return PartitionPoint(
+        expired, [&](size_t i) { return in.expired_time(i) <= cut; });
+  }
+  return expired + PartitionPoint(in.current_size(), [&](size_t i) {
+           return in.current_time(i) <= cut;
+         });
+}
+
 }  // namespace
 
 // The chain this fold computes, one step per input in span order: the
@@ -312,382 +339,325 @@ void MergeTwoByTime(const StoredItem* a, size_t na, const StoredItem* b,
 // merge of the runs in recording order. The clock only rises, so the
 // chain's per-step drops at now - 2w are the single drop at the final
 // clock. Finish materializes the store and the expired union once.
-class SlidingWindowSampler::MergeFold {
- public:
-  MergeFold(SlidingWindowSampler& self, size_t pool_capacity)
-      : self_(self), now_(self.last_time_) {
-    pool_.reserve(pool_capacity);
-    // The accumulator enters the chain as its own time-ordered sequence:
-    // the expired entries are the first run; the store columns (dead
-    // prefix included) are the first carried run, which the first step
-    // expires at its clock like any other.
-    AddRun(self.ExpiredItems());
-    const SamplerInput own(self);
-    current_.reserve(own.current_size());
-    for (size_t i = 0; i < own.current_size(); ++i) {
-      current_.push_back(own.current(i));
-    }
-    if (!current_.empty()) current_runs_.push_back({0, current_.size()});
+
+SlidingWindowSampler::Fold::Fold(SlidingWindowSampler acc)
+    : acc_(std::move(acc)), now_(acc_.last_time_) {
+  // The accumulator enters the chain as its own time-ordered sequence:
+  // the expired entries are the first run; the store columns (dead
+  // prefix included) are the first carried run, which the first step
+  // expires at its clock like any other.
+  const auto expired = acc_.ExpiredItems();
+  pool_.assign(expired.begin(), expired.end());
+  if (!pool_.empty()) runs_.push_back({0, pool_.size()});
+  current_.reserve(acc_.current_.size());
+  for (size_t i = 0; i < acc_.current_.size(); ++i) {
+    current_.push_back(acc_.ItemAt(i));
   }
+  if (!current_.empty()) current_runs_.push_back({0, current_.size()});
+}
 
-  // One chain step. `Input` is SamplerInput or ViewInput.
-  template <typename Input>
-  void Step(const Input& in) {
-    now_ = std::max(now_, in.last_time());
-    const double cut_window = now_ - self_.window_;
-    const double cut_drop = now_ - 2.0 * self_.window_;
+// One chain step. `Input` is SamplerInput or ViewInput.
+template <typename Input>
+void SlidingWindowSampler::Fold::StepInput(const Input& in) {
+  now_ = std::max(now_, in.last_time());
+  const double cut_window = now_ - acc_.window_;
+  const double cut_drop = now_ - 2.0 * acc_.window_;
 
-    // Accumulator expiry at the step's clock: each carried run loses its
-    // prefix up to the window cut; the prefixes, merged, are one run.
-    prefixes_.clear();
-    for (Run& run : current_runs_) {
-      const size_t cut = PartitionPoint(run.end - run.begin, [&](size_t i) {
-        return current_[run.begin + i].time <= cut_window;
-      });
-      prefixes_.push_back({run.begin, run.begin + cut});
-      run.begin += cut;
-    }
-    AddMergedRun(current_.data(), prefixes_);
+  // Accumulator expiry at the step's clock: each carried run loses its
+  // prefix up to the window cut; the prefixes, merged, are one run.
+  prefixes_.clear();
+  for (Run& run : current_runs_) {
+    const size_t cut = PartitionPoint(run.end - run.begin, [&](size_t i) {
+      return current_[run.begin + i].time <= cut_window;
+    });
+    prefixes_.push_back({run.begin, run.begin + cut});
+    run.begin += cut;
+  }
+  AddMergedRun(current_.data(), prefixes_);
 
-    // The input's snapshot: [kept, first_current) of its sequence is its
-    // expired run, the rest its current entries. (The min only matters
-    // for a sampler fed out-of-order times, which breaks its contract.)
-    const size_t first_current = FirstAfter(in, cut_window);
-    const size_t kept = std::min(FirstAfter(in, cut_drop), first_current);
-    const size_t expired_size = in.expired_size();
-    ATS_DCHECK(first_current >= expired_size);
-    const size_t run_begin = pool_.size();
-    AppendToPool(in, kept, first_current);
-    if (pool_.size() > run_begin) runs_.push_back({run_begin, pool_.size()});
-    const size_t in_begin = first_current - expired_size;
-    const size_t in_end = in.current_size();
+  // The input's snapshot: [kept, first_current) of its sequence is its
+  // expired run, the rest its current entries. (The min only matters
+  // for a sampler fed out-of-order times, which breaks its contract.)
+  const size_t first_current = FirstAfter(in, cut_window);
+  const size_t kept = std::min(FirstAfter(in, cut_drop), first_current);
+  const size_t expired_size = in.expired_size();
+  ATS_DCHECK(first_current >= expired_size);
+  const size_t run_begin = pool_.size();
+  for (size_t i = kept; i < first_current; ++i) {
+    pool_.push_back(i < expired_size ? in.expired(i)
+                                     : in.current(i - expired_size));
+  }
+  if (pool_.size() > run_begin) runs_.push_back({run_begin, pool_.size()});
+  const size_t in_begin = first_current - expired_size;
+  const size_t in_end = in.current_size();
 
-    // Min threshold composition (Theorem 9): the common bound, over every
-    // carried and incoming entry, whose priorities the same pass gathers.
-    scratch_.resize(current_.size() + (in_end - in_begin));
-    double bound = 1.0;
-    size_t gathered = 0;
-    for (const Run& run : current_runs_) {
-      for (size_t i = run.begin; i < run.end; ++i) {
-        bound = std::min(bound, current_[i].threshold);
-        scratch_[gathered++] = current_[i].priority;
-      }
+  // Min threshold composition (Theorem 9): the common bound, over every
+  // carried and incoming entry, whose priorities the same pass gathers.
+  scratch_.resize(current_.size() + (in_end - in_begin));
+  double bound = 1.0;
+  size_t gathered = 0;
+  for (const Run& run : current_runs_) {
+    for (size_t i = run.begin; i < run.end; ++i) {
+      bound = std::min(bound, current_[i].threshold);
+      scratch_[gathered++] = current_[i].priority;
     }
-    for (size_t j = in_begin; j < in_end; ++j) {
-      const StoredItem it = in.current(j);
-      bound = std::min(bound, it.threshold);
-      scratch_[gathered++] = it.priority;
-    }
-    // Re-cap at k: the pivot is the (k+1)-th smallest candidate priority
-    // below the bound.
-    size_t n = 0;
-    for (size_t c = 0; c < gathered; ++c) {
-      scratch_[n] = scratch_[c];
-      n += scratch_[c] < bound ? 1 : 0;
-    }
-    const size_t k = self_.k_;
-    if (n <= k) {
-      Filter(in, in_begin, in_end, bound, [bound](const StoredItem& it,
-                                                  const TieKey&) {
-        return it.priority < bound;
-      });
-      return;
-    }
-    const auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(k);
-    std::nth_element(scratch_.begin(), nth,
-                     scratch_.begin() + static_cast<std::ptrdiff_t>(n));
-    const double pivot = *nth;
-    size_t below = 0;
-    for (size_t c = 0; c < k; ++c) below += scratch_[c] < pivot ? 1 : 0;
-    const size_t ties_needed = k - below;
-    if (ties_needed == 0) {
-      Filter(in, in_begin, in_end, pivot, [pivot](const StoredItem& it,
-                                                  const TieKey&) {
-        return it.priority < pivot;
-      });
-      return;
-    }
-    // Ties at the pivot (handcrafted or astronomically unlikely draws):
-    // keep the first `ties_needed` in the chain's order.
-    std::vector<TieKey> ties;
-    for (size_t r = 0; r < current_runs_.size(); ++r) {
-      for (size_t i = current_runs_[r].begin; i < current_runs_[r].end;
-           ++i) {
-        if (current_[i].priority == pivot) {
-          ties.push_back({current_[i].time, r, i});
-        }
-      }
-    }
-    for (size_t j = in_begin; j < in_end; ++j) {
-      const StoredItem it = in.current(j);
-      if (it.priority == pivot) {
-        ties.push_back({it.time, current_runs_.size(), j});
-      }
-    }
-    std::sort(ties.begin(), ties.end());
-    const TieKey last = ties[ties_needed - 1];
-    Filter(in, in_begin, in_end, pivot,
-           [pivot, last](const StoredItem& it, const TieKey& key) {
-             return it.priority < pivot ||
-                    (it.priority == pivot && !(last < key));
+  }
+  for (size_t j = in_begin; j < in_end; ++j) {
+    const StoredItem it = in.current(j);
+    bound = std::min(bound, it.threshold);
+    scratch_[gathered++] = it.priority;
+  }
+  // Re-cap at k: the pivot is the (k+1)-th smallest candidate priority
+  // below the bound.
+  size_t n = 0;
+  for (size_t c = 0; c < gathered; ++c) {
+    scratch_[n] = scratch_[c];
+    n += scratch_[c] < bound ? 1 : 0;
+  }
+  const size_t k = acc_.k_;
+  if (n <= k) {
+    Filter(in, in_begin, in_end, bound,
+           [bound](const StoredItem& it, const TieKey&) {
+             return it.priority < bound;
            });
+    return;
   }
-
-  // Materializes the merged state into the accumulator.
-  void Finish() {
-    SlidingWindowSampler& self = self_;
-    self.last_time_ = now_;
-    ++self.aux_epoch_;
-    // The current store, rebuilt once in time order; the cached top two
-    // describe the old live set.
-    std::vector<StoredItem> current(current_.size());
-    MergeRuns(current_.data(), current_runs_, current.data());
-    self.current_.Erase(0, self.current_.size());
-    self.dead_prefix_ = 0;
-    self.top_checked_ = kNoTopTwo;
-    for (const StoredItem& it : current) {
-      self.current_.Offer(it.priority,
-                          WindowItem{it.id, it.time, it.threshold});
-    }
-    // The expired union, every run cut at the final drop, exactly sized.
-    const double cut_drop = now_ - 2.0 * self.window_;
-    size_t total = 0;
-    for (Run& run : runs_) {
-      run.begin += PartitionPoint(run.end - run.begin, [&](size_t i) {
-        return pool_[run.begin + i].time <= cut_drop;
-      });
-      total += run.end - run.begin;
-    }
-    std::vector<StoredItem> expired(total);
-    MergeRuns(pool_.data(), runs_, expired.data());
-    self.expired_ = std::move(expired);
-    self.expired_head_ = 0;
+  const auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(scratch_.begin(), nth,
+                   scratch_.begin() + static_cast<std::ptrdiff_t>(n));
+  const double pivot = *nth;
+  size_t below = 0;
+  for (size_t c = 0; c < k; ++c) below += scratch_[c] < pivot ? 1 : 0;
+  const size_t ties_needed = k - below;
+  if (ties_needed == 0) {
+    Filter(in, in_begin, in_end, pivot,
+           [pivot](const StoredItem& it, const TieKey&) {
+             return it.priority < pivot;
+           });
+    return;
   }
-
-  // The inputs: a sampler (expired_'s live range, then the store
-  // columns) or a validated frame (its expired region, then its current
-  // region), as entry and time accessors over the two regions.
-  class SamplerInput {
-   public:
-    explicit SamplerInput(const SlidingWindowSampler& s)
-        : last_time_(s.last_time_),
-          expired_(s.ExpiredItems()),
-          priorities_(s.current_.priorities().data()),
-          payloads_(s.current_.payloads().data()),
-          current_size_(s.current_.payloads().size()) {}
-    double last_time() const { return last_time_; }
-    size_t expired_size() const { return expired_.size(); }
-    size_t current_size() const { return current_size_; }
-    StoredItem expired(size_t i) const { return expired_[i]; }
-    double expired_time(size_t i) const { return expired_[i].time; }
-    StoredItem current(size_t i) const {
-      const WindowItem& item = payloads_[i];
-      return StoredItem{item.id, item.time, priorities_[i], item.threshold};
+  // Ties at the pivot (handcrafted or astronomically unlikely draws):
+  // keep the first `ties_needed` in the chain's order.
+  std::vector<TieKey> ties;
+  for (size_t r = 0; r < current_runs_.size(); ++r) {
+    for (size_t i = current_runs_[r].begin; i < current_runs_[r].end; ++i) {
+      if (current_[i].priority == pivot) {
+        ties.push_back({current_[i].time, r, i});
+      }
     }
-    double current_time(size_t i) const { return payloads_[i].time; }
-
-   private:
-    double last_time_;
-    std::span<const StoredItem> expired_;
-    const double* priorities_;
-    const WindowItem* payloads_;
-    size_t current_size_;
-  };
-
-  class ViewInput {
-   public:
-    explicit ViewInput(const FrameView& v) : view_(v) {}
-    double last_time() const { return view_.last_time(); }
-    size_t expired_size() const { return view_.expired_count(); }
-    size_t current_size() const { return view_.current_count(); }
-    StoredItem expired(size_t i) const {
-      return view_.entry(view_.current_count() + i);
+  }
+  for (size_t j = in_begin; j < in_end; ++j) {
+    const StoredItem it = in.current(j);
+    if (it.priority == pivot) {
+      ties.push_back({it.time, current_runs_.size(), j});
     }
-    double expired_time(size_t i) const {
-      return Time(view_.current_count() + i);
-    }
-    StoredItem current(size_t i) const { return view_.entry(i); }
-    double current_time(size_t i) const { return Time(i); }
+  }
+  std::sort(ties.begin(), ties.end());
+  const TieKey last = ties[ties_needed - 1];
+  Filter(in, in_begin, in_end, pivot,
+         [pivot, last](const StoredItem& it, const TieKey& key) {
+           return it.priority < pivot ||
+                  (it.priority == pivot && !(last < key));
+         });
+}
 
-   private:
-    double Time(size_t entry) const {
-      return ReadEntryDouble(view_.entries_,
-                             entry * FrameView::kStride + kEntryTimeOffset);
-    }
-    const FrameView& view_;
-  };
+SlidingWindowSampler SlidingWindowSampler::Fold::Finish() && {
+  acc_.last_time_ = now_;
+  ++acc_.aux_epoch_;
+  // The current store, rebuilt once in time order; the cached top two
+  // describe the old live set.
+  std::vector<StoredItem> current(current_.size());
+  MergeRuns(current_.data(), current_runs_, current.data());
+  acc_.current_.Erase(0, acc_.current_.size());
+  acc_.dead_prefix_ = 0;
+  acc_.top_checked_ = kNoTopTwo;
+  for (const StoredItem& it : current) {
+    acc_.current_.Offer(it.priority, WindowItem{it.id, it.time, it.threshold});
+  }
+  // The expired union, every run cut at the final drop, exactly sized.
+  const double cut_drop = now_ - 2.0 * acc_.window_;
+  size_t total = 0;
+  for (Run& run : runs_) {
+    run.begin += PartitionPoint(run.end - run.begin, [&](size_t i) {
+      return pool_[run.begin + i].time <= cut_drop;
+    });
+    total += run.end - run.begin;
+  }
+  std::vector<StoredItem> expired(total);
+  MergeRuns(pool_.data(), runs_, expired.data());
+  acc_.expired_ = std::move(expired);
+  acc_.expired_head_ = 0;
+  return std::move(acc_);
+}
+
+// The inputs: a sampler (expired_'s live range, then the store columns)
+// or a validated frame (its expired region, then its current region),
+// as entry and time accessors over the two regions.
+class SlidingWindowSampler::Fold::SamplerInput {
+ public:
+  explicit SamplerInput(const SlidingWindowSampler& s)
+      : last_time_(s.last_time_),
+        expired_(s.ExpiredItems()),
+        priorities_(s.current_.priorities().data()),
+        payloads_(s.current_.payloads().data()),
+        current_size_(s.current_.payloads().size()) {}
+  double last_time() const { return last_time_; }
+  size_t expired_size() const { return expired_.size(); }
+  size_t current_size() const { return current_size_; }
+  StoredItem expired(size_t i) const { return expired_[i]; }
+  double expired_time(size_t i) const { return expired_[i].time; }
+  StoredItem current(size_t i) const {
+    const WindowItem& item = payloads_[i];
+    return StoredItem{item.id, item.time, priorities_[i], item.threshold};
+  }
+  double current_time(size_t i) const { return payloads_[i].time; }
 
  private:
-  struct Run {
-    size_t begin;
-    size_t end;
-  };
+  double last_time_;
+  std::span<const StoredItem> expired_;
+  const double* priorities_;
+  const WindowItem* payloads_;
+  size_t current_size_;
+};
 
-  // A current entry's place in the chain's order: time, then the run
-  // (step) that contributed it, then its position there.
-  struct TieKey {
-    double time;
-    size_t run;
-    size_t index;
-    friend bool operator<(const TieKey& a, const TieKey& b) {
-      if (a.time != b.time) return a.time < b.time;
-      if (a.run != b.run) return a.run < b.run;
-      return a.index < b.index;
-    }
-  };
-
-  // Index of the first entry with time > cut in an input's whole
-  // sequence: its expired region, then its current region.
-  template <typename Input>
-  static size_t FirstAfter(const Input& in, double cut) {
-    const size_t expired = in.expired_size();
-    if (expired > 0 && in.expired_time(expired - 1) > cut) {
-      return PartitionPoint(
-          expired, [&](size_t i) { return in.expired_time(i) <= cut; });
-    }
-    return expired + PartitionPoint(in.current_size(), [&](size_t i) {
-             return in.current_time(i) <= cut;
-           });
+class SlidingWindowSampler::Fold::ViewInput {
+ public:
+  explicit ViewInput(const FrameView& v) : view_(v) {}
+  double last_time() const { return view_.last_time(); }
+  size_t expired_size() const { return view_.expired_count(); }
+  size_t current_size() const { return view_.current_count(); }
+  StoredItem expired(size_t i) const {
+    return view_.entry(view_.current_count() + i);
   }
-
-  // Appends entries [begin, end) of an input's whole sequence to pool_.
-  template <typename Input>
-  void AppendToPool(const Input& in, size_t begin, size_t end) {
-    const size_t expired = in.expired_size();
-    for (size_t i = begin; i < end; ++i) {
-      pool_.push_back(i < expired ? in.expired(i) : in.current(i - expired));
-    }
+  double expired_time(size_t i) const {
+    return Time(view_.current_count() + i);
   }
+  StoredItem current(size_t i) const { return view_.entry(i); }
+  double current_time(size_t i) const { return Time(i); }
 
-  // Keeps the carried and incoming current entries that pass `keep`,
-  // min-composing their thresholds with `t_final`: every carried run is
-  // filtered in place, and the input's survivors become the last run.
-  template <typename Input, typename Keep>
-  void Filter(const Input& in, size_t in_begin, size_t in_end,
-              double t_final, Keep keep) {
-    const size_t in_run = current_runs_.size();
-    size_t w = 0;
-    size_t live_runs = 0;
-    for (size_t r = 0; r < current_runs_.size(); ++r) {
-      const Run run = current_runs_[r];
-      const size_t begin = w;
-      for (size_t i = run.begin; i < run.end; ++i) {
-        StoredItem it = current_[i];
-        const bool kept = keep(it, TieKey{it.time, r, i});
-        it.threshold = std::min(it.threshold, t_final);
-        current_[w] = it;
-        w += kept ? 1 : 0;
-      }
-      if (w > begin) current_runs_[live_runs++] = {begin, w};
-    }
-    current_runs_.resize(live_runs);
-    current_.resize(w + (in_end - in_begin));
+ private:
+  double Time(size_t entry) const {
+    return ReadEntryDouble(view_.entries_,
+                           entry * FrameView::kStride + kEntryTimeOffset);
+  }
+  const FrameView& view_;
+};
+
+void SlidingWindowSampler::Fold::Step(const SlidingWindowSampler& in) {
+  ATS_CHECK(in.window_ == acc_.window_);
+  StepInput(SamplerInput(in));
+}
+
+void SlidingWindowSampler::Fold::Step(const FrameView& in) {
+  ATS_CHECK(in.window() == acc_.window_);
+  StepInput(ViewInput(in));
+}
+
+// Keeps the carried and incoming current entries that pass `keep`,
+// min-composing their thresholds with `t_final`: every carried run is
+// filtered in place, and the input's survivors become the last run.
+template <typename Input, typename Keep>
+void SlidingWindowSampler::Fold::Filter(const Input& in, size_t in_begin,
+                                        size_t in_end, double t_final,
+                                        Keep keep) {
+  const size_t in_run = current_runs_.size();
+  size_t w = 0;
+  size_t live_runs = 0;
+  for (size_t r = 0; r < current_runs_.size(); ++r) {
+    const Run run = current_runs_[r];
     const size_t begin = w;
-    for (size_t j = in_begin; j < in_end; ++j) {
-      StoredItem it = in.current(j);
-      const bool kept = keep(it, TieKey{it.time, in_run, j});
+    for (size_t i = run.begin; i < run.end; ++i) {
+      StoredItem it = current_[i];
+      const bool kept = keep(it, TieKey{it.time, r, i});
       it.threshold = std::min(it.threshold, t_final);
       current_[w] = it;
       w += kept ? 1 : 0;
     }
-    current_.resize(w);
-    if (w > begin) current_runs_.push_back({begin, w});
+    if (w > begin) current_runs_[live_runs++] = {begin, w};
   }
+  current_runs_.resize(live_runs);
+  current_.resize(w + (in_end - in_begin));
+  const size_t begin = w;
+  for (size_t j = in_begin; j < in_end; ++j) {
+    StoredItem it = in.current(j);
+    const bool kept = keep(it, TieKey{it.time, in_run, j});
+    it.threshold = std::min(it.threshold, t_final);
+    current_[w] = it;
+    w += kept ? 1 : 0;
+  }
+  current_.resize(w);
+  if (w > begin) current_runs_.push_back({begin, w});
+}
 
-  // Merges the time-ordered `runs` of `items` into `out` (room for all
-  // of them), stably: on equal times an earlier run's entries come first.
-  // Adjacent runs merge pairwise, left run first, in rounds that
-  // alternate between spare_ and `out`, so that the last lands in `out`.
-  void MergeRuns(const StoredItem* items, std::span<const Run> runs,
-                 StoredItem* out) {
-    rounds_.clear();
-    size_t total = 0;
-    for (const Run& run : runs) {
-      if (run.begin == run.end) continue;
-      rounds_.push_back(run);
-      total += run.end - run.begin;
+// Merges the time-ordered `runs` of `items` into `out` (room for all of
+// them), stably: on equal times an earlier run's entries come first.
+// Adjacent runs merge pairwise, left run first, in rounds that alternate
+// between spare_ and `out`, so that the last lands in `out`.
+void SlidingWindowSampler::Fold::MergeRuns(const StoredItem* items,
+                                           std::span<const Run> runs,
+                                           StoredItem* out) {
+  rounds_.clear();
+  size_t total = 0;
+  for (const Run& run : runs) {
+    if (run.begin == run.end) continue;
+    rounds_.push_back(run);
+    total += run.end - run.begin;
+  }
+  size_t rounds = 0;
+  for (size_t n = rounds_.size(); n > 1; n = (n + 1) / 2) ++rounds;
+  if (rounds == 0) {
+    if (!rounds_.empty()) std::copy(items + rounds_[0].begin,
+                                    items + rounds_[0].end, out);
+    return;
+  }
+  if (spare_.size() < total) spare_.resize(total);
+  const StoredItem* from = items;
+  for (size_t round = rounds; round > 0; --round) {
+    // Odd rounds-to-go write `out`, even ones the spare.
+    StoredItem* to = round % 2 == 1 ? out : spare_.data();
+    size_t merged = 0;
+    size_t at = 0;
+    for (size_t r = 0; r < rounds_.size(); r += 2) {
+      const Run a = rounds_[r];
+      const Run b = r + 1 < rounds_.size() ? rounds_[r + 1]
+                                            : Run{a.end, a.end};
+      MergeTwoByTime(from + a.begin, a.end - a.begin, from + b.begin,
+                     b.end - b.begin, to + at);
+      const size_t size = (a.end - a.begin) + (b.end - b.begin);
+      rounds_[merged++] = {at, at + size};
+      at += size;
     }
-    size_t rounds = 0;
-    for (size_t n = rounds_.size(); n > 1; n = (n + 1) / 2) ++rounds;
-    if (rounds == 0) {
-      if (!rounds_.empty()) std::copy(items + rounds_[0].begin,
-                                      items + rounds_[0].end, out);
-      return;
-    }
-    if (spare_.size() < total) spare_.resize(total);
-    const StoredItem* from = items;
-    for (size_t round = rounds; round > 0; --round) {
-      // Odd rounds-to-go write `out`, even ones the spare.
-      StoredItem* to = round % 2 == 1 ? out : spare_.data();
-      size_t merged = 0;
-      size_t at = 0;
-      for (size_t r = 0; r < rounds_.size(); r += 2) {
-        const Run a = rounds_[r];
-        const Run b = r + 1 < rounds_.size() ? rounds_[r + 1]
-                                              : Run{a.end, a.end};
-        MergeTwoByTime(from + a.begin, a.end - a.begin, from + b.begin,
-                       b.end - b.begin, to + at);
-        const size_t size = (a.end - a.begin) + (b.end - b.begin);
-        rounds_[merged++] = {at, at + size};
-        at += size;
-      }
-      rounds_.resize(merged);
-      from = to;
-    }
+    rounds_.resize(merged);
+    from = to;
   }
+}
 
-  void AddRun(std::span<const StoredItem> items) {
-    if (items.empty()) return;
-    const size_t begin = pool_.size();
-    pool_.insert(pool_.end(), items.begin(), items.end());
-    runs_.push_back({begin, pool_.size()});
-  }
-
-  void AddMergedRun(const StoredItem* items, std::span<const Run> runs) {
-    size_t size = 0;
-    for (const Run& run : runs) size += run.end - run.begin;
-    if (size == 0) return;
-    const size_t begin = pool_.size();
-    pool_.resize(begin + size);
-    MergeRuns(items, runs, pool_.data() + begin);
-    runs_.push_back({begin, pool_.size()});
-  }
-
-  SlidingWindowSampler& self_;
-  double now_;
-  // The carried current set: one time-ordered run per contributing
-  // step, in step order.
-  std::vector<StoredItem> current_;
-  std::vector<Run> current_runs_;
-  std::vector<Run> prefixes_;    // a step's expiring run prefixes
-  std::vector<double> scratch_;  // candidate priorities for the re-cap
-  // Every expired run, in recording order.
-  std::vector<StoredItem> pool_;
-  std::vector<Run> runs_;
-  // MergeRuns scratch: the working runs and the alternate buffer.
-  std::vector<Run> rounds_;
-  std::vector<StoredItem> spare_;
-};
+void SlidingWindowSampler::Fold::AddMergedRun(const StoredItem* items,
+                                              std::span<const Run> runs) {
+  size_t size = 0;
+  for (const Run& run : runs) size += run.end - run.begin;
+  if (size == 0) return;
+  const size_t begin = pool_.size();
+  pool_.resize(begin + size);
+  MergeRuns(items, runs, pool_.data() + begin);
+  runs_.push_back({begin, pool_.size()});
+}
 
 void SlidingWindowSampler::MergeMany(
     std::span<const SlidingWindowSampler* const> inputs) {
   // Inputs aliasing `this` are skipped; with no real inputs this is a
   // strict no-op (expiry must not advance, ties at thresholds must
   // survive).
-  size_t pool_capacity = ExpiredItems().size() + current_.size();
-  bool any = false;
-  for (const SlidingWindowSampler* in : inputs) {
-    if (in == this) continue;
-    ATS_CHECK(in->window_ == window_);
-    pool_capacity += in->ExpiredItems().size() + in->current_.size();
-    any = true;
+  if (std::ranges::all_of(inputs, [this](const SlidingWindowSampler* in) {
+        return in == this;
+      })) {
+    return;
   }
-  if (!any) return;
-  MergeFold fold(*this, pool_capacity);
+  Fold fold(std::move(*this));
   for (const SlidingWindowSampler* in : inputs) {
-    if (in != this) fold.Step(MergeFold::SamplerInput(*in));
+    if (in != this) fold.Step(*in);
   }
-  fold.Finish();
+  *this = std::move(fold).Finish();
 }
 
 void SlidingWindowSampler::Merge(const SlidingWindowSampler& other) {
@@ -867,24 +837,18 @@ bool SlidingWindowSampler::MergeManyFrames(
   // Validate every frame before the first one is applied; a window
   // mismatch is as fatal as a parse failure (merging different window
   // lengths has no defined semantics).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->window() != window_) return false;
-    views.push_back(*view);
-  }
+  const auto views =
+      VetFrames<SlidingWindowSampler>(frames, [this](const FrameView& v) {
+        return v.window() == window_;
+      });
+  if (!views) return false;
   // Fold the validated views in span order -- observationally identical
   // to Deserialize + Merge per frame, without materializing a sampler
   // per frame. An empty list is a strict no-op.
-  if (views.empty()) return true;
-  size_t pool_capacity = ExpiredItems().size() + current_.size();
-  for (const FrameView& v : views) {
-    pool_capacity += v.current_count() + v.expired_count();
-  }
-  MergeFold fold(*this, pool_capacity);
-  for (const FrameView& v : views) fold.Step(MergeFold::ViewInput(v));
-  fold.Finish();
+  if (views->empty()) return true;
+  Fold fold(std::move(*this));
+  for (const FrameView& v : *views) fold.Step(v);
+  *this = std::move(fold).Finish();
   return true;
 }
 

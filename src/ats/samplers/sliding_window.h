@@ -57,9 +57,12 @@
 // old constraints expire -- so there is no clock-free global bound to
 // hoist: MergeMany/MergeManyFrames are defined by the pairwise chain in
 // span order, which is the test oracle (tests/window_chain_reference.h),
-// and computed as one fold that carries the chain's running clock and
-// current set across inputs and materializes the store and the expired
-// union once (frames all validated before the first is applied).
+// and computed as one fold (Fold, below) that carries the chain's running
+// clock and current set across inputs and materializes the store and the
+// expired union once (frames all validated before the first is applied).
+// A step reads its input in place, so the sharded front-end's snapshot
+// rebuild runs each shard's step under that shard's lock, copying no
+// shard.
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
@@ -249,6 +252,9 @@ class SlidingWindowSampler {
   /// applied.
   bool MergeManyFrames(std::span<const std::string_view> frames);
 
+  /// The k-way merge as an incremental fold (defined below).
+  class Fold;
+
  private:
   // Store payload: everything about a stored item except its priority,
   // which lives in the store's priority column.
@@ -353,9 +359,6 @@ class SlidingWindowSampler {
   std::vector<SampleEntry> SampleWithThreshold(double threshold) const;
   // Improved threshold over the store as-is (no expiry advance).
   double CurrentMinThreshold() const;
-  // The k-way merge fold behind Merge, MergeMany and MergeManyFrames
-  // (defined and explained in the .cc).
-  class MergeFold;
 
   size_t k_;
   double window_;
@@ -393,6 +396,66 @@ class SlidingWindowSampler {
   // Observable mutations not visible in the store's epoch (expired-side
   // changes, time advancement); see mutation_epoch().
   uint64_t aux_epoch_ = 0;
+};
+
+/// The one k-way merge of windowed samplers, behind Merge, MergeMany,
+/// MergeManyFrames and the sharded front-end's snapshot rebuild
+/// (concurrent_sampler.h): Fold(acc), then Step(in) per input in chain
+/// order, then Finish, yields exactly acc.MergeMany(inputs). A step
+/// copies its input's survivors into the fold's own buffers and keeps
+/// nothing that refers to the input, so an input need only stay
+/// unchanged during its own step. The algorithm is explained in the .cc.
+class SlidingWindowSampler::Fold {
+ public:
+  /// Opens the fold on `acc`, the chain's first element; the merged
+  /// sampler keeps its k, window and RNG state.
+  explicit Fold(SlidingWindowSampler acc);
+  Fold(Fold&&) = default;
+  Fold& operator=(Fold&&) = default;
+  Fold(const Fold&) = delete;
+  Fold& operator=(const Fold&) = delete;
+
+  /// One chain step at the running clock max. The input's window must
+  /// match the accumulator's (ATS_CHECK enforced); a frame view is
+  /// validated by construction (DeserializeView).
+  void Step(const SlidingWindowSampler& in);
+  void Step(const FrameView& in);
+
+  /// Materializes the merged sampler.
+  SlidingWindowSampler Finish() &&;
+
+ private:
+  struct Run {
+    size_t begin;
+    size_t end;
+  };
+  // The inputs as two time-ordered regions (defined in the .cc).
+  class SamplerInput;
+  class ViewInput;
+
+  template <typename Input>
+  void StepInput(const Input& in);
+  template <typename Input, typename Keep>
+  void Filter(const Input& in, size_t in_begin, size_t in_end,
+              double t_final, Keep keep);
+  void MergeRuns(const StoredItem* items, std::span<const Run> runs,
+                 StoredItem* out);
+  void AddMergedRun(const StoredItem* items, std::span<const Run> runs);
+
+  SlidingWindowSampler acc_;
+  double now_;
+  // The carried current set: one time-ordered run per contributing
+  // step, in step order.
+  std::vector<StoredItem> current_;
+  std::vector<Run> current_runs_;
+  std::vector<Run> prefixes_;    // a step's expiring run prefixes
+  std::vector<double> scratch_;  // candidate priorities for the re-cap
+  // Every expired run, in recording order.
+  std::vector<StoredItem> pool_;
+  std::vector<Run> runs_;
+  // MergeRuns scratch: the working runs and the alternate buffer.
+  std::vector<Run> rounds_;
+  std::vector<StoredItem> spare_;
 };
 
 static_assert(MergeableSketch<SlidingWindowSampler>);

@@ -693,6 +693,35 @@ TEST(ConcurrentRebuildOracle, DecayRoundsMatchReference) {
   EXPECT_GE(rebuilds, kOracleRounds / 2);
 }
 
+TEST(ConcurrentRebuildOracle, WindowRoundsMatchReference) {
+  // Each rebuild steps the window merge fold over every shard in place
+  // under its lock. Times ascend with keys, so every shard's arrivals
+  // are in time order; a window spans about 200 arrivals (25 per shard,
+  // above k, so shards evict), and each small round advances the clock
+  // by about an eighth of a window, so entries expire between rounds.
+  const size_t k = 16;
+  const double window = 2.0;
+  const uint64_t seed = 31;
+  ConcurrentWindowSampler conc(kOracleShards, k, window, seed);
+  const auto chunks = ShardOwnedRounds(conc, [](uint64_t key) {
+    return ConcurrentWindowSampler::Arrival{0.01 * static_cast<double>(key),
+                                            key};
+  });
+  auto sharded = WindowReference(kOracleShards, k, window, seed);
+  const size_t rebuilds = RunOracleRounds(
+      conc, chunks, [&](size_t r, const SlidingWindowSampler& snap) {
+        SCOPED_TRACE(testing::Message() << "round " << r);
+        for (const auto& chunk : chunks[r]) {
+          for (const auto& a : chunk) {
+            sharded.ShardFor(a.id).Arrive(a.time, a.id);
+          }
+        }
+        EXPECT_EQ(snap.SerializeToString(),
+                  sharded.Merged().SerializeToString());
+      });
+  EXPECT_GE(rebuilds, kOracleRounds / 2);
+}
+
 TEST(ConcurrentRebuildOracle,
      CoordinatedPriorityRoundsMatchSingleSamplerPrefixes) {
   // From round 1 on, routed ingest is filtered at the previous
