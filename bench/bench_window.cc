@@ -1,5 +1,5 @@
-// Time-axis sampler benchmarks (google-benchmark): the SampleStore-backed
-// sliding window and time-decay samplers, their batched ingest paths, the
+// Time-axis sampler benchmarks (google-benchmark): the sliding window and
+// the SampleStore-backed time-decay sampler, their batched ingest paths, the
 // k-way merges, and the sharded front-end's snapshot cache.
 //
 //   ./build/bench/bench_window
@@ -69,11 +69,11 @@ BENCHMARK(BM_WindowArrive)->Arg(64)->Arg(512);
 // The rate == k operating point: arrivals spaced window/k apart, so the
 // window holds ~k items, the sample never saturates (every arrival is
 // accepted) and nearly every arrival expires exactly one predecessor.
-// This is the dead-prefix reclamation hot path (CleanupDeadPrefix, a
-// prefix SampleStore::Erase) -- the regime where the classic deque-backed
-// G&L design wins on O(1) physical front-pops, which
+// This is the expiry hot path (index advances, plus one batched erase of
+// the dropped prefix per k drops) -- the regime where the classic
+// deque-backed G&L design wins on O(1) physical front-pops, which
 // BM_WindowArriveBoundaryDequeRef below reproduces as the baseline the
-// store-backed sampler must stay at parity with.
+// vector-backed sampler must stay at parity with.
 void BM_WindowArriveBoundary(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const double dt = 1.0 / static_cast<double>(k);

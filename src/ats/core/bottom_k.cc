@@ -107,16 +107,14 @@ FrameFault PrioritySampler::DiagnoseFrame(std::string_view frame) {
 
 bool PrioritySampler::MergeManyFrames(
     std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<BottomK<Item>::FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view) return false;
-    views.push_back(view->sample_);
-  }
-  if (views.empty()) return true;  // strict no-op, like MergeMany({})
-  sketch_.MergeValidatedViews(views);
+  const auto views =
+      VetFrames<PrioritySampler>(frames, [](const FrameView&) { return true; });
+  if (!views) return false;
+  if (views->empty()) return true;  // strict no-op, like MergeMany({})
+  std::vector<BottomK<Item>::FrameView> samples;
+  samples.reserve(views->size());
+  for (const FrameView& v : *views) samples.push_back(v.sample_);
+  sketch_.MergeValidatedViews(samples);
   return true;
 }
 

@@ -1,5 +1,8 @@
 // Shared bottom-k sample store: the single retention engine behind every
-// adaptive-threshold sampler and sketch in the library (Sections 2.5, 2.7).
+// bottom-k adaptive-threshold sampler and sketch in the library (Sections
+// 2.5, 2.7). The sliding window is not one of them: it evicts by time
+// and per-item threshold, not by priority, and keeps its own time-ordered
+// item vector (samplers/sliding_window.h).
 //
 // The store keeps the k items with smallest priorities seen so far in
 // structure-of-arrays layout -- a `priority[]` column and a parallel
@@ -494,49 +497,6 @@ class SampleStore {
     ++mutation_epoch_;
     threshold_ = t;
     FilterColumns([t](double p) { return p < t; });
-  }
-
-  /// Time-axis hook: removes the `count` canonical entries starting at
-  /// arrival-order position `first`; the survivors keep their arrival
-  /// order and column lockstep. One ranged vector::erase per column (a
-  /// memmove for the POD priority column), so a prefix, a single
-  /// positional entry and the whole store all cost one pass. The sliding
-  /// window uses it for dead-prefix reclamation, capacity eviction and
-  /// the merge rebuild.
-  ///
-  /// The threshold is deliberately NOT touched: removal models a change
-  /// of the underlying population (window expiry, eviction by a caller-
-  /// side rule), and only the calling sampler knows what the acceptance
-  /// rule over the remaining population is. Bumps the mutation epoch iff
-  /// count > 0. Thread-safety: mutating call -- never run concurrently
-  /// with any other access to the same store.
-  void Erase(size_t first, size_t count) {
-    CompactToK();
-    ATS_CHECK(first <= priority_.size() &&
-              count <= priority_.size() - first);
-    if (count == 0) return;
-    const auto from = static_cast<ptrdiff_t>(first);
-    const auto to = static_cast<ptrdiff_t>(first + count);
-    priority_.erase(priority_.begin() + from, priority_.begin() + to);
-    payload_.erase(payload_.begin() + from, payload_.begin() + to);
-    ++mutation_epoch_;
-  }
-
-  /// Time-axis hook: visits every canonical payload mutably, in arrival
-  /// order, as `fn(priority, Payload&)`. Used by samplers that keep
-  /// per-item thresholds inside the payload (sliding window min-updates
-  /// them on eviction). Priorities are read-only: changing a priority
-  /// would invalidate the retention invariant, so it is not offered.
-  /// Always bumps the mutation epoch (the caller is assumed to change
-  /// observable payload state). Thread-safety: mutating call -- never run
-  /// concurrently with any other access to the same store.
-  template <typename Fn>
-  void ForEachMutablePayload(Fn&& fn) {
-    CompactToK();
-    ++mutation_epoch_;
-    for (size_t i = 0; i < priority_.size(); ++i) {
-      fn(priority_[i], payload_[i]);
-    }
   }
 
  private:

@@ -35,73 +35,40 @@ SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
     : k_(k),
       window_(window),
       rng_(seed),
-      // Uniform priorities live in (0, 1]; the store bound stays at 1.0
-      // forever because eviction is manual (see Arrive). The store is
-      // sized at TWICE the sampler's k: it holds at most k live plus k
-      // dead-prefix entries (see ExpireUntil), and the store's own
-      // priority-ordered compaction -- which fires whenever a
-      // canonicalizing accessor sees more than its k entries -- must
-      // never run on windowed state (it would evict by priority, not by
-      // time).
-      current_(2 * k, 1.0),
       last_time_(-std::numeric_limits<double>::infinity()) {
   ATS_CHECK(k >= 1);
   ATS_CHECK(window > 0.0);
 }
 
-void SlidingWindowSampler::CleanupDeadPrefix() {
-  if (dead_prefix_ == 0) return;
-  // The dead entries are a physical prefix, in time order, and OLDER
-  // than everything already in expired_ was when it was copied -- so the
-  // bulk copy appends in time order, and the reclamation is two ranged
-  // erases (memmoves), not a per-element filter pass. Batching the
-  // copy here (instead of copying item-by-item as each expires) is what
-  // keeps the rate == k boundary at parity with a deque front-pop design
-  // (bench_window.cc, BM_WindowArriveBoundary). The dead entries are
-  // checked against the cached top two before their positions vanish.
+void SlidingWindowSampler::EraseDropped() {
+  // The erased positions vanish, so the expired items among them are
+  // checked against the cached top two first.
   CheckExpiredTopTwo();
-  const auto& payloads = current_.payloads();
-  const auto& priorities = current_.priorities();
-  expired_.reserve(expired_.size() + dead_prefix_);
-  for (size_t i = 0; i < dead_prefix_; ++i) {
-    expired_.push_back(StoredItem{payloads[i].id, payloads[i].time,
-                                  priorities[i], payloads[i].threshold});
-  }
-  current_.Erase(0, dead_prefix_);
-  dead_prefix_ = 0;
-  if (top_checked_ != kNoTopTwo) top_checked_ = 0;
-}
-
-void SlidingWindowSampler::FlushExpiry(double now) {
-  ExpireUntil(now);
-  CleanupDeadPrefix();
-  // Entries that aged past two windows while parked in the dead prefix
-  // reached expired_ only in the extraction above; one more drop scan
-  // makes the exposed expired set exact.
-  DropExpired();
+  items_.erase(items_.begin(),
+               items_.begin() + static_cast<std::ptrdiff_t>(head_));
+  boundary_ -= head_;
+  if (top_checked_ != kNoTopTwo) top_checked_ -= head_;
+  head_ = 0;
 }
 
 void SlidingWindowSampler::CheckExpiredTopTwo() {
   if (top_checked_ == kNoTopTwo) return;
-  const auto& priorities = current_.priorities();
-  for (size_t i = top_checked_; i < dead_prefix_; ++i) {
-    if (priorities[i] >= top2_) {
+  for (size_t i = top_checked_; i < boundary_; ++i) {
+    if (items_[i].priority >= top2_) {
       top_checked_ = kNoTopTwo;
       return;
     }
   }
-  top_checked_ = dead_prefix_;
+  top_checked_ = boundary_;
 }
 
 void SlidingWindowSampler::RescanTopTwo() {
-  // The live current set is the column region past the dead prefix.
   top1_ = 0.0;
   top2_ = 0.0;
-  const auto& priorities = current_.priorities();
-  for (size_t i = dead_prefix_; i < priorities.size(); ++i) {
-    NoteTopInsert(priorities[i]);
+  for (size_t i = boundary_; i < items_.size(); ++i) {
+    NoteTopInsert(items_[i].priority);
   }
-  top_checked_ = dead_prefix_;
+  top_checked_ = boundary_;
 }
 
 bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
@@ -120,55 +87,44 @@ bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
   // to min(T_i, T_n) and evict the (first) largest-priority item -- its
   // priority is >= the new threshold. One pass does both and also
   // tracks the second and third largest priorities, which are the top
-  // two once the evictee is gone. It runs on the physically clean store
-  // (evictions are O(k) anyway, so the deferred prefix cleanup rides
-  // along) and BEFORE the store sees the newcomer, so the store never
-  // exceeds k entries here and its own compaction stays idle.
-  CleanupDeadPrefix();
-  size_t index = 0;
-  size_t evict = 0;
+  // two once the evictee is gone.
+  size_t evict = boundary_;
   double m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  current_.ForEachMutablePayload([&](double p, WindowItem& item) {
+  for (size_t i = boundary_; i < items_.size(); ++i) {
+    StoredItem& item = items_[i];
     item.threshold = std::min(item.threshold, initial_threshold);
+    const double p = item.priority;
     if (p > m1) {
       m3 = m2;
       m2 = m1;
       m1 = p;
-      evict = index;
+      evict = i;
     } else if (p > m2) {
       m3 = m2;
       m2 = p;
     } else if (p > m3) {
       m3 = p;
     }
-    ++index;
-  });
+  }
   ATS_DCHECK(m1 >= initial_threshold);
-  current_.Erase(evict, 1);
+  items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(evict));
   top1_ = m2;
   top2_ = m3;
-  top_checked_ = 0;
-  current_.Offer(priority, WindowItem{id, time, initial_threshold});
+  top_checked_ = boundary_;
+  items_.push_back(StoredItem{id, time, priority, initial_threshold});
+  ++epoch_;
   NoteTopInsert(priority);
   return true;
 }
 
-SlidingWindowSampler::StoredItem SlidingWindowSampler::ItemAt(
-    size_t i) const {
-  const WindowItem& item = current_.payloads()[i];
-  return StoredItem{item.id, item.time, current_.priorities()[i],
-                    item.threshold};
-}
-
 double SlidingWindowSampler::GlThreshold(double now) {
-  FlushExpiry(now);
-  const auto expired = ExpiredItems();
+  ExpireUntil(now);
+  if (items_.size() - head_ < k_) return 1.0;
   std::vector<double> priorities;
-  priorities.reserve(current_.size() + expired.size());
-  priorities.assign(current_.priorities().begin(),
-                    current_.priorities().end());
-  for (const StoredItem& it : expired) priorities.push_back(it.priority);
-  if (priorities.size() < k_) return 1.0;
+  priorities.reserve(items_.size() - head_);
+  for (size_t i = head_; i < items_.size(); ++i) {
+    priorities.push_back(items_[i].priority);
+  }
   std::nth_element(priorities.begin(),
                    priorities.begin() + static_cast<std::ptrdiff_t>(k_ - 1),
                    priorities.end());
@@ -177,27 +133,24 @@ double SlidingWindowSampler::GlThreshold(double now) {
 
 double SlidingWindowSampler::CurrentMinThreshold() const {
   double t = 1.0;
-  const auto& payloads = current_.payloads();
-  for (size_t i = dead_prefix_; i < payloads.size(); ++i) {
-    t = std::min(t, payloads[i].threshold);
+  for (size_t i = boundary_; i < items_.size(); ++i) {
+    t = std::min(t, items_[i].threshold);
   }
   return t;
 }
 
 double SlidingWindowSampler::ImprovedThreshold(double now) {
-  FlushExpiry(now);
+  ExpireUntil(now);
   return CurrentMinThreshold();
 }
 
 std::vector<SampleEntry> SlidingWindowSampler::SampleWithThreshold(
     double threshold) const {
   std::vector<SampleEntry> out;
-  const auto& priorities = current_.priorities();
-  const auto& payloads = current_.payloads();
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    if (priorities[i] < threshold) {
-      out.push_back(MakeUniformEntry(payloads[i].id, 1.0, priorities[i],
-                                     threshold));
+  for (size_t i = boundary_; i < items_.size(); ++i) {
+    const StoredItem& it = items_[i];
+    if (it.priority < threshold) {
+      out.push_back(MakeUniformEntry(it.id, 1.0, it.priority, threshold));
     }
   }
   return out;
@@ -212,19 +165,15 @@ std::vector<SampleEntry> SlidingWindowSampler::ImprovedSample(double now) {
 }
 
 size_t SlidingWindowSampler::StoredCount(double now) {
-  FlushExpiry(now);
-  return current_.size() + ExpiredItems().size();
+  ExpireUntil(now);
+  return items_.size() - head_;
 }
 
 std::vector<SlidingWindowSampler::StoredItem>
 SlidingWindowSampler::CurrentItems(double now) {
-  FlushExpiry(now);
-  std::vector<StoredItem> out;
-  out.reserve(current_.size());
-  for (size_t i = 0; i < current_.size(); ++i) {
-    out.push_back(ItemAt(i));
-  }
-  return out;
+  ExpireUntil(now);
+  return std::vector<StoredItem>(
+      items_.begin() + static_cast<std::ptrdiff_t>(boundary_), items_.end());
 }
 
 // --- Merging ----------------------------------------------------------
@@ -317,10 +266,10 @@ size_t FirstAfter(const Input& in, double cut) {
 //
 // The fold reads every input in place: a sampler or frame is one
 // time-ordered sequence -- its expired region, then its current region
-// (for a sampler, the store columns including the dead prefix) -- and
-// its snapshot at now is two binary-searched cuts of it. The current
-// part of that snapshot always lies in the current region, because the
-// expired region ends at or before the input's clock minus one window.
+// -- and its snapshot at now is two binary-searched cuts of it. The
+// current part of that snapshot always lies in the current region,
+// because the expired region ends at or before the input's clock minus
+// one window.
 //
 // The chain's current set, ordered by (time, step that contributed the
 // entry, position in that step's input), is carried as one time-ordered
@@ -338,21 +287,22 @@ size_t FirstAfter(const Input& in, double cut) {
 // not), so the chain's expired union is exactly the stable time-order
 // merge of the runs in recording order. The clock only rises, so the
 // chain's per-step drops at now - 2w are the single drop at the final
-// clock. Finish materializes the store and the expired union once.
+// clock. Finish writes the expired union, then the current set, into the
+// merged sampler's item vector once.
 
 SlidingWindowSampler::Fold::Fold(SlidingWindowSampler acc)
     : acc_(std::move(acc)), now_(acc_.last_time_) {
   // The accumulator enters the chain as its own time-ordered sequence:
-  // the expired entries are the first run; the store columns (dead
-  // prefix included) are the first carried run, which the first step
-  // expires at its clock like any other.
-  const auto expired = acc_.ExpiredItems();
-  pool_.assign(expired.begin(), expired.end());
+  // its expired items are the first run; its current items are the
+  // first carried run, which the first step expires at its clock like
+  // any other.
+  const auto& items = acc_.items_;
+  const auto boundary = items.begin() +
+                        static_cast<std::ptrdiff_t>(acc_.boundary_);
+  pool_.assign(items.begin() + static_cast<std::ptrdiff_t>(acc_.head_),
+               boundary);
   if (!pool_.empty()) runs_.push_back({0, pool_.size()});
-  current_.reserve(acc_.current_.size());
-  for (size_t i = 0; i < acc_.current_.size(); ++i) {
-    current_.push_back(acc_.ItemAt(i));
-  }
+  current_.assign(boundary, items.end());
   if (!current_.empty()) current_runs_.push_back({0, current_.size()});
 }
 
@@ -463,61 +413,49 @@ void SlidingWindowSampler::Fold::StepInput(const Input& in) {
 
 SlidingWindowSampler SlidingWindowSampler::Fold::Finish() && {
   acc_.last_time_ = now_;
-  ++acc_.aux_epoch_;
-  // The current store, rebuilt once in time order; the cached top two
-  // describe the old live set.
-  std::vector<StoredItem> current(current_.size());
-  MergeRuns(current_.data(), current_runs_, current.data());
-  acc_.current_.Erase(0, acc_.current_.size());
-  acc_.dead_prefix_ = 0;
-  acc_.top_checked_ = kNoTopTwo;
-  for (const StoredItem& it : current) {
-    acc_.current_.Offer(it.priority, WindowItem{it.id, it.time, it.threshold});
-  }
-  // The expired union, every run cut at the final drop, exactly sized.
+  ++acc_.epoch_;
+  // The expired union, every run cut at the final drop, then the current
+  // set, each merged into time order; the cached top two describe the
+  // old current set.
   const double cut_drop = now_ - 2.0 * acc_.window_;
-  size_t total = 0;
+  size_t expired = 0;
   for (Run& run : runs_) {
     run.begin += PartitionPoint(run.end - run.begin, [&](size_t i) {
       return pool_[run.begin + i].time <= cut_drop;
     });
-    total += run.end - run.begin;
+    expired += run.end - run.begin;
   }
-  std::vector<StoredItem> expired(total);
-  MergeRuns(pool_.data(), runs_, expired.data());
-  acc_.expired_ = std::move(expired);
-  acc_.expired_head_ = 0;
+  std::vector<StoredItem>& items = acc_.items_;
+  items.resize(expired + current_.size());
+  MergeRuns(pool_.data(), runs_, items.data());
+  MergeRuns(current_.data(), current_runs_, items.data() + expired);
+  acc_.head_ = 0;
+  acc_.boundary_ = expired;
+  acc_.top_checked_ = kNoTopTwo;
   return std::move(acc_);
 }
 
-// The inputs: a sampler (expired_'s live range, then the store columns)
-// or a validated frame (its expired region, then its current region),
-// as entry and time accessors over the two regions.
+// The inputs: a sampler or a validated frame, as entry and time
+// accessors over its expired region, then its current region.
 class SlidingWindowSampler::Fold::SamplerInput {
  public:
   explicit SamplerInput(const SlidingWindowSampler& s)
       : last_time_(s.last_time_),
-        expired_(s.ExpiredItems()),
-        priorities_(s.current_.priorities().data()),
-        payloads_(s.current_.payloads().data()),
-        current_size_(s.current_.payloads().size()) {}
+        expired_(s.items_.data() + s.head_, s.boundary_ - s.head_),
+        current_(s.items_.data() + s.boundary_,
+                 s.items_.size() - s.boundary_) {}
   double last_time() const { return last_time_; }
   size_t expired_size() const { return expired_.size(); }
-  size_t current_size() const { return current_size_; }
+  size_t current_size() const { return current_.size(); }
   StoredItem expired(size_t i) const { return expired_[i]; }
   double expired_time(size_t i) const { return expired_[i].time; }
-  StoredItem current(size_t i) const {
-    const WindowItem& item = payloads_[i];
-    return StoredItem{item.id, item.time, priorities_[i], item.threshold};
-  }
-  double current_time(size_t i) const { return payloads_[i].time; }
+  StoredItem current(size_t i) const { return current_[i]; }
+  double current_time(size_t i) const { return current_[i].time; }
 
  private:
   double last_time_;
   std::span<const StoredItem> expired_;
-  const double* priorities_;
-  const WindowItem* payloads_;
-  size_t current_size_;
+  std::span<const StoredItem> current_;
 };
 
 class SlidingWindowSampler::Fold::ViewInput {
@@ -673,45 +611,18 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
   w.WriteDouble(window_);
   w.WriteDouble(last_time_);
   WriteRngState(w, rng_.State());
-  // The live current region starts past the dead prefix (those entries
-  // travel in the expired region below). Serialization is const -- it
-  // cannot flush the lazily-marked state -- so the expired region is the
-  // live expired_ range plus the uncopied dead prefix, each filtered at
-  // the two-window drop cutoff (entries can age past it while parked;
-  // the reader's per-entry range validation rejects them otherwise).
-  const double drop_cut = last_time_ - 2.0 * window_;
-  const auto expired_live = ExpiredItems();
-  size_t skip_expired = 0;
-  while (skip_expired < expired_live.size() &&
-         expired_live[skip_expired].time <= drop_cut) {
-    ++skip_expired;
-  }
-  const auto& payloads = current_.payloads();
-  size_t skip_dead = 0;
-  while (skip_dead < dead_prefix_ &&
-         payloads[skip_dead].time <= drop_cut) {
-    ++skip_dead;
-  }
-  w.WriteU64(current_.size() - dead_prefix_);
-  w.WriteU64((expired_live.size() - skip_expired) +
-             (dead_prefix_ - skip_dead));
+  // [head_, boundary_) is exactly the expired set at last_time_, and
+  // the current region follows it.
+  w.WriteU64(items_.size() - boundary_);
+  w.WriteU64(boundary_ - head_);
   const auto write_entry = [&w](const StoredItem& it) {
     w.WriteU64(it.id);
     w.WriteDouble(it.time);
     w.WriteDouble(it.priority);
     w.WriteDouble(it.threshold);
   };
-  for (size_t i = dead_prefix_; i < current_.size(); ++i) {
-    write_entry(ItemAt(i));
-  }
-  // Expired region in time order: expired_ entries predate everything
-  // still parked in the dead prefix.
-  for (size_t i = skip_expired; i < expired_live.size(); ++i) {
-    write_entry(expired_live[i]);
-  }
-  for (size_t i = skip_dead; i < dead_prefix_; ++i) {
-    write_entry(ItemAt(i));
-  }
+  for (size_t i = boundary_; i < items_.size(); ++i) write_entry(items_[i]);
+  for (size_t i = head_; i < boundary_; ++i) write_entry(items_[i]);
 }
 
 namespace {
@@ -816,14 +727,15 @@ std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
   SlidingWindowSampler out(view->k(), view->window(), /*seed=*/1);
   out.rng_.SetState(view->rng_state_);
   out.last_time_ = view->last_time();
+  // Items in time order: the expired region, then the current region.
   const size_t current = view->current_count();
-  for (size_t i = 0; i < current; ++i) {
-    const StoredItem it = view->entry(i);
-    out.current_.Offer(it.priority, WindowItem{it.id, it.time, it.threshold});
+  const size_t expired = view->expired_count();
+  out.items_.reserve(current + expired);
+  for (size_t i = current; i < current + expired; ++i) {
+    out.items_.push_back(view->entry(i));
   }
-  for (size_t i = current; i < current + view->expired_count(); ++i) {
-    out.expired_.push_back(view->entry(i));
-  }
+  for (size_t i = 0; i < current; ++i) out.items_.push_back(view->entry(i));
+  out.boundary_ = expired;
   return out;
 }
 

@@ -23,25 +23,27 @@
 //    constant across the window so Theorem 6 upgrades it to full
 //    substitutability. Same sketch, roughly twice the usable sample.
 //
-// Retention lives on the shared SampleStore core: the current set C(t) is
-// a SampleStore<WindowItem> whose priority column carries R_i and whose
-// payload column carries (id, time, per-item threshold T_i). The columns
-// are always in arrival == time order, so window expiry reclaims a
-// prefix and capacity eviction removes one position, both through the
-// store's Erase hook; the min-update on eviction is
-// ForEachMutablePayload. That puts the windowed sampler on the identical
-// retention engine as the sketches, so it inherits the mergeable-sketch
-// wire format and the k-way aggregation below.
+// Retention: the rule evicts by time and per-item threshold, not by
+// priority, so the sampler keeps its own storage rather than a bottom-k
+// store. Every stored item (id, time, R_i, T_i) sits in one vector in
+// arrival == time order, with two indices: head_, the first item not yet
+// dropped, and boundary_, the first current item. [head_, boundary_) is
+// X(t) and [boundary_, end) is C(t). Expiry advances boundary_, the
+// two-window drop advances head_ (the dropped prefix is erased in one
+// batch once it reaches k), and capacity eviction erases one position
+// past boundary_. The same item record is the wire entry and the merge
+// fold's buffer entry.
 //
 // Cost model: T_n at a full sample needs only the largest and second-
-// largest live priority, which the sampler caches and maintains under
+// largest current priority, which the sampler caches and maintains under
 // updates (an accept updates them in O(1); expiry invalidates them only
-// when a dying item is one of the two -- checked at the next full-sample
-// arrival or prefix reclamation, off the inlined expiry path; a merge
-// always invalidates). A rejected arrival -- the bulk of a saturated
-// stream -- is therefore a few compares; an accepted one makes a single
-// O(k) pass that min-updates the thresholds, finds the evictee and
-// recomputes the top two of the survivors, then one positional erase.
+// when an expiring item is one of the two -- checked at the next
+// full-sample arrival or dropped-prefix erase, off the inlined expiry
+// path; a merge always invalidates). A rejected arrival -- the bulk of a
+// saturated stream -- is therefore a few compares; an accepted one makes
+// a single O(k) pass over C(t) that min-updates the thresholds, finds
+// the evictee and recomputes the top two of the survivors, then one
+// positional erase.
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
 // one stream, sharing the time axis, merge by min threshold composition
@@ -58,8 +60,9 @@
 // hoist: MergeMany/MergeManyFrames are defined by the pairwise chain in
 // span order, which is the test oracle (tests/window_chain_reference.h),
 // and computed as one fold (Fold, below) that carries the chain's running
-// clock and current set across inputs and materializes the store and the
-// expired union once (frames all validated before the first is applied).
+// clock and current set across inputs and writes the merged expired union
+// and current set into the sampler's item vector once (frames all
+// validated before the first is applied).
 // A step reads its input in place, so the sharded front-end's snapshot
 // rebuild runs each shard's step under that shard's lock, copying no
 // shard.
@@ -75,8 +78,8 @@
 #include <vector>
 
 #include "ats/core/random.h"
-#include "ats/core/sample_store.h"
 #include "ats/core/threshold.h"
+#include "ats/util/check.h"
 #include "ats/util/memory.h"
 #include "ats/util/serialize.h"
 
@@ -94,27 +97,32 @@ class SlidingWindowSampler {
   /// k: target sample size / space bound per window; window: Delta.
   SlidingWindowSampler(size_t k, double window, uint64_t seed);
 
-  /// Feeds an arrival (times must be non-decreasing). Returns true iff the
-  /// item was stored. The priority is drawn internally from Uniform(0,1).
-  /// Thread-safety: mutating call -- external synchronization required.
+  /// Feeds an arrival. Times must be non-decreasing and not before
+  /// last_time() (queries and merges advance it too): the expiry cuts
+  /// rely on time order, and a Debug build checks it here. Returns true
+  /// iff the item was stored. The priority is drawn internally from
+  /// Uniform(0,1). Thread-safety: mutating call -- external
+  /// synchronization required.
   //
   /// Defined inline: at the rate == k operating point the whole per-
-  /// arrival path is a handful of compares and two column push_backs,
+  /// arrival path is a handful of compares and one push_back,
   /// and the call overhead itself is measurable against the deque
   /// baseline it is benchmarked against (BM_WindowArriveBoundary). At a
   /// full sample a rejected arrival is O(1) too (the cached top two
   /// priorities give its threshold); only an accept pays the O(k)
   /// eviction pass (see ArriveAtFullSample).
   bool Arrive(double time, uint64_t id) {
+    ATS_DCHECK(time >= last_time_);
     ExpireUntil(time);
     const double priority = rng_.NextDoubleOpenZero();
-    if (current_.size() - dead_prefix_ >= k_) {
+    if (items_.size() - boundary_ >= k_) {
       return ArriveAtFullSample(time, priority, id);
     }
-    // Underfull: initial threshold 1. The store's acceptance bound is
-    // pinned at 1.0 forever (eviction is manual), so Offer IS the
-    // R_n < T_n test.
-    if (!current_.Offer(priority, WindowItem{id, time, 1.0})) return false;
+    // Underfull: initial threshold 1, so the arrival is stored iff
+    // R_n < 1 (a draw of exactly 1.0 is rejected).
+    if (!(priority < 1.0)) return false;
+    items_.push_back(StoredItem{id, time, priority, 1.0});
+    ++epoch_;
     NoteTopInsert(priority);
     return true;
   }
@@ -141,13 +149,10 @@ class SlidingWindowSampler {
   size_t StoredCount(double now);
 
   /// Live heap bytes of the windowed state (util/memory.h convention):
-  /// the current store's SoA columns plus the expired column, including
-  /// the not-yet-extracted dead prefix and the not-yet-erased dropped
-  /// head (they occupy real bytes until the deferred cleanup runs).
-  /// O(1), non-canonicalizing -- never advances expiry.
-  size_t MemoryFootprint() const {
-    return current_.MemoryFootprint() + VectorFootprint(expired_);
-  }
+  /// the item vector, including the fewer than k dropped items not yet
+  /// erased (they occupy real bytes until the deferred erase runs).
+  /// O(1) -- never advances expiry.
+  size_t MemoryFootprint() const { return VectorFootprint(items_); }
 
   /// Current items (after expiry at `now`), for the Figure 1 threshold
   /// trace. Sorted by arrival time.
@@ -164,9 +169,7 @@ class SlidingWindowSampler {
   /// arrivals, evictions, expiry movement, merges). The sharded
   /// front-end's snapshot cache (concurrent_sampler.h) publishes it per
   /// shard to skip re-merging clean shards.
-  uint64_t mutation_epoch() const {
-    return current_.mutation_epoch() + aux_epoch_;
-  }
+  uint64_t mutation_epoch() const { return epoch_; }
 
   /// Merges a sampler over a disjoint key partition of the same timeline
   /// (windows must match; ATS_CHECK enforced). Equivalent to
@@ -190,8 +193,8 @@ class SlidingWindowSampler {
   // became the eviction bound even though it is outside the strict
   // threshold sample (see docs/WIRE_FORMAT.md).
 
-  /// Appends the wire frame. Canonicalizes nothing: entries are written
-  /// as stored; Deserialize re-runs expiry at last_time.
+  /// Appends the wire frame: the current and expired sets as they stand
+  /// at last_time(), which the item indices always describe exactly.
   void SerializeTo(ByteWriter& w) const;
   static std::optional<SlidingWindowSampler> Deserialize(ByteReader& r);
   std::string SerializeToString() const { return SerializeSketch(*this); }
@@ -256,74 +259,39 @@ class SlidingWindowSampler {
   class Fold;
 
  private:
-  // Store payload: everything about a stored item except its priority,
-  // which lives in the store's priority column.
-  struct WindowItem {
-    uint64_t id = 0;
-    double time = 0.0;
-    double threshold = 1.0;
-  };
-
-  // The expiry hot path: pure MARKING. Entries leaving the window only
-  // advance dead_prefix_ (no copy, no pop -- they stay parked in the
-  // column prefix); entries of expired_ aging past two windows only
-  // advance expired_head_. The physical work (copying the dead prefix
-  // into expired_, erasing both prefixes) is batched into
-  // CleanupDeadPrefix / the erase below at every k-th marking, so one
-  // arrival at the rate == k boundary costs two compares and two
-  // increments here -- the regime where the classic deque design's O(1)
-  // pop_front used to win (BM_WindowArriveBoundary). Newly dead items
-  // are checked against the cached top two later, off this inlined path
-  // (see CheckExpiredTopTwo).
+  // The expiry hot path: pure index advances. Items leaving the window
+  // only advance boundary_; expired items aging past two windows only
+  // advance head_, and the dropped prefix is erased in one batch once it
+  // reaches k, so one arrival at the rate == k boundary costs two
+  // compares and two increments here (BM_WindowArriveBoundary). Newly
+  // expired items are checked against the cached top two later, off
+  // this inlined path (see CheckExpiredTopTwo).
   void ExpireUntil(double now) {
     if (now > last_time_) last_time_ = now;
     const double cutoff = last_time_ - window_;
-    const auto& payloads = current_.payloads();
-    if (dead_prefix_ < payloads.size() &&
-        payloads[dead_prefix_].time <= cutoff) {
-      ++aux_epoch_;
+    if (boundary_ < items_.size() && items_[boundary_].time <= cutoff) {
+      ++epoch_;
       do {
-        ++dead_prefix_;
-      } while (dead_prefix_ < payloads.size() &&
-               payloads[dead_prefix_].time <= cutoff);
-      if (dead_prefix_ >= k_) CleanupDeadPrefix();
+        ++boundary_;
+      } while (boundary_ < items_.size() && items_[boundary_].time <= cutoff);
     }
-    DropExpired();
-  }
-
-  // Marks expired_ entries older than two windows dropped (head advance)
-  // and reclaims the dropped prefix once it reaches k.
-  void DropExpired() {
     const double drop = last_time_ - 2.0 * window_;
-    if (expired_head_ < expired_.size() &&
-        expired_[expired_head_].time <= drop) {
-      ++aux_epoch_;
+    if (head_ < boundary_ && items_[head_].time <= drop) {
+      ++epoch_;
       do {
-        ++expired_head_;
-      } while (expired_head_ < expired_.size() &&
-               expired_[expired_head_].time <= drop);
-      if (expired_head_ >= k_) {
-        expired_.erase(expired_.begin(),
-                       expired_.begin() +
-                           static_cast<std::ptrdiff_t>(expired_head_));
-        expired_head_ = 0;
-      }
+        ++head_;
+      } while (head_ < boundary_ && items_[head_].time <= drop);
+      if (head_ >= k_) EraseDropped();
     }
-  }
-
-  // The live (not yet dropped) expired items X(t), oldest first.
-  std::span<const StoredItem> ExpiredItems() const {
-    return std::span<const StoredItem>(expired_.data() + expired_head_,
-                                       expired_.size() - expired_head_);
   }
 
   // The saturated-sample arrival path. The initial threshold comes from
   // the cached top two live priorities, so a reject is a few compares
   // (plus one O(k) rescan when the cache was invalidated). An accept
-  // makes one pass over the store -- min-update of every threshold, the
-  // first largest priority (the evictee) and the top two of the rest --
-  // then one positional Erase and the append. Out of line: the accept
-  // path is O(k) anyway.
+  // makes one pass over the current items -- min-update of every
+  // threshold, the first largest priority (the evictee) and the top two
+  // of the rest -- then one positional erase and the append. Out of
+  // line: the accept path is O(k) anyway.
   bool ArriveAtFullSample(double time, double priority, uint64_t id);
   // Folds an appended live priority into the cached top two. Harmless
   // while the cache is invalid (the next rescan overwrites it).
@@ -335,67 +303,49 @@ class SlidingWindowSampler {
       top2_ = priority;
     }
   }
-  // Invalidates the cached top two if an item marked dead since the last
+  // Invalidates the cached top two if an item expired since the last
   // check has a priority >= the cached second (only such an item can be
-  // one of the two), then records the dead prefix as checked. The cached
-  // values only grow between checks (NoteTopInsert), so a dead item
-  // below the current second was never one of the cached two.
+  // one of the two), then records the expired items as checked. The
+  // cached values only grow between checks (NoteTopInsert), so an
+  // expired item below the current second was never one of the cached
+  // two.
   void CheckExpiredTopTwo();
-  // Recomputes the cached top two from the live column region.
+  // Recomputes the cached top two from the current items.
   void RescanTopTwo();
-  // Expiry advance for QUERY paths: ExpireUntil plus the physical
-  // extraction, plus a re-drop -- items that aged past two windows while
-  // parked in the dead prefix surface in expired_ only at extraction
-  // time, so one more head scan makes the exposed expired set exact.
-  void FlushExpiry(double now);
-  // Stored item i reassembled from the parallel store columns.
-  StoredItem ItemAt(size_t i) const;
-  // Physically extracts the dead (logically expired) column prefix:
-  // bulk-copies it into expired_, then erases it from the columns.
-  // Amortized O(1) per expired item: runs when the prefix reaches k, or
-  // piggybacks on paths that are O(k) anyway (queries, evictions,
-  // merges, never the accept path of the boundary regime).
-  void CleanupDeadPrefix();
+  // Erases the dropped prefix [0, head_): one memmove of the stored
+  // items, amortized O(1) per dropped item since it runs once head_
+  // reaches k.
+  void EraseDropped();
   std::vector<SampleEntry> SampleWithThreshold(double threshold) const;
-  // Improved threshold over the store as-is (no expiry advance).
+  // Improved threshold over the current items as-is (no expiry advance).
   double CurrentMinThreshold() const;
 
   size_t k_;
   double window_;
   Xoshiro256 rng_;
-  // Current items C(t): priority column + WindowItem payloads, always in
-  // arrival (== time) order. Capacity eviction is manual (the acceptance
-  // rule needs the evicting threshold first), and the store is sized at
-  // 2k so that its own priority-ordered compaction never fires on the
-  // at most k live + k dead-prefix entries it buffers (see the ctor).
-  SampleStore<WindowItem> current_;
-  // Leading column entries that have logically expired but are not yet
-  // copied into expired_ or physically extracted; every column reader
-  // starts past this index. See ExpireUntil / CleanupDeadPrefix.
-  size_t dead_prefix_ = 0;
-  // Largest and second-largest live priority (0 where the live set has
-  // fewer items), exactly what a scan of the live region would return,
-  // once the dead items past top_checked_ have been checked. Maintained
-  // by every accepted insert, invalidated by expiry of a top-two item
-  // and by merges, and recomputed by RescanTopTwo on the next
-  // full-sample arrival. top_checked_ is the column index up to which
-  // dead items have been checked against the cache; kNoTopTwo means
-  // there is no valid cache (the state after construction, Deserialize
-  // and merges).
+  // Every stored item in arrival (== time) order: [0, head_) dropped but
+  // not yet erased, [head_, boundary_) the expired set X(t) and
+  // [boundary_, end) the current set C(t), |C(t)| <= k. Both indices
+  // are exact at last_time_.
+  std::vector<StoredItem> items_;
+  size_t head_ = 0;
+  size_t boundary_ = 0;
+  // Largest and second-largest current priority (0 where C(t) has fewer
+  // items), exactly what a scan of C(t) would return, once the expired
+  // items past top_checked_ have been checked. Maintained by every
+  // accepted insert, invalidated by expiry of a top-two item and by
+  // merges, and recomputed by RescanTopTwo on the next full-sample
+  // arrival. top_checked_ is the index in items_ up to which expired
+  // items have been checked against the cache; kNoTopTwo means there is
+  // no valid cache (the state after construction, Deserialize and
+  // merges).
   static constexpr size_t kNoTopTwo = ~size_t{0};
   double top1_ = 0.0;
   double top2_ = 0.0;
   size_t top_checked_ = kNoTopTwo;
-  // Expired items X(t), ordered by time; the live range starts at
-  // expired_head_ (dropped entries are marked, then batch-erased -- same
-  // deferral as the dead prefix, and a vector + head index beats a deque
-  // here: no per-16-item block allocator traffic on the hot path).
-  std::vector<StoredItem> expired_;
-  size_t expired_head_ = 0;
   double last_time_;
-  // Observable mutations not visible in the store's epoch (expired-side
-  // changes, time advancement); see mutation_epoch().
-  uint64_t aux_epoch_ = 0;
+  // Bumped by every observable mutation; see mutation_epoch().
+  uint64_t epoch_ = 0;
 };
 
 /// The one k-way merge of windowed samplers, behind Merge, MergeMany,

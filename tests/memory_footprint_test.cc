@@ -24,6 +24,7 @@
 #include "ats/sketch/kmv.h"
 #include "ats/sketch/lcs_merge.h"
 #include "ats/sketch/theta.h"
+#include "ats/workload/arrivals.h"
 #include "tests/sharded_reference.h"
 
 namespace ats {
@@ -157,6 +158,31 @@ TEST(MemoryFootprint, SamplerFamiliesReportGrowthUnderIngest) {
   // accounting must see the evictions.
   strat.ShrinkToBudget(3 * 8);
   EXPECT_LT(strat.MemoryFootprint(), full);
+}
+
+TEST(MemoryFootprint, WindowAfterQueryIsStoredItemsPlusUnderKReclaimable) {
+  // After any query the window holds its stored (current + expired)
+  // items, 32 bytes each, plus fewer than k dropped-but-not-yet-erased
+  // ones: the footprint tracks the state, whatever the reclamation lag.
+  constexpr size_t kEntryBytes = 32;
+  for (const size_t k : {1u, 3u, 16u, 256u}) {
+    for (const double rate : {6.0, 200.0, 3000.0}) {
+      SlidingWindowSampler window(k, /*window=*/1.0, 7 + k);
+      ArrivalProcess arrivals(RateProfile::Constant(rate), rate * 1.1,
+                              static_cast<uint64_t>(rate) + k);
+      size_t arrived = 0;
+      for (const Arrival& a : arrivals.Until(5.0)) {
+        window.Arrive(a.time, a.id);
+        if (++arrived % 5 != 0) continue;
+        const size_t stored = window.StoredCount(a.time);
+        const size_t bytes = window.MemoryFootprint();
+        ASSERT_LE(stored * kEntryBytes, bytes)
+            << "k " << k << " rate " << rate << " t " << a.time;
+        ASSERT_LT(bytes, (stored + k) * kEntryBytes)
+            << "k " << k << " rate " << rate << " t " << a.time;
+      }
+    }
+  }
 }
 
 TEST(MemoryFootprint, FrontEndsSumTheirShards) {

@@ -371,48 +371,6 @@ TEST(SampleStore, DifferentialVsSortedVectorOracle) {
   }
 }
 
-TEST(SampleStore, EraseMatchesVectorEraseOracle) {
-  // Erase(first, count) must remove exactly the positions a
-  // std::vector::erase of the same range removes, from both columns in
-  // lockstep (it is the window sampler's dead-prefix reclamation,
-  // positional eviction and merge rebuild).
-  const size_t n = 40;
-  struct Range {
-    size_t first;
-    size_t count;
-  };
-  for (const Range r : {Range{0, 0}, Range{0, 1}, Range{0, 5}, Range{0, 32},
-                        Range{7, 1}, Range{12, 9}, Range{n - 1, 1},
-                        Range{n, 0}, Range{17, 0}, Range{0, n}}) {
-    const auto priorities = RandomPriorities(n, 11);
-    SampleStore<uint64_t> store(64, 1.0);
-    std::vector<double> oracle_priorities;
-    std::vector<uint64_t> oracle_payloads;
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(store.Offer(priorities[i], i));
-      oracle_priorities.push_back(priorities[i]);
-      oracle_payloads.push_back(i);
-    }
-    const uint64_t epoch_before = store.mutation_epoch();
-    const double threshold_before = store.Threshold();
-    store.Erase(r.first, r.count);
-    const auto from = static_cast<std::ptrdiff_t>(r.first);
-    const auto to = static_cast<std::ptrdiff_t>(r.first + r.count);
-    oracle_priorities.erase(oracle_priorities.begin() + from,
-                            oracle_priorities.begin() + to);
-    oracle_payloads.erase(oracle_payloads.begin() + from,
-                          oracle_payloads.begin() + to);
-    EXPECT_EQ(store.priorities(), oracle_priorities)
-        << "first=" << r.first << " count=" << r.count;
-    EXPECT_EQ(store.payloads(), oracle_payloads)
-        << "first=" << r.first << " count=" << r.count;
-    // The threshold is untouched; the epoch bumps iff something went.
-    EXPECT_EQ(store.Threshold(), threshold_before);
-    EXPECT_EQ(store.mutation_epoch() != epoch_before, r.count > 0)
-        << "first=" << r.first << " count=" << r.count;
-  }
-}
-
 TEST(SampleStore, ColumnsStayInLockstep) {
   // Heavy churn with evictions: priorities()[i] must keep pairing with
   // payloads()[i] (the payload equals the priority's original index).

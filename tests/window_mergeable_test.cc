@@ -1,13 +1,16 @@
-// The time-axis samplers on the SampleStore core: differential tests
-// against the scalar deque reference (observational equality of the
-// retained multiset, thresholds, ties, and expiry order), wire-format
-// round trips with RNG continuation, hostile-input sweeps over the
-// zero-copy frame views, and the windowed/decayed MergeMany vs the
-// sequential pairwise-Merge chain (including empty windows, all-expired
-// stores, and k = 1) -- mirroring merge_many_test.cc for the sketches.
+// The time-axis samplers: differential tests against the scalar deque
+// reference (observational equality of the retained multiset,
+// thresholds, ties, and expiry order, and SWN1 bytes against a golden
+// encoder of its state), wire-format round trips with RNG continuation,
+// hostile-input sweeps over the zero-copy frame views, and the
+// windowed/decayed MergeMany vs the sequential pairwise-Merge chain
+// (including empty windows, all-expired stores, and k = 1) -- mirroring
+// merge_many_test.cc for the sketches.
 // Window merges are also checked against the independent chain of
 // window_chain_reference.h, since Merge itself runs the same fold.
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -33,9 +36,9 @@ namespace ats {
 namespace {
 
 // ----------------------------------------------------------------------
-// The pre-port scalar reference: the G&L storage stage on explicit
-// deques, exactly as the sampler was implemented before retention moved
-// onto SampleStore. The port must be observationally indistinguishable.
+// The scalar reference: the G&L storage stage on explicit deques, the
+// sampler's first implementation. The sampler must be observationally
+// indistinguishable from it.
 class ReferenceWindowSampler {
  public:
   using StoredItem = SlidingWindowSampler::StoredItem;
@@ -105,8 +108,15 @@ class ReferenceWindowSampler {
     return {current_.begin(), current_.end()};
   }
 
+  // The state as it stands at last_time(), for the SWN1 golden encoder.
+  double last_time() const { return last_time_; }
+  std::array<uint64_t, 4> rng_state() const { return rng_.State(); }
+  const std::deque<StoredItem>& current() const { return current_; }
+  const std::deque<StoredItem>& expired() const { return expired_; }
+
  private:
   void ExpireUntil(double now) {
+    last_time_ = std::max(last_time_, now);
     while (!current_.empty() && current_.front().time <= now - window_) {
       expired_.push_back(current_.front());
       current_.pop_front();
@@ -122,6 +132,7 @@ class ReferenceWindowSampler {
   Xoshiro256 rng_;
   std::deque<StoredItem> current_;
   std::deque<StoredItem> expired_;
+  double last_time_ = -std::numeric_limits<double>::infinity();
 };
 
 void ExpectSameItems(const std::vector<SlidingWindowSampler::StoredItem>& a,
@@ -173,14 +184,17 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
 // and the cached top two priorities carry the threshold): k = 256 is the
 // per-shard regime of the window_monitor benchmark; k = 2 and k = 1 keep
 // the second-largest (or missing second) priority at the eviction edge.
-// The last three query after every arrival, so the dead prefix is
-// reclaimed between nearly every pair of arrivals while top-two items
+// The last three query after every arrival, so expired items leave the
+// current set between nearly every pair of arrivals while top-two items
 // keep expiring. The sparse k = 3 point (about two arrivals per window
-// per sample slot) keeps the sample dipping below k: a query reclaims
-// the dead prefix, underfull arrivals refill it with no full-sample
-// arrival in between, and the next top-two item to die sits below the
-// old checked index -- which is why reclamation must reset that index
-// to 0 (and must leave an invalid cache invalid).
+// per sample slot) keeps the sample dipping below k: underfull arrivals
+// refill it with no full-sample arrival in between, and the next top-two
+// item to expire sits below the old checked index -- which is why the
+// dropped-prefix erase must shift that index with the items (and must
+// leave an invalid cache invalid). The dense k = 2048
+// point (two arrivals per sample slot per window) meets a full sample on
+// about half its arrivals and accepts most of those, so nearly every
+// accept is a capacity eviction.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, WindowOracleSweep,
     ::testing::Values(OracleParam{1, 200.0, 1}, OracleParam{10, 500.0, 2},
@@ -189,7 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParam{256, 9000.0, 6}, OracleParam{2, 80.0, 7},
                       OracleParam{1, 48.0, 8}, OracleParam{8, 400.0, 9, 1},
                       OracleParam{2, 200.0, 10, 1},
-                      OracleParam{3, 6.0, 11, 1}));
+                      OracleParam{3, 6.0, 11, 1},
+                      OracleParam{2048, 4096.0, 12}));
 
 // ----------------------------------------------------------------------
 // Wire round trips.
@@ -232,6 +247,113 @@ TEST(WindowWire, EmptySamplerRoundTrips) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->StoredCount(0.0), 0u);
   EXPECT_DOUBLE_EQ(restored->ImprovedThreshold(0.0), 1.0);
+}
+
+// --- SWN1 golden encoding ---------------------------------------------
+//
+// A reference encoder written from docs/WIRE_FORMAT.md's SWN1 section
+// alone, sharing no code with the library's writer: little-endian fields
+// appended byte by byte and FNV-1a-32 over the body, encoding the deque
+// reference's state at its own clock. The sampler's lazily-reclaimed
+// representation must serialize to exactly that state.
+
+void PutLe(std::string& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void PutF64(std::string& out, double v) {
+  PutLe(out, std::bit_cast<uint64_t>(v), 8);
+}
+
+std::string WithChecksum(std::string body) {
+  uint32_t h = 2166136261u;
+  for (const unsigned char c : body) {
+    h ^= c;
+    h *= 16777619u;
+  }
+  PutLe(body, h, 4);
+  return body;
+}
+
+// header | k u64 | window f64 | last_time f64 | rng 4 x u64
+//        | current_count u64 | expired_count u64
+//        | current entries | expired entries
+// entry := id u64 | time f64 | priority f64 | threshold f64
+std::string ReferenceSwn1Frame(size_t k, double window,
+                               const ReferenceWindowSampler& reference) {
+  std::string body;
+  PutLe(body, 0x53574e31, 4);  // "SWN1"
+  PutLe(body, 1, 4);
+  PutLe(body, k, 8);
+  PutF64(body, window);
+  PutF64(body, reference.last_time());
+  for (const uint64_t word : reference.rng_state()) PutLe(body, word, 8);
+  PutLe(body, reference.current().size(), 8);
+  PutLe(body, reference.expired().size(), 8);
+  for (const auto* region : {&reference.current(), &reference.expired()}) {
+    for (const SlidingWindowSampler::StoredItem& it : *region) {
+      PutLe(body, it.id, 8);
+      PutF64(body, it.time);
+      PutF64(body, it.priority);
+      PutF64(body, it.threshold);
+    }
+  }
+  return WithChecksum(std::move(body));
+}
+
+struct GoldenWindowCase {
+  const char* name;
+  size_t k;
+  double rate;      // arrivals per window; 0 feeds none
+  double horizon;   // arrivals in [0, horizon)
+  double query_at;  // NaN: serialize straight after the last arrival
+  uint64_t seed;
+};
+
+TEST(WindowGolden, SerializeMatchesReferenceEncoderByteForByte) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double window = 1.0;
+  // Straight after arrivals, expired and dropped items may not be
+  // reclaimed yet; a query at a later clock ages every region. The
+  // sparse points leave gaps longer than a window, so items age past two
+  // windows between arrivals.
+  for (const GoldenWindowCase& c : {
+           GoldenWindowCase{"empty", 8, 0.0, 0.0, nan, 3},
+           GoldenWindowCase{"empty_after_query", 8, 0.0, 0.0, 2.5, 3},
+           GoldenWindowCase{"after_arrivals", 16, 300.0, 3.0, nan, 21},
+           GoldenWindowCase{"after_query", 16, 300.0, 3.0, 3.4, 21},
+           GoldenWindowCase{"after_long_gap", 16, 300.0, 3.0, 4.7, 21},
+           GoldenWindowCase{"sparse_after_arrivals", 8, 3.0, 12.0, nan, 22},
+           GoldenWindowCase{"sparse_after_query", 8, 3.0, 12.0, 12.2, 22},
+           GoldenWindowCase{"warm_up", 64, 20.0, 1.0, nan, 23},
+           GoldenWindowCase{"warm_up_after_query", 64, 20.0, 1.0, 1.5, 23},
+           GoldenWindowCase{"saturated", 256, 9000.0, 3.0, nan, 24},
+           GoldenWindowCase{"saturated_after_query", 256, 9000.0, 3.0, 3.2,
+                            24},
+           GoldenWindowCase{"k_equals_1", 1, 200.0, 3.0, nan, 25},
+           GoldenWindowCase{"k_equals_1_after_query", 1, 200.0, 3.0, 3.6,
+                            25},
+       }) {
+    SCOPED_TRACE(c.name);
+    SlidingWindowSampler sampler(c.k, window, c.seed);
+    ReferenceWindowSampler reference(c.k, window, c.seed);
+    if (c.rate > 0.0) {
+      ArrivalProcess arrivals(RateProfile::Constant(c.rate), c.rate * 1.1,
+                              c.seed + 5);
+      for (const Arrival& a : arrivals.Until(c.horizon)) {
+        ASSERT_EQ(sampler.Arrive(a.time, a.id),
+                  reference.Arrive(a.time, a.id));
+      }
+    }
+    if (!std::isnan(c.query_at)) {
+      EXPECT_EQ(sampler.StoredCount(c.query_at),
+                reference.StoredCount(c.query_at));
+    }
+    EXPECT_EQ(sampler.SerializeToString(),
+              ReferenceSwn1Frame(c.k, window, reference));
+  }
 }
 
 TEST(DecayWire, RoundTripPreservesSampleAndRngStream) {
