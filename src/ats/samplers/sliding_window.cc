@@ -42,12 +42,17 @@ SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
 
 void SlidingWindowSampler::EraseDropped() {
   // The erased positions vanish, so the expired items among them are
-  // checked against the cached top two first.
+  // checked against the cached top two first. No log entry sits before
+  // boundary_, so each shifts with its items.
   CheckExpiredTopTwo();
+  ATS_DCHECK(log_.empty() || log_.front().position >= boundary_);
   items_.erase(items_.begin(),
                items_.begin() + static_cast<std::ptrdiff_t>(head_));
   boundary_ -= head_;
   if (top_checked_ != kNoTopTwo) top_checked_ -= head_;
+  const auto shift = static_cast<uint32_t>(head_);
+  for (LoggedAccept& e : log_) e.position -= shift;
+  heap_.clear();
   head_ = 0;
 }
 
@@ -65,10 +70,115 @@ void SlidingWindowSampler::CheckExpiredTopTwo() {
 void SlidingWindowSampler::RescanTopTwo() {
   top1_ = 0.0;
   top2_ = 0.0;
-  for (size_t i = boundary_; i < items_.size(); ++i) {
-    NoteTopInsert(items_[i].priority);
+  DropExpiredTop();
+  if (!heap_.empty()) {
+    top1_ = items_[heap_[0]].priority;
+    top2_ = HeapSecond();
+  } else {
+    for (size_t i = boundary_; i < items_.size(); ++i) {
+      NoteTopInsert(items_[i].priority);
+    }
   }
   top_checked_ = boundary_;
+}
+
+void SlidingWindowSampler::ExpireLogged(double cutoff) {
+  LogCursor log(log_);
+  do {
+    StoredItem& item = items_[boundary_];
+    item.threshold = log.Threshold(item, boundary_);
+    ++boundary_;
+  } while (boundary_ < items_.size() && items_[boundary_].time <= cutoff);
+  size_t trimmed = 0;
+  while (trimmed < log_.size() && log_[trimmed].position <= boundary_) {
+    ++trimmed;
+  }
+  log_.erase(log_.begin(),
+             log_.begin() + static_cast<std::ptrdiff_t>(trimmed));
+}
+
+void SlidingWindowSampler::Settle() {
+  if (!log_.empty()) {
+    LogCursor log(log_);
+    for (size_t i = boundary_; i < items_.size(); ++i) {
+      items_[i].threshold = log.Threshold(items_[i], i);
+    }
+    log_.clear();
+  }
+  heap_.clear();
+}
+
+size_t SlidingWindowSampler::LargerChild(size_t left) const {
+  // Branch-free: which child is larger is a coin flip.
+  const size_t right = left + 1;
+  return left + (right < heap_.size() && Above(heap_[right], heap_[left]));
+}
+
+void SlidingWindowSampler::PushHeap(size_t position) {
+  ATS_DCHECK(position <= UINT32_MAX);
+  heap_.push_back(static_cast<uint32_t>(position));
+  RiseInto(heap_.size() - 1, heap_.back(), 0);
+}
+
+void SlidingWindowSampler::RiseInto(size_t hole, uint32_t entry,
+                                    size_t top) {
+  while (hole > top) {
+    const size_t parent = (hole - 1) / 2;
+    if (!Above(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
+}
+
+void SlidingWindowSampler::BuildHeap() {
+  ATS_DCHECK(items_.size() <= UINT32_MAX);
+  heap_.resize(items_.size() - boundary_);
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    heap_[i] = static_cast<uint32_t>(boundary_ + i);
+  }
+  for (size_t slot = heap_.size() / 2; slot-- > 0;) {
+    SinkInto(slot, heap_[slot]);
+  }
+}
+
+void SlidingWindowSampler::SinkInto(size_t slot, uint32_t entry) {
+  // Floyd's descent: the hole at `slot` moves down to a leaf along the
+  // larger children, then `entry` rises from there, but not past
+  // `slot`.
+  size_t hole = slot;
+  for (size_t left = 2 * hole + 1; left < heap_.size(); left = 2 * hole + 1) {
+    const size_t child = LargerChild(left);
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  RiseInto(hole, entry, slot);
+}
+
+void SlidingWindowSampler::RemoveHeapSlot(size_t slot) {
+  ATS_DCHECK(slot <= 2);
+  const uint32_t last = heap_.back();
+  heap_.pop_back();
+  if (slot < heap_.size()) SinkInto(slot, last);
+}
+
+void SlidingWindowSampler::DropExpiredTop() {
+  while (!heap_.empty() && heap_[0] < boundary_) RemoveHeapSlot(0);
+}
+
+double SlidingWindowSampler::HeapSecond() {
+  for (size_t slot = 1; slot <= 2 && slot < heap_.size();) {
+    if (heap_[slot] < boundary_) {
+      RemoveHeapSlot(slot);  // the slot's new entry is checked next
+    } else {
+      ++slot;
+    }
+  }
+  double second = 0.0;
+  for (size_t slot = 1; slot <= 2 && slot < heap_.size(); ++slot) {
+    second = std::max(second, items_[heap_[slot]].priority);
+  }
+  return second;
 }
 
 bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
@@ -76,49 +186,51 @@ bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
   // Initial threshold at a full sample: the k-th smallest of the k
   // current priorities together with the new one. With m1 the largest
   // and m2 the second largest current priority, that is m1 if the
-  // newcomer is above m1, otherwise max(m2, priority).
+  // newcomer is above m1, otherwise max(m2, priority) -- so the newcomer
+  // is stored iff priority < m2, and then T_n = m2.
   CheckExpiredTopTwo();
   if (top_checked_ == kNoTopTwo) RescanTopTwo();
-  const double initial_threshold =
-      priority >= top1_ ? top1_ : std::max(top2_, priority);
-  if (priority >= initial_threshold) return false;
+  if (!(priority < top2_)) return false;
+  const double initial_threshold = top2_;
 
-  // The insertion will push |C| above k: lower every current threshold
-  // to min(T_i, T_n) and evict the (first) largest-priority item -- its
-  // priority is >= the new threshold. One pass does both and also
-  // tracks the second and third largest priorities, which are the top
-  // two once the evictee is gone.
-  size_t evict = boundary_;
-  double m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  for (size_t i = boundary_; i < items_.size(); ++i) {
-    StoredItem& item = items_[i];
-    item.threshold = std::min(item.threshold, initial_threshold);
-    const double p = item.priority;
-    if (p > m1) {
-      m3 = m2;
-      m2 = m1;
-      m1 = p;
-      evict = i;
-    } else if (p > m2) {
-      m3 = m2;
-      m2 = p;
-    } else if (p > m3) {
-      m3 = p;
-    }
+  // The insertion pushes |C| above k: every current threshold drops to
+  // min(T_i, T_n), which the log records, and the (first) largest-
+  // priority item -- the heap's current root -- is evicted. A built
+  // heap holds every current item; it is rebuilt once k/2 expired
+  // entries have piled up, which bounds it (and the shift below) at
+  // 1.5k entries.
+  if (heap_.empty() || heap_.size() - (items_.size() - boundary_) > k_ / 2) {
+    BuildHeap();
   }
-  ATS_DCHECK(m1 >= initial_threshold);
+  DropExpiredTop();
+  const uint32_t evict = heap_[0];
+  ATS_DCHECK(items_[evict].priority == top1_);
   items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(evict));
-  top1_ = m2;
-  top2_ = m3;
-  top_checked_ = boundary_;
+  // Positions past the evictee move down one; order among them holds.
+  for (uint32_t& p : heap_) p -= p > evict ? 1 : 0;
+  for (LoggedAccept& e : log_) e.position -= e.position > evict ? 1 : 0;
+
+  // The newcomer takes the evictee's root entry and sinks.
+  const auto position = static_cast<uint32_t>(items_.size());
   items_.push_back(StoredItem{id, time, priority, initial_threshold});
+  SinkInto(0, position);
+  while (!log_.empty() && log_.back().threshold >= initial_threshold) {
+    log_.pop_back();
+  }
+  log_.push_back({position, initial_threshold});
+  // The old second is the new largest, so the new second is the
+  // largest current entry below the root.
+  DropExpiredTop();
+  ATS_DCHECK(items_[heap_[0]].priority == top2_);
+  top1_ = top2_;
+  top2_ = HeapSecond();
+  top_checked_ = boundary_;
   ++epoch_;
-  NoteTopInsert(priority);
   return true;
 }
 
 double SlidingWindowSampler::GlThreshold(double now) {
-  ExpireUntil(now);
+  QueryAt(now);
   if (items_.size() - head_ < k_) return 1.0;
   std::vector<double> priorities;
   priorities.reserve(items_.size() - head_);
@@ -140,7 +252,7 @@ double SlidingWindowSampler::CurrentMinThreshold() const {
 }
 
 double SlidingWindowSampler::ImprovedThreshold(double now) {
-  ExpireUntil(now);
+  QueryAt(now);
   return CurrentMinThreshold();
 }
 
@@ -165,13 +277,13 @@ std::vector<SampleEntry> SlidingWindowSampler::ImprovedSample(double now) {
 }
 
 size_t SlidingWindowSampler::StoredCount(double now) {
-  ExpireUntil(now);
+  QueryAt(now);
   return items_.size() - head_;
 }
 
 std::vector<SlidingWindowSampler::StoredItem>
 SlidingWindowSampler::CurrentItems(double now) {
-  ExpireUntil(now);
+  QueryAt(now);
   return std::vector<StoredItem>(
       items_.begin() + static_cast<std::ptrdiff_t>(boundary_), items_.end());
 }
@@ -293,9 +405,10 @@ size_t FirstAfter(const Input& in, double cut) {
 SlidingWindowSampler::Fold::Fold(SlidingWindowSampler acc)
     : acc_(std::move(acc)), now_(acc_.last_time_) {
   // The accumulator enters the chain as its own time-ordered sequence:
-  // its expired items are the first run; its current items are the
-  // first carried run, which the first step expires at its clock like
-  // any other.
+  // its expired items are the first run; its current items, their
+  // thresholds settled, are the first carried run, which the first step
+  // expires at its clock like any other.
+  acc_.Settle();
   const auto& items = acc_.items_;
   const auto boundary = items.begin() +
                         static_cast<std::ptrdiff_t>(acc_.boundary_);
@@ -441,21 +554,32 @@ class SlidingWindowSampler::Fold::SamplerInput {
  public:
   explicit SamplerInput(const SlidingWindowSampler& s)
       : last_time_(s.last_time_),
+        boundary_(s.boundary_),
         expired_(s.items_.data() + s.head_, s.boundary_ - s.head_),
         current_(s.items_.data() + s.boundary_,
-                 s.items_.size() - s.boundary_) {}
+                 s.items_.size() - s.boundary_),
+        log_(s.log_) {}
   double last_time() const { return last_time_; }
   size_t expired_size() const { return expired_.size(); }
   size_t current_size() const { return current_.size(); }
   StoredItem expired(size_t i) const { return expired_[i]; }
   double expired_time(size_t i) const { return expired_[i].time; }
-  StoredItem current(size_t i) const { return current_[i]; }
+  // A current item with its logged accepts applied, also when it is
+  // copied into the pool because it expires at the fold's clock. The
+  // fold reads the current region in passes of increasing index.
+  StoredItem current(size_t i) const {
+    StoredItem it = current_[i];
+    it.threshold = log_.Threshold(it, boundary_ + i);
+    return it;
+  }
   double current_time(size_t i) const { return current_[i].time; }
 
  private:
   double last_time_;
+  size_t boundary_;
   std::span<const StoredItem> expired_;
   std::span<const StoredItem> current_;
+  mutable LogCursor log_;
 };
 
 class SlidingWindowSampler::Fold::ViewInput {
@@ -612,7 +736,8 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
   w.WriteDouble(last_time_);
   WriteRngState(w, rng_.State());
   // [head_, boundary_) is exactly the expired set at last_time_, and
-  // the current region follows it.
+  // the current region follows it; current thresholds are written with
+  // the logged accepts applied.
   w.WriteU64(items_.size() - boundary_);
   w.WriteU64(boundary_ - head_);
   const auto write_entry = [&w](const StoredItem& it) {
@@ -621,7 +746,12 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
     w.WriteDouble(it.priority);
     w.WriteDouble(it.threshold);
   };
-  for (size_t i = boundary_; i < items_.size(); ++i) write_entry(items_[i]);
+  LogCursor log(log_);
+  for (size_t i = boundary_; i < items_.size(); ++i) {
+    StoredItem it = items_[i];
+    it.threshold = log.Threshold(it, i);
+    write_entry(it);
+  }
   for (size_t i = head_; i < boundary_; ++i) write_entry(items_[i]);
 }
 

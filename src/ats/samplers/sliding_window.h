@@ -36,14 +36,27 @@
 //
 // Cost model: T_n at a full sample needs only the largest and second-
 // largest current priority, which the sampler caches and maintains under
-// updates (an accept updates them in O(1); expiry invalidates them only
-// when an expiring item is one of the two -- checked at the next
+// updates (an accept updates them in O(log k); expiry invalidates them
+// only when an expiring item is one of the two -- checked at the next
 // full-sample arrival or dropped-prefix erase, off the inlined expiry
 // path; a merge always invalidates). A rejected arrival -- the bulk of a
-// saturated stream -- is therefore a few compares; an accepted one makes
-// a single O(k) pass over C(t) that min-updates the thresholds, finds
-// the evictee and recomputes the top two of the survivors, then one
-// positional erase.
+// saturated stream -- is therefore a few compares. An accepted one makes
+// no pass that branches per item. By Theorem 9 the eviction rule's
+// min-update of every current threshold composes: an item's threshold is
+// its own initial threshold min-composed with the accepts that came
+// after it. So an accept only logs (its position, T_n) in a suffix-
+// minima log, and the threshold is materialized when the item expires
+// (in time order, so the log trims from the front), when a query or a
+// merge settles the sampler, and on read by SerializeTo and the merge
+// fold. The evictee and the new top two come from a max-heap of item
+// positions ordered by (priority descending, position ascending), so the
+// first-arrived maximum is evicted; expired entries leave it lazily as
+// they reach the top, or all at once when k/2 of them have piled up and
+// the heap is rebuilt. The eviction stays one positional erase, after
+// which one branch-free pass shifts the heap and log positions past the
+// evictee; the rest is O(log k). The heap is built on the first full-
+// sample accept and released by queries, merges and dropped-prefix
+// erases, so snapshots and query copies carry none.
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
 // one stream, sharing the time axis, merge by min threshold composition
@@ -69,7 +82,9 @@
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -91,7 +106,7 @@ class SlidingWindowSampler {
     uint64_t id = 0;
     double time = 0.0;
     double priority = 0.0;
-    double threshold = 1.0;  // per-item threshold T_i(t), min-updated
+    double threshold = 1.0;  // per-item threshold T_i(t)
   };
 
   /// k: target sample size / space bound per window; window: Delta.
@@ -109,8 +124,8 @@ class SlidingWindowSampler {
   /// and the call overhead itself is measurable against the deque
   /// baseline it is benchmarked against (BM_WindowArriveBoundary). At a
   /// full sample a rejected arrival is O(1) too (the cached top two
-  /// priorities give its threshold); only an accept pays the O(k)
-  /// eviction pass (see ArriveAtFullSample).
+  /// priorities give its threshold); an accept pays O(log k) heap work
+  /// plus the positional erase (see ArriveAtFullSample).
   bool Arrive(double time, uint64_t id) {
     ATS_DCHECK(time >= last_time_);
     ExpireUntil(time);
@@ -119,9 +134,11 @@ class SlidingWindowSampler {
       return ArriveAtFullSample(time, priority, id);
     }
     // Underfull: initial threshold 1, so the arrival is stored iff
-    // R_n < 1 (a draw of exactly 1.0 is rejected).
+    // R_n < 1 (a draw of exactly 1.0 is rejected). It lowers no other
+    // threshold, so nothing is logged; a built heap indexes it.
     if (!(priority < 1.0)) return false;
     items_.push_back(StoredItem{id, time, priority, 1.0});
+    if (!heap_.empty()) PushHeap(items_.size() - 1);
     ++epoch_;
     NoteTopInsert(priority);
     return true;
@@ -150,9 +167,13 @@ class SlidingWindowSampler {
 
   /// Live heap bytes of the windowed state (util/memory.h convention):
   /// the item vector, including the fewer than k dropped items not yet
-  /// erased (they occupy real bytes until the deferred erase runs).
-  /// O(1) -- never advances expiry.
-  size_t MemoryFootprint() const { return VectorFootprint(items_); }
+  /// erased (they occupy real bytes until the deferred erase runs), plus
+  /// the eviction heap and the accept log while a saturated sample is
+  /// ingesting (a query releases both). O(1) -- never advances expiry.
+  size_t MemoryFootprint() const {
+    return VectorFootprint(items_) + VectorFootprint(heap_) +
+           VectorFootprint(log_);
+  }
 
   /// Current items (after expiry at `now`), for the Figure 1 threshold
   /// trace. Sorted by arrival time.
@@ -217,6 +238,7 @@ class SlidingWindowSampler {
     double last_time() const { return last_time_; }
     size_t current_count() const { return current_count_; }
     size_t expired_count() const { return expired_count_; }
+    std::array<uint64_t, 4> rng_state() const { return rng_state_; }
 
     /// Entry i in [0, current_count + expired_count): current region
     /// first, then expired, each in time order.
@@ -260,20 +282,27 @@ class SlidingWindowSampler {
 
  private:
   // The expiry hot path: pure index advances. Items leaving the window
-  // only advance boundary_; expired items aging past two windows only
-  // advance head_, and the dropped prefix is erased in one batch once it
-  // reaches k, so one arrival at the rate == k boundary costs two
-  // compares and two increments here (BM_WindowArriveBoundary). Newly
-  // expired items are checked against the cached top two later, off
-  // this inlined path (see CheckExpiredTopTwo).
+  // only advance boundary_ (out of line while the log holds accepts, to
+  // materialize each expiring item's threshold); expired items aging
+  // past two windows only advance head_, and the dropped prefix is
+  // erased in one batch once it reaches k, so one arrival at the
+  // rate == k boundary costs two compares and two increments here
+  // (BM_WindowArriveBoundary). Newly expired items are checked against
+  // the cached top two later, off this inlined path (see
+  // CheckExpiredTopTwo).
   void ExpireUntil(double now) {
     if (now > last_time_) last_time_ = now;
     const double cutoff = last_time_ - window_;
     if (boundary_ < items_.size() && items_[boundary_].time <= cutoff) {
       ++epoch_;
-      do {
-        ++boundary_;
-      } while (boundary_ < items_.size() && items_[boundary_].time <= cutoff);
+      if (log_.empty()) {
+        do {
+          ++boundary_;
+        } while (boundary_ < items_.size() &&
+                 items_[boundary_].time <= cutoff);
+      } else {
+        ExpireLogged(cutoff);
+      }
     }
     const double drop = last_time_ - 2.0 * window_;
     if (head_ < boundary_ && items_[head_].time <= drop) {
@@ -284,14 +313,26 @@ class SlidingWindowSampler {
       if (head_ >= k_) EraseDropped();
     }
   }
+  // ExpireUntil's boundary advance while the log is non-empty: each
+  // expiring item's threshold is materialized, then the log entries
+  // that no current item precedes are trimmed from the front.
+  void ExpireLogged(double cutoff);
+  // Advances expiry to `now` for a query, then settles the sampler.
+  void QueryAt(double now) {
+    ExpireUntil(now);
+    Settle();
+  }
+  // Materializes every current threshold, empties the log and releases
+  // the heap; nothing observable changes.
+  void Settle();
 
   // The saturated-sample arrival path. The initial threshold comes from
   // the cached top two live priorities, so a reject is a few compares
-  // (plus one O(k) rescan when the cache was invalidated). An accept
-  // makes one pass over the current items -- min-update of every
-  // threshold, the first largest priority (the evictee) and the top two
-  // of the rest -- then one positional erase and the append. Out of
-  // line: the accept path is O(k) anyway.
+  // (plus an O(log k) heap read, or an O(k) scan before the heap is
+  // built, when the cache was invalidated). An accept erases the
+  // evictee, the heap's root, sinks its own position into the root's
+  // slot, logs its threshold and reads the new top two off the heap.
+  // Out of line: the accept path does the heap work.
   bool ArriveAtFullSample(double time, double priority, uint64_t id);
   // Folds an appended live priority into the cached top two. Harmless
   // while the cache is invalid (the next rescan overwrites it).
@@ -310,15 +351,79 @@ class SlidingWindowSampler {
   // expired item below the current second was never one of the cached
   // two.
   void CheckExpiredTopTwo();
-  // Recomputes the cached top two from the current items.
+  // Recomputes the cached top two: from the heap once it is built,
+  // otherwise by a scan of the current items.
   void RescanTopTwo();
   // Erases the dropped prefix [0, head_): one memmove of the stored
   // items, amortized O(1) per dropped item since it runs once head_
-  // reaches k.
+  // reaches k. Log positions shift with the items; the heap, which may
+  // index dropped items, is released.
   void EraseDropped();
   std::vector<SampleEntry> SampleWithThreshold(double threshold) const;
-  // Improved threshold over the current items as-is (no expiry advance).
+  // Improved threshold over the current items as-is (no expiry advance;
+  // the log must be settled).
   double CurrentMinThreshold() const;
+
+  // One full-sample accept in the log (see log_).
+  struct LoggedAccept {
+    uint32_t position;
+    double threshold;
+  };
+  // Applies the log to current items read in increasing position:
+  // Threshold(item, p) is the min of the item's stored threshold and the
+  // first (smallest) logged threshold positioned after p. Amortized O(1)
+  // per item; a read at a lower position than the last restarts the
+  // walk. An expired item's threshold was materialized when it expired.
+  class LogCursor {
+   public:
+    explicit LogCursor(std::span<const LoggedAccept> log) : log_(log) {}
+    double Threshold(const StoredItem& item, size_t position) {
+      if (next_ > 0 && log_[next_ - 1].position > position) next_ = 0;
+      while (next_ < log_.size() && log_[next_].position <= position) {
+        ++next_;
+      }
+      return next_ < log_.size()
+                 ? std::min(item.threshold, log_[next_].threshold)
+                 : item.threshold;
+    }
+
+   private:
+    std::span<const LoggedAccept> log_;
+    size_t next_ = 0;
+  };
+
+  // The eviction heap over positions in items_: a is above b iff its
+  // priority is larger, or equal with a smaller position. Stored
+  // priorities lie in (0, 1), so their bit patterns are below 2^62 and
+  // order like their values, and each compare is the sign of a
+  // difference: the heap walks stay free of branches.
+  bool Above(uint32_t a, uint32_t b) const {
+    const auto pa = std::bit_cast<uint64_t>(items_[a].priority);
+    const auto pb = std::bit_cast<uint64_t>(items_[b].priority);
+    const uint64_t greater = (pb - pa) >> 63;
+    const uint64_t tie = ((pa ^ pb) - 1) >> 63;  // pa == pb
+    const uint64_t earlier = (uint64_t{a} - uint64_t{b}) >> 63;
+    return (greater | (tie & earlier)) != 0;
+  }
+  void BuildHeap();
+  void PushHeap(size_t position);
+  // The slot of the larger child whose left sibling is at `left`.
+  size_t LargerChild(size_t left) const;
+  // Fills the hole at heap slot `slot` with `entry`, given that both
+  // subtrees below it are heaps and that `entry` belongs at or below
+  // the slot.
+  void SinkInto(size_t slot, uint32_t entry);
+  // Fills the hole at `hole` with `entry`, moving the parents it is
+  // above down one level each, up to slot `top` at most.
+  void RiseInto(size_t hole, uint32_t entry, size_t top);
+  // Removes the root or a child of the root.
+  void RemoveHeapSlot(size_t slot);
+  // Pops expired entries off the top, so heap_[0] is the largest current
+  // priority (or the heap is empty).
+  void DropExpiredTop();
+  // The largest current priority below the root (0 if none): the larger
+  // root child once neither child is expired. Requires a current root.
+  double HeapSecond();
 
   size_t k_;
   double window_;
@@ -343,6 +448,17 @@ class SlidingWindowSampler {
   double top1_ = 0.0;
   double top2_ = 0.0;
   size_t top_checked_ = kNoTopTwo;
+  // The eviction index: every current item's position, plus expired
+  // ones not yet dropped at the top, as a max-heap by Above. An accept
+  // rebuilds it once more than k/2 expired entries have piled up. Empty
+  // means not built; once built, every stored arrival is pushed.
+  std::vector<uint32_t> heap_;
+  // The suffix-minima log of full-sample accepts: entry (p, T_n) lowers
+  // the threshold of every item positioned before p. Positions are non-
+  // decreasing and thresholds strictly increasing, so an item's logged
+  // min is the first entry positioned after it. Entries no current item
+  // precedes are trimmed at expiry.
+  std::vector<LoggedAccept> log_;
   double last_time_;
   // Bumped by every observable mutation; see mutation_epoch().
   uint64_t epoch_ = 0;

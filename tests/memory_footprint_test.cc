@@ -185,6 +185,29 @@ TEST(MemoryFootprint, WindowAfterQueryIsStoredItemsPlusUnderKReclaimable) {
   }
 }
 
+TEST(MemoryFootprint, WindowCountsItsEvictionIndexUntilAQuery) {
+  // A saturated window that ingests without queries also holds its
+  // eviction heap (a 4-byte position per current item, at least) and
+  // its accept log; a query releases both. The stream spans less than
+  // two windows, so no item is dropped and the item vector is exactly
+  // the stored items.
+  constexpr size_t kEntryBytes = 32;
+  constexpr size_t k = 64;
+  SlidingWindowSampler window(k, /*window=*/1.0, 13);
+  ArrivalProcess arrivals(RateProfile::Constant(4000.0), 4400.0, 14);
+  for (const Arrival& a : arrivals.Until(1.9)) window.Arrive(a.time, a.id);
+  const std::string frame = window.SerializeToString();
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->current_count(), k);
+  const size_t stored = view->current_count() + view->expired_count();
+  const size_t saturated = window.MemoryFootprint();
+  EXPECT_GE(saturated, stored * kEntryBytes + k * sizeof(uint32_t));
+  // A query at the current clock moves no item.
+  ASSERT_EQ(window.StoredCount(window.last_time()), stored);
+  EXPECT_EQ(window.MemoryFootprint(), stored * kEntryBytes);
+}
+
 TEST(MemoryFootprint, FrontEndsSumTheirShards) {
   Xoshiro256 rng(43);
 

@@ -1,7 +1,8 @@
 // The time-axis samplers: differential tests against the scalar deque
 // reference (observational equality of the retained multiset,
 // thresholds, ties, and expiry order, and SWN1 bytes against a golden
-// encoder of its state), wire-format round trips with RNG continuation,
+// encoder of its state, also when both continue from a restored or
+// merged state), wire-format round trips with RNG continuation,
 // hostile-input sweeps over the zero-copy frame views, and the
 // windowed/decayed MergeMany vs the sequential pairwise-Merge chain
 // (including empty windows, all-expired stores, and k = 1) -- mirroring
@@ -45,6 +46,21 @@ class ReferenceWindowSampler {
 
   ReferenceWindowSampler(size_t k, double window, uint64_t seed)
       : k_(k), window_(window), rng_(seed) {}
+
+  // Continues from a frame's state: its regions, clock and RNG state.
+  explicit ReferenceWindowSampler(const SlidingWindowSampler::FrameView& view)
+      : k_(view.k()),
+        window_(view.window()),
+        rng_(1),
+        last_time_(view.last_time()) {
+    rng_.SetState(view.rng_state());
+    for (size_t i = 0; i < view.current_count(); ++i) {
+      current_.push_back(view.entry(i));
+    }
+    for (size_t i = 0; i < view.expired_count(); ++i) {
+      expired_.push_back(view.entry(view.current_count() + i));
+    }
+  }
 
   bool Arrive(double time, uint64_t id) {
     ExpireUntil(time);
@@ -146,17 +162,80 @@ void ExpectSameItems(const std::vector<SlidingWindowSampler::StoredItem>& a,
   }
 }
 
+// The SWN1 golden encoder, written from docs/WIRE_FORMAT.md alone and
+// sharing no code with the library's writer: little-endian fields
+// appended byte by byte and FNV-1a-32 over the body.
+
+void PutLe(std::string& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void PutF64(std::string& out, double v) {
+  PutLe(out, std::bit_cast<uint64_t>(v), 8);
+}
+
+std::string WithChecksum(std::string body) {
+  uint32_t h = 2166136261u;
+  for (const unsigned char c : body) {
+    h ^= c;
+    h *= 16777619u;
+  }
+  PutLe(body, h, 4);
+  return body;
+}
+
+// header | k u64 | window f64 | last_time f64 | rng 4 x u64
+//        | current_count u64 | expired_count u64
+//        | current entries | expired entries
+// entry := id u64 | time f64 | priority f64 | threshold f64
+template <typename Region>
+std::string GoldenSwn1Frame(size_t k, double window, double last_time,
+                            const std::array<uint64_t, 4>& rng,
+                            const Region& current, const Region& expired) {
+  std::string body;
+  PutLe(body, 0x53574e31, 4);  // "SWN1"
+  PutLe(body, 1, 4);
+  PutLe(body, k, 8);
+  PutF64(body, window);
+  PutF64(body, last_time);
+  for (const uint64_t word : rng) PutLe(body, word, 8);
+  PutLe(body, current.size(), 8);
+  PutLe(body, expired.size(), 8);
+  for (const auto* region : {&current, &expired}) {
+    for (const SlidingWindowSampler::StoredItem& it : *region) {
+      PutLe(body, it.id, 8);
+      PutF64(body, it.time);
+      PutF64(body, it.priority);
+      PutF64(body, it.threshold);
+    }
+  }
+  return WithChecksum(std::move(body));
+}
+
+// The deque reference's state at its own clock.
+std::string ReferenceSwn1Frame(size_t k, double window,
+                               const ReferenceWindowSampler& reference) {
+  return GoldenSwn1Frame(k, window, reference.last_time(),
+                         reference.rng_state(), reference.current(),
+                         reference.expired());
+}
+
 struct OracleParam {
   size_t k;
   double rate;
   uint64_t seed;
   size_t query_every = 64;  // arrivals between observational checks
+  // > 0: arrival times are rounded down to multiples of it, so bursts of
+  // arrivals share one timestamp.
+  double quantum = 0.0;
 };
 
 class WindowOracleSweep : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
-  const auto [k, rate, seed, query_every] = GetParam();
+  const auto [k, rate, seed, query_every, quantum] = GetParam();
   const double window = 1.0;
   SlidingWindowSampler ported(k, window, seed);
   ReferenceWindowSampler reference(k, window, seed);
@@ -164,19 +243,33 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
                           seed + 77);
   size_t checked = 0;
   for (const Arrival& a : arrivals.Until(6.0)) {
-    ASSERT_EQ(ported.Arrive(a.time, a.id), reference.Arrive(a.time, a.id))
+    const double time =
+        quantum > 0.0 ? std::floor(a.time / quantum) * quantum : a.time;
+    ASSERT_EQ(ported.Arrive(time, a.id), reference.Arrive(time, a.id))
         << "id " << a.id;
     if (++checked % query_every == 0) {
-      ASSERT_DOUBLE_EQ(ported.ImprovedThreshold(a.time),
-                       reference.ImprovedThreshold(a.time));
-      ASSERT_DOUBLE_EQ(ported.GlThreshold(a.time),
-                       reference.GlThreshold(a.time));
-      ASSERT_EQ(ported.StoredCount(a.time), reference.StoredCount(a.time));
+      // The whole state as ingest left it -- every current and expired
+      // threshold, both regions and the RNG -- then again after queries.
+      ASSERT_EQ(ported.SerializeToString(),
+                ReferenceSwn1Frame(k, window, reference))
+          << "arrival " << checked;
+      ASSERT_DOUBLE_EQ(ported.ImprovedThreshold(time),
+                       reference.ImprovedThreshold(time));
+      ASSERT_DOUBLE_EQ(ported.GlThreshold(time),
+                       reference.GlThreshold(time));
+      ASSERT_EQ(ported.StoredCount(time), reference.StoredCount(time));
+      ASSERT_EQ(ported.SerializeToString(),
+                ReferenceSwn1Frame(k, window, reference))
+          << "arrival " << checked;
     }
   }
+  EXPECT_EQ(ported.SerializeToString(),
+            ReferenceSwn1Frame(k, window, reference));
   ExpectSameItems(ported.CurrentItems(6.0), reference.CurrentItems(6.0));
   EXPECT_DOUBLE_EQ(ported.GlThreshold(6.0), reference.GlThreshold(6.0));
   EXPECT_EQ(ported.StoredCount(6.5), reference.StoredCount(6.5));
+  EXPECT_EQ(ported.SerializeToString(),
+            ReferenceSwn1Frame(k, window, reference));
 }
 
 // After the first five points come three at deep saturation (the window
@@ -194,7 +287,12 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
 // leave an invalid cache invalid). The dense k = 2048
 // point (two arrivals per sample slot per window) meets a full sample on
 // about half its arrivals and accepts most of those, so nearly every
-// accept is a capacity eviction.
+// accept is a capacity eviction. The burst points round arrival times
+// to 1/32 and 1/64 of a window, so runs of 60-140 arrivals share one
+// timestamp: items of equal time expire together at the window cut,
+// and an accept's position, not its time, says which items it lowers.
+// The first queries about twice per window, so ingest state between
+// checks spans expiry of the items it logged accepts after.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, WindowOracleSweep,
     ::testing::Values(OracleParam{1, 200.0, 1}, OracleParam{10, 500.0, 2},
@@ -204,7 +302,9 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParam{1, 48.0, 8}, OracleParam{8, 400.0, 9, 1},
                       OracleParam{2, 200.0, 10, 1},
                       OracleParam{3, 6.0, 11, 1},
-                      OracleParam{2048, 4096.0, 12}));
+                      OracleParam{2048, 4096.0, 12},
+                      OracleParam{16, 2000.0, 13, 997, 1.0 / 32},
+                      OracleParam{64, 9000.0, 14, 61, 1.0 / 64}));
 
 // ----------------------------------------------------------------------
 // Wire round trips.
@@ -251,57 +351,9 @@ TEST(WindowWire, EmptySamplerRoundTrips) {
 
 // --- SWN1 golden encoding ---------------------------------------------
 //
-// A reference encoder written from docs/WIRE_FORMAT.md's SWN1 section
-// alone, sharing no code with the library's writer: little-endian fields
-// appended byte by byte and FNV-1a-32 over the body, encoding the deque
-// reference's state at its own clock. The sampler's lazily-reclaimed
-// representation must serialize to exactly that state.
-
-void PutLe(std::string& out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  PutLe(out, std::bit_cast<uint64_t>(v), 8);
-}
-
-std::string WithChecksum(std::string body) {
-  uint32_t h = 2166136261u;
-  for (const unsigned char c : body) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  PutLe(body, h, 4);
-  return body;
-}
-
-// header | k u64 | window f64 | last_time f64 | rng 4 x u64
-//        | current_count u64 | expired_count u64
-//        | current entries | expired entries
-// entry := id u64 | time f64 | priority f64 | threshold f64
-std::string ReferenceSwn1Frame(size_t k, double window,
-                               const ReferenceWindowSampler& reference) {
-  std::string body;
-  PutLe(body, 0x53574e31, 4);  // "SWN1"
-  PutLe(body, 1, 4);
-  PutLe(body, k, 8);
-  PutF64(body, window);
-  PutF64(body, reference.last_time());
-  for (const uint64_t word : reference.rng_state()) PutLe(body, word, 8);
-  PutLe(body, reference.current().size(), 8);
-  PutLe(body, reference.expired().size(), 8);
-  for (const auto* region : {&reference.current(), &reference.expired()}) {
-    for (const SlidingWindowSampler::StoredItem& it : *region) {
-      PutLe(body, it.id, 8);
-      PutF64(body, it.time);
-      PutF64(body, it.priority);
-      PutF64(body, it.threshold);
-    }
-  }
-  return WithChecksum(std::move(body));
-}
+// The golden encoder (above) over the deque reference's state at its own
+// clock. The sampler's lazily-reclaimed representation must serialize
+// to exactly that state.
 
 struct GoldenWindowCase {
   const char* name;
@@ -354,6 +406,97 @@ TEST(WindowGolden, SerializeMatchesReferenceEncoderByteForByte) {
     EXPECT_EQ(sampler.SerializeToString(),
               ReferenceSwn1Frame(c.k, window, reference));
   }
+}
+
+// --- Continuation across materialization points -----------------------
+//
+// Deserialize and a merge's Finish write every threshold as it stands,
+// so a sampler they produce has no accept logged yet; a sampler
+// serialized mid-stream has. Each must continue exactly like the deque
+// reference restored from the same frame: their SWN1 bytes are compared
+// after every later arrival (and a query now and then settles the
+// sampler).
+
+void ExpectSameContinuation(SlidingWindowSampler& sampler,
+                            ReferenceWindowSampler& reference, double rate,
+                            double span, uint64_t seed) {
+  const size_t k = sampler.k();
+  const double window = sampler.window();
+  const double start = sampler.last_time();
+  ASSERT_EQ(sampler.SerializeToString(),
+            ReferenceSwn1Frame(k, window, reference));
+  ArrivalProcess arrivals(RateProfile::Constant(rate), rate * 1.1, seed);
+  size_t n = 0;
+  for (const Arrival& a : arrivals.Until(span)) {
+    const double time = start + a.time;
+    const uint64_t id = 1000000 + a.id;
+    ASSERT_EQ(sampler.Arrive(time, id), reference.Arrive(time, id))
+        << "arrival " << n;
+    ASSERT_EQ(sampler.SerializeToString(),
+              ReferenceSwn1Frame(k, window, reference))
+        << "arrival " << n;
+    if (++n % 97 == 0) {
+      ASSERT_DOUBLE_EQ(sampler.ImprovedThreshold(time),
+                       reference.ImprovedThreshold(time));
+    }
+  }
+  ASSERT_GT(n, 100u);
+}
+
+TEST(WindowContinuation, MidStreamFrameContinuesOnBothSides) {
+  // Saturated and never queried: the frame is serialized with accepts
+  // logged. The original and its restored copy continue alike.
+  SlidingWindowSampler original(16, 1.0, 31);
+  ArrivalProcess arrivals(RateProfile::Constant(600.0), 660.0, 32);
+  for (const Arrival& a : arrivals.Until(2.5)) original.Arrive(a.time, a.id);
+  const std::string frame = original.SerializeToString();
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  ASSERT_TRUE(view.has_value());
+  auto restored = SlidingWindowSampler::Deserialize(std::string_view(frame));
+  ASSERT_TRUE(restored.has_value());
+  for (SlidingWindowSampler* sampler : {&original, &*restored}) {
+    SCOPED_TRACE(sampler == &original ? "original" : "restored");
+    ReferenceWindowSampler reference(*view);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameContinuation(*sampler, reference, 600.0, 2.5, 33));
+  }
+}
+
+TEST(WindowContinuation, MergeResultContinuesLikeTheReference) {
+  SlidingWindowSampler even(12, 1.0, 41), odd(12, 1.0, 42);
+  ArrivalProcess arrivals(RateProfile::Constant(800.0), 880.0, 43);
+  for (const Arrival& a : arrivals.Until(2.3)) {
+    (a.id % 2 == 0 ? even : odd).Arrive(a.time, a.id);
+  }
+  even.Merge(odd);
+  const std::string frame = even.SerializeToString();
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  ASSERT_TRUE(view.has_value());
+  ReferenceWindowSampler reference(*view);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSameContinuation(even, reference, 800.0, 2.5, 44));
+}
+
+TEST(WindowContinuation, RestoredThresholdsNeverActAsLoggedAccepts) {
+  // A valid golden frame whose current thresholds are not monotone in
+  // time. A later accept lowers every current threshold to its own, but
+  // a restored threshold lowers nothing: item 1 keeps 0.5 even though
+  // item 2, after it, restores 0.3. Items 4 and 6 tie at the largest
+  // priority, so the first accept evicts item 4, the first-arrived.
+  const std::vector<SlidingWindowSampler::StoredItem> current = {
+      {1, 9.15, 0.10, 0.50}, {2, 9.30, 0.20, 0.30}, {3, 9.45, 0.05, 0.60},
+      {4, 9.60, 0.25, 0.25}, {5, 9.75, 0.12, 0.45}, {6, 9.90, 0.25, 0.35}};
+  const std::vector<SlidingWindowSampler::StoredItem> expired = {
+      {7, 8.40, 0.15, 0.40}, {8, 8.95, 0.22, 0.30}};
+  const std::string frame =
+      GoldenSwn1Frame(6, 1.0, 10.0, {5, 6, 7, 8}, current, expired);
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  ASSERT_TRUE(view.has_value());
+  auto restored = SlidingWindowSampler::Deserialize(std::string_view(frame));
+  ASSERT_TRUE(restored.has_value());
+  ReferenceWindowSampler reference(*view);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSameContinuation(*restored, reference, 60.0, 3.0, 51));
 }
 
 TEST(DecayWire, RoundTripPreservesSampleAndRngStream) {
