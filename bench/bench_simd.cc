@@ -10,7 +10,7 @@
 //     scan (VisitBlockCandidates; the acceptance criterion is the
 //     dispatched scan at >= 2x the scalar kernel).
 //   * BM_HashPriorityMask/{scalar,dispatched} -- the fused
-//     hash->priority->pre-filter block (VisitHashedCandidates).
+//     hash->priority->pre-filter block (SampleStore::HashedBatchOffer).
 //   * BM_LogSpan/{libm,scalar,dispatched} -- the FastLog column kernel
 //     vs a plain std::log loop and vs the forced-scalar FastLog loop.
 //   * BM_FillExponentials vs BM_NextExponentialLoop -- the batched

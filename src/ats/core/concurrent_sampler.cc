@@ -49,7 +49,7 @@ KmvScenario::Accumulator KmvScenario::StartMerge(const Config& config,
 }
 
 void KmvScenario::GatherShard(Accumulator& acc, const Shard& shard) {
-  acc.Gather(shard);  // duplicate suppression as in MergeMany
+  acc.Gather(shard);  // duplicates collapse at compaction, as in MergeMany
 }
 
 KmvScenario::Merged KmvScenario::FinishMerge(const Config& /*config*/,

@@ -49,8 +49,10 @@
 // Scenarios whose priorities come from per-shard RNGs (independent-mode
 // bottom-k, decay) or whose thresholds are clock-sensitive (windows)
 // never publish a bound and keep the unfiltered path; so, for now, does
-// KMV (its hashed priorities would qualify; ROADMAP.md's "KMV without
-// seen_" item says why it waits).
+// KMV. Its hashed priorities would qualify, but the rounds oracle
+// ConcurrentRebuildOracle.KmvRoundsMatchSingleSketchPrefixes needs at
+// least 7 rebuilds in 14 rounds, and a correct filter leaves its small
+// rounds clean; that oracle's rounds first need keys below the threshold.
 //
 // Reader protocol. A query loads the current snapshot pointer -- a raw
 // std::atomic<const SnapshotState*>, genuinely lock-free (statically

@@ -36,6 +36,16 @@
 // the underfull warm-up phase. `AcceptBound()` exposes the raw chunked
 // bound for hot-path pre-filtering without forcing a compaction.
 //
+// The canonical order is part of the store's type (StoreOrder). Samplers
+// use kArrival: arrival order, compacted as above. KMV uses
+// kAscendingDistinct: a KMV priority is a hash of its key, so an equal
+// priority IS a duplicate key. Its columns are a canonical prefix
+// (ascending, distinct, <= k: the KMV2 entry order) plus the tail
+// appended since, duplicates included; a compaction sorts the tail and
+// merges it into the prefix, keeping each priority's first arrival
+// (CompactDistinct). It runs whenever a tail exists, so size() never
+// counts a duplicate.
+//
 // Why structure-of-arrays: the ingest hot path touches only priorities.
 // Once the store saturates, the overwhelming majority of offers fail the
 // `priority < bound` test and must be rejected as cheaply as possible; a
@@ -85,6 +95,12 @@ namespace internal {
 std::vector<size_t> AscendingPriorityOrder(
     const std::vector<double>& priorities);
 
+// One tail entry of a kAscendingDistinct compaction (sample_store.cc).
+struct IndexedPriority {
+  double priority;
+  size_t index;  // position in the tail
+};
+
 // Bound on eager capacity reservation. Capacity k is a logical limit, not
 // a storage promise: wire formats carry arbitrary k, so reserving k (or
 // the 2k compaction buffer) up front would let a hostile message allocate
@@ -101,9 +117,9 @@ static_assert(kIngestBlock <= 64,
 // Visits the indices j in [0, 64) whose priority is below the threshold
 // snapshot `t`, in ascending order. This is THE batched-ingest pre-filter:
 // one implementation of the SIMD-friendly block scan, shared by
-// SampleStore::OfferBatch and the fused hashing front-ends
-// (HashedBatchOffer, KmvSketch::AddKeys). Callers re-check the live bound
-// per candidate (Offer does this), so using a snapshot is
+// SampleStore::OfferBatch, the k-way gathers and the samplers' batched
+// ingest. Callers re-check the live bound per candidate (Offer does
+// this), so using a snapshot is
 // behavior-preserving: the bound only decreases, and items culled against
 // the snapshot would also be rejected, with no state change, one at a
 // time.
@@ -124,40 +140,15 @@ inline void VisitBlockCandidates(const double* priorities, double t,
   }
 }
 
-// Fused hash -> priority -> pre-filter pipeline over a span of keys: for
-// each 64-key block, the runtime-dispatched hash_priority_mask64 kernel
-// (src/ats/core/simd/) hashes the keys, writes the coordinated
-// unit-interval priorities into a dense column, and culls the block
-// against `bound()` in one pass; only surviving (priority, key) pairs
-// reach `visit` -- in stream order, exactly like a scalar hash-then-offer
-// loop (the kernel is bit-exact vs HashToUnit(HashKey(...)) at every
-// dispatch level). `bound` is re-read per block (and per tail item) so
-// compactions triggered by accepted candidates tighten the filter for
-// subsequent blocks.
-template <typename BoundFn, typename Visit>
-inline void VisitHashedCandidates(std::span<const uint64_t> keys,
-                                  uint64_t salt, BoundFn&& bound,
-                                  Visit&& visit) {
-  alignas(64) double priorities[kIngestBlock];
-  size_t i = 0;
-  for (; i + kIngestBlock <= keys.size(); i += kIngestBlock) {
-    uint64_t mask = simd::ActiveKernels().hash_priority_mask64(
-        keys.data() + i, salt, bound(), priorities);
-    while (mask != 0) {
-      const size_t j = static_cast<size_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      visit(priorities[j], keys[i + j]);
-    }
-  }
-  for (; i < keys.size(); ++i) {
-    const double p = HashToUnit(HashKey(keys[i], salt));
-    if (p < bound()) visit(p, keys[i]);
-  }
-}
-
 }  // namespace internal
 
-template <typename Payload>
+// How a store keeps its canonical columns (see the file comment).
+enum class StoreOrder {
+  kArrival,            // arrival order; every sampler
+  kAscendingDistinct,  // ascending, equal priorities collapsed; KMV
+};
+
+template <typename Payload, StoreOrder kOrder = StoreOrder::kArrival>
 class SampleStore {
  public:
   /// k: retention capacity. `initial_threshold` pre-filters the stream
@@ -244,18 +235,35 @@ class SampleStore {
   /// dense column, culls the block against the acceptance bound, and
   /// appends the survivors. Exactly equivalent to
   ///   for (key : keys) Offer(HashToUnit(HashKey(key, salt)), key);
-  /// in order, including the acceptance count. Keys are NOT deduplicated;
-  /// key-coordinated duplicate suppression lives in KmvSketch.
+  /// in order, including the acceptance count. Keys are NOT deduplicated
+  /// here; a kAscendingDistinct store collapses them at compaction.
   size_t HashedBatchOffer(std::span<const uint64_t> keys,
                           uint64_t hash_salt = 0)
     requires std::same_as<Payload, uint64_t>
   {
+    // The runtime-dispatched hash_priority_mask64 kernel
+    // (src/ats/core/simd/) hashes a block, writes its priorities into a
+    // dense column and culls it against the live bound in one pass,
+    // bit-exact with HashToUnit(HashKey(...)) at every dispatch level.
+    // Survivors are accepted in stream order, and the bound is re-read
+    // per block, so compactions tighten the filter for later blocks.
+    alignas(64) double priorities[internal::kIngestBlock];
     size_t accepted = 0;
-    internal::VisitHashedCandidates(
-        keys, hash_salt, [this] { return threshold_; },
-        [&](double priority, uint64_t key) {
-          accepted += Accept(priority, key) ? 1 : 0;
-        });
+    size_t i = 0;
+    for (; i + internal::kIngestBlock <= keys.size();
+         i += internal::kIngestBlock) {
+      uint64_t mask = simd::ActiveKernels().hash_priority_mask64(
+          keys.data() + i, hash_salt, threshold_, priorities);
+      while (mask != 0) {
+        const size_t j = static_cast<size_t>(std::countr_zero(mask));
+        mask &= mask - 1;
+        accepted += Accept(priorities[j], keys[i + j]) ? 1 : 0;
+      }
+    }
+    for (; i < keys.size(); ++i) {
+      accepted +=
+          Accept(HashToUnit(HashKey(keys[i], hash_salt)), keys[i]) ? 1 : 0;
+    }
     // Same epoch discipline as OfferBatch: once per batch, accepts only.
     if (accepted > 0) ++mutation_epoch_;
     return accepted;
@@ -338,9 +346,9 @@ class SampleStore {
   size_t k() const { return k_; }
   double initial_threshold() const { return initial_threshold_; }
 
-  /// Raw columns in unspecified order. priorities()[i] pairs with
-  /// payloads()[i]. Canonicalized: at most k entries, exactly the scalar
-  /// reference's retained multiset.
+  /// Canonical columns: arrival order for kArrival, ascending for
+  /// kAscendingDistinct. priorities()[i] pairs with payloads()[i]. At
+  /// most k entries, exactly the scalar reference's retained multiset.
   const std::vector<double>& priorities() const {
     CompactToK();
     return priority_;
@@ -456,9 +464,9 @@ class SampleStore {
                     });
   }
 
-  /// The pre-filtered raw-column scan behind Gather, for callers whose
-  /// accept step is not a plain append (KmvSketch routes survivors
-  /// through its duplicate check): visits, in arrival order, every
+  /// The pre-filtered raw-column scan behind Gather, for callers that
+  /// must not adopt the input's initial threshold as Gather does
+  /// (KmvSketch serializes its own): visits, in column order, every
   /// buffered entry whose priority is below `bound()` as
   /// visit(priority, payload). `bound` is re-read per 64-entry block and
   /// per tail entry (it may only decrease as the visitor accepts);
@@ -496,7 +504,26 @@ class SampleStore {
     if (t >= threshold_) return;
     ++mutation_epoch_;
     threshold_ = t;
+    // The ascending prefix keeps its entries below t, a prefix of itself.
+    const auto begin = priority_.begin();
+    sorted_ = static_cast<size_t>(
+        std::lower_bound(begin, begin + static_cast<std::ptrdiff_t>(sorted_),
+                         t) -
+        begin);
     FilterColumns([t](double p) { return p < t; });
+  }
+
+  /// Adopts a validated canonical state decoded off the wire: at most k
+  /// entries in canonical order, all below `threshold` <= the bound.
+  void Restore(std::vector<double> priorities, std::vector<Payload> payloads,
+               double threshold) {
+    ATS_CHECK(priorities.size() == payloads.size());
+    ATS_CHECK(priorities.size() <= k_ && threshold <= threshold_);
+    ++mutation_epoch_;
+    threshold_ = threshold;
+    priority_ = std::move(priorities);
+    payload_ = std::move(payloads);
+    sorted_ = priority_.size();
   }
 
  private:
@@ -512,8 +539,8 @@ class SampleStore {
 
   /// In-place stable filter over the parallel columns: keeps the entries
   /// whose priority satisfies `keep` (which may be stateful), preserving
-  /// arrival order and priority/payload lockstep. Logically const -- the
-  /// single place the columns are compacted/moved.
+  /// column order and priority/payload lockstep. Logically const -- the
+  /// single place the columns are filtered in place.
   template <typename Keep>
   void FilterColumns(Keep&& keep) const {
     size_t w = 0;
@@ -545,6 +572,10 @@ class SampleStore {
   /// are exactly the offers a per-offer reference would have rejected at
   /// a full store). Logically const: mutates only the representation.
   void CompactToK() const {
+    if constexpr (kOrder == StoreOrder::kAscendingDistinct) {
+      if (sorted_ != priority_.size()) CompactDistinct();
+      return;
+    }
     const size_t n = priority_.size();
     if (n <= k_) return;
     scratch_.assign(priority_.begin(), priority_.end());
@@ -566,6 +597,14 @@ class SampleStore {
     });
   }
 
+  /// The kAscendingDistinct compaction: sorts the tail [sorted_, n) by
+  /// (priority, arrival) and merges it with the prefix in one pass that
+  /// keeps each priority's first arrival, stops at k entries and lowers
+  /// the bound to the (k+1)-th distinct priority -- by CompactToK's
+  /// invariant, the (k+1)-th smallest distinct one ever offered. Defined
+  /// once, out of line, for KMV's store (sample_store.cc).
+  void CompactDistinct() const;
+
   size_t k_;
   /// Candidate-buffer capacity (2k): compaction runs every k accepts and
   /// costs O(2k), i.e. amortized O(1) per accepted item.
@@ -579,14 +618,25 @@ class SampleStore {
   /// Parallel candidate columns; size <= capacity_, <= k when canonical.
   mutable std::vector<double> priority_;
   mutable std::vector<Payload> payload_;
-  /// Compaction scratch for the nth_element pivot scan (reused across
-  /// compactions to avoid per-compaction allocation).
+  /// kAscendingDistinct: length of the canonical prefix (ascending,
+  /// distinct, <= k); [sorted_, size) is the unsorted tail. Always 0 for
+  /// kArrival.
+  mutable size_t sorted_ = 0;
+  /// Compaction scratch (reused across compactions to avoid
+  /// per-compaction allocation): the nth_element pivot scan, or the
+  /// merged columns and sorted tail of a distinct compaction.
   mutable std::vector<double> scratch_;
+  mutable std::vector<Payload> payload_scratch_;
+  mutable std::vector<internal::IndexedPriority> tail_;
   /// Observable-mutation counter (see mutation_epoch()). Deliberately NOT
   /// mutable: canonicalization under const accessors must not bump it, or
   /// query-side caches would self-invalidate.
   uint64_t mutation_epoch_ = 0;
 };
+
+template <>
+void SampleStore<uint64_t, StoreOrder::kAscendingDistinct>::CompactDistinct()
+    const;
 
 }  // namespace ats
 

@@ -8,8 +8,8 @@
 //     passes, and every sampler's block-prefiltered AddBatch.
 //   * hash_priority_mask64 -- the fused hash -> priority -> pre-filter
 //     block: Mix64 key hashing, hash -> unit-interval conversion, and the
-//     threshold compare in one pass (VisitHashedCandidates; the batched
-//     front-ends of KMV/Theta/GroupDistinct and every keyed store).
+//     threshold compare in one pass (SampleStore::HashedBatchOffer; the
+//     batched front-ends of KMV/Theta and every keyed store).
 //   * log_span -- elementwise natural log via the FastLog reference
 //     (fast_log.h): the log-free exponential-priority path used by
 //     Xoshiro256::NextExponential/FillExponentials and the time-decay

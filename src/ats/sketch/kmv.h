@@ -13,33 +13,34 @@
 // still estimates the total population.
 //
 // Retention is delegated to the shared SampleStore (keys are the payload
-// column); this class adds coordinated hashing, duplicate suppression,
-// and the MergeableSketch wire format.
+// column); this class adds coordinated hashing and the MergeableSketch
+// wire format. A priority is a function of its key, so a duplicate key is
+// an equal priority: the store's ascending-distinct compaction collapses
+// it (StoreOrder::kAscendingDistinct), and the canonical columns are in
+// the KMV2 entry order -- ascending, distinct.
 #ifndef ATS_SKETCH_KMV_H_
 #define ATS_SKETCH_KMV_H_
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ats/core/random.h"
 #include "ats/core/sample_store.h"
 #include "ats/core/threshold.h"
-#include "ats/util/memory.h"
 #include "ats/util/serialize.h"
 
 namespace ats {
 
 class KmvSketch {
  public:
+  using Store = SampleStore<uint64_t, StoreOrder::kAscendingDistinct>;
+
   // k: sketch capacity. `initial_threshold` (default 1 = the whole unit
   // interval) lets composite sketches start pre-filtered, as the grouped
   // sketch of Section 3.6 requires.
@@ -48,22 +49,23 @@ class KmvSketch {
 
   // Feeds one key (duplicates are ignored -- coordinated hashing makes the
   // priority a function of the key). Amortized O(1): acceptance tests the
-  // store's chunked bound and accepted priorities are appended, not
-  // heap-sifted. Returns true iff the key's priority is accepted below
-  // the current bound.
+  // store's chunked bound and an accepted priority is appended, duplicate
+  // or not; duplicates collapse at the next compaction. Returns true iff
+  // the key's priority is accepted below the current bound.
   bool AddKey(uint64_t key);
 
   // Batched ingest: equivalent to calling AddKey() on each key in order
   // (same state, same acceptance count), but runs the fused
-  // hash->priority->pre-filter pipeline: each 64-key block is hashed into
-  // a dense priority column and culled against the acceptance bound
-  // before the per-key duplicate check. Returns the number of keys whose
-  // priority is accepted (duplicates of accepted keys count).
+  // hash->priority->pre-filter pipeline (SampleStore::HashedBatchOffer):
+  // each 64-key block is hashed into a dense priority column and culled
+  // against the acceptance bound, and survivors are appended. Returns the
+  // number of keys whose priority is accepted (duplicates of accepted
+  // keys count).
   size_t AddKeys(std::span<const uint64_t> keys);
 
   // Feeds a pre-computed unit-interval priority directly (used by merges
-  // and by weighted variants). Duplicate priorities are treated as
-  // duplicate keys.
+  // and by weighted variants). An equal priority is a duplicate key: the
+  // first arrival's key is kept.
   bool OfferPriority(double priority, uint64_t key);
 
   // Current threshold theta in (0, 1].
@@ -75,17 +77,15 @@ class KmvSketch {
   bool saturated() const { return store_.saturated(); }
 
   // Live heap bytes of the sketch state (util/memory.h convention): the
-  // store's SoA columns plus the modeled duplicate-suppression hash set.
-  // O(1), non-canonicalizing.
-  size_t MemoryFootprint() const {
-    return store_.MemoryFootprint() + HashFootprint(seen_);
-  }
+  // store's SoA columns, 16 bytes per buffered entry, so 16 * size() once
+  // canonical. O(1), non-canonicalizing.
+  size_t MemoryFootprint() const { return store_.MemoryFootprint(); }
 
   // Unbiased distinct-count estimate: size / theta.
   double Estimate() const;
 
-  // Retained (priority, key) pairs, ascending by priority (the canonical
-  // wire order; see AscendingEntries).
+  // Retained (priority, key) pairs, ascending by priority: the canonical
+  // columns (and wire order), copied.
   std::vector<std::pair<double, uint64_t>> members() const;
 
   // Merges another KMV sketch over the SAME key universe hashing (same
@@ -95,10 +95,10 @@ class KmvSketch {
   void Merge(const KmvSketch& other);
 
   // Threshold-pruned k-way union: observationally identical to merging
-  // the inputs with Merge() in span order (same members, same theta --
-  // coordinated hashing makes duplicate suppression order-independent),
-  // but the global bound (min of every acceptance bound) is taken before
-  // any member moves and each input's raw priority column is
+  // the inputs with Merge() in span order (same members, same theta, and
+  // an equal priority keeps its first arrival's key either way), but the
+  // global bound (min of every acceptance bound) is taken before any
+  // member moves and each input's raw priority column is
   // block-prefiltered against it, so the S-shard fan-in costs one
   // selection instead of S merge+compaction rounds (see
   // SampleStore::MergeMany). All inputs must share this sketch's hash
@@ -108,14 +108,15 @@ class KmvSketch {
 
   // One input of the k-way union, for callers that reach the inputs one
   // at a time (the concurrent tier gathers each shard under its own
-  // lock): lowers to `other`'s acceptance bound and offers its raw
-  // buffered members that pass the block pre-filter through the
-  // duplicate check (SampleStore::Gather). A sequence of gathers is a
-  // MergeMany once PurgeAboveThreshold() closes it. Same salt required;
+  // lock): lowers to `other`'s acceptance bound and appends its raw
+  // buffered members that pass the block pre-filter (as
+  // SampleStore::Gather does). A sequence of gathers is a MergeMany once
+  // PurgeAboveThreshold() closes it. Same salt required;
   // self-gather is a no-op; `other` is only read.
   void Gather(const KmvSketch& other);
 
-  // Closes a sequence of Gather calls: drops members at/above theta.
+  // Closes a sequence of Gather calls: compacts (no tail remains) and
+  // drops members at/above theta.
   void PurgeAboveThreshold() { store_.PurgeAboveThreshold(); }
 
   // Zero-copy view over a whole serialized KMV frame (SerializeToString
@@ -137,10 +138,6 @@ class KmvSketch {
    private:
     friend class KmvSketch;
     static constexpr size_t kStride = sizeof(double) + sizeof(uint64_t);
-
-    // Number of leading entries with priority < `bound`: the ascending
-    // order makes every merge candidate a prefix (binary search).
-    size_t PrefixBelow(double bound) const;
 
     template <typename T>
     T ReadAt(size_t i, size_t offset) const {
@@ -189,11 +186,13 @@ class KmvSketch {
   uint64_t hash_salt() const { return hash_salt_; }
   size_t k() const { return store_.k(); }
 
-  const SampleStore<uint64_t>& store() const { return store_; }
+  // The canonical columns are ascending and distinct (see Store).
+  const Store& store() const { return store_; }
 
   // Wire format for shipping sketches between nodes: versioned magic
-  // header plus the full sketch state. Deserialize is ViewBody, then
-  // materialize; nullopt on corrupt or foreign input.
+  // header plus the full sketch state. SerializeTo copies the canonical
+  // columns, which are already in entry order; Deserialize is ViewBody,
+  // then two column copies. nullopt on corrupt or foreign input.
   void SerializeTo(ByteWriter& w) const;
   static std::optional<KmvSketch> Deserialize(ByteReader& r);
   std::string SerializeToString() const { return SerializeSketch(*this); }
@@ -223,30 +222,6 @@ class KmvSketch {
       2 * sizeof(uint32_t) + 5 * sizeof(uint64_t) + sizeof(uint32_t);
 
  private:
-  // One retained entry, laid out as a KMV2 wire entry (priority f64 |
-  // key u64, the host byte order every ByteWriter field uses), so a
-  // sorted run of them is the frame's entry region verbatim.
-  struct Entry {
-    double priority;
-    uint64_t key;
-  };
-  static_assert(sizeof(Entry) == FrameView::kStride &&
-                std::is_trivially_copyable_v<Entry>);
-
-  // The canonical member order shared by SerializeTo and members(): the
-  // retained entries ascending by priority. KMV priorities are distinct
-  // (seen_ suppresses duplicates), so the order is unique and any
-  // correct sort yields the same bytes. Expected O(n): a counting pass
-  // buckets the entries by value over (0, theta), where hash-derived
-  // priorities are uniform, then each bucket is sorted on its own.
-  // Skewed priorities (weighted U/w, OfferPriority) only crowd buckets,
-  // and a crowded bucket costs O(m log m), so the worst case stays
-  // O(n log n).
-  std::vector<Entry> AscendingEntries() const;
-
-  // Rebuilds seen_ from the retained priorities, shedding evicted ones.
-  void CompactSeen();
-
   // The k-way union core shared by MergeMany and MergeManyFrames (see
   // kmv.cc): `inputs` is non-empty and pre-vetted. Input is a live
   // sketch pointer or a FrameView; the overloads below read each kind.
@@ -260,14 +235,7 @@ class KmvSketch {
   void GatherInput(const FrameView& in);
 
   uint64_t hash_salt_;
-  SampleStore<uint64_t> store_;  // priority column + key payload column
-  // Priorities accepted below the threshold (bit patterns), for O(1)
-  // duplicate-key suppression. May hold stale (since-evicted) priorities:
-  // an evicted priority is >= the current threshold, so it is rejected
-  // before the set is ever consulted -- staleness is harmless, and
-  // OfferPriority compacts the set whenever the stale slack exceeds ~k,
-  // keeping memory at O(k).
-  std::unordered_set<uint64_t> seen_;
+  Store store_;  // priority column + key payload column
 };
 
 static_assert(MergeableSketch<KmvSketch>);

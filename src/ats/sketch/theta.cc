@@ -40,13 +40,7 @@ double ThetaSketch::Estimate() const {
 }
 
 std::vector<double> ThetaSketch::RetainedPriorities() const {
-  if (union_mode_) return union_retained_;
-  std::vector<double> out;
-  out.reserve(kmv_.size());
-  for (const auto& [priority, key] : kmv_.members()) {
-    out.push_back(priority);
-  }
-  return out;
+  return union_mode_ ? union_retained_ : kmv_.store().priorities();
 }
 
 ThetaSketch ThetaSketch::Union(
@@ -63,23 +57,15 @@ ThetaSketch ThetaSketch::UnionMany(
     out.union_theta_ = std::min(out.union_theta_, s->Theta());
   }
   // Gather every retained hash below the global theta, then sort + dedup
-  // once. Union-mode inputs are already ascending, so the theta prune is
-  // a binary search and the surviving prefix a bulk append; stream-mode
-  // inputs contribute their (unsorted) canonical store column filtered
-  // with one linear pass.
+  // once. Both modes keep their retained hashes ascending (a KMV's
+  // canonical column is), so the theta prune is a binary search and the
+  // surviving prefix a bulk append.
   std::vector<double>& retained = out.union_retained_;
   for (const ThetaSketch* s : inputs) {
-    if (s->union_mode_) {
-      const std::vector<double>& rs = s->union_retained_;
-      const auto cut =
-          std::lower_bound(rs.begin(), rs.end(), out.union_theta_);
-      retained.insert(retained.end(), rs.begin(), cut);
-    } else {
-      const auto& store = s->kmv_.store();
-      for (double p : store.priorities()) {
-        if (p < out.union_theta_) retained.push_back(p);
-      }
-    }
+    const std::vector<double>& rs =
+        s->union_mode_ ? s->union_retained_ : s->kmv_.store().priorities();
+    const auto cut = std::lower_bound(rs.begin(), rs.end(), out.union_theta_);
+    retained.insert(retained.end(), rs.begin(), cut);
   }
   std::sort(retained.begin(), retained.end());
   retained.erase(std::unique(retained.begin(), retained.end()),

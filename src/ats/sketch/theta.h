@@ -59,8 +59,9 @@ class ThetaSketch {
 
   // The k-way Theta union engine (Union above and Merge delegate here):
   // the min theta over all inputs is taken first, every input's retained
-  // set is pruned against it -- union-mode inputs are sorted, so the
-  // prune is one binary search and the tail is never touched -- and the
+  // set is pruned against it -- retained sets are ascending in both
+  // modes, so the prune is one binary search and the tail is never
+  // touched -- and the
   // surviving hashes are merged with one sort + dedup pass instead of
   // per-hash ordered-set inserts.
   static ThetaSketch UnionMany(std::span<const ThetaSketch* const> inputs);

@@ -1,11 +1,14 @@
 // Tests for ats/sketch/kmv.h: distinct-count accuracy/unbiasedness,
-// dedup, merge == single-stream, the Section 3.4 weighted variant, and
-// the KMV2 encoding pinned against an independent reference encoder.
+// dedup, merge == single-stream, the Section 3.4 weighted variant, an
+// independent std::map reference over duplicate-heavy streams, and the
+// KMV2 encoding pinned against an independent reference encoder.
 #include "ats/sketch/kmv.h"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -17,6 +20,7 @@
 #include "ats/sketch/group_distinct.h"
 #include "ats/sketch/theta.h"
 #include "ats/util/stats.h"
+#include "ats/workload/zipf.h"
 
 namespace ats {
 namespace {
@@ -162,6 +166,233 @@ TEST(Kmv, ThresholdMonotoneDecreasing) {
     sketch.AddKey(i);
     ASSERT_LE(sketch.Threshold(), prev);
     prev = sketch.Threshold();
+  }
+}
+
+// --- An independent reference over duplicate-heavy streams ----------
+//
+// The reference shares no code with the store: a std::map from priority
+// to the FIRST key offered with it, pruned to the k+1 smallest
+// priorities. The retained set is its first k entries, and the threshold
+// is min(initial, (k+1)-th distinct priority). Zipf(1.1) keys over a
+// 2^12 universe make most offers duplicates.
+
+class KmvReference {
+ public:
+  KmvReference(size_t k, double initial) : k_(k), initial_(initial) {}
+
+  void Offer(double priority, uint64_t key) {
+    if (!(priority < initial_)) return;
+    by_priority_.emplace(priority, key);  // keeps the first key
+    if (by_priority_.size() > k_ + 1) {
+      by_priority_.erase(std::prev(by_priority_.end()));
+    }
+  }
+  void AddKey(uint64_t key, uint64_t salt) {
+    Offer(HashToUnit(HashKey(key, salt)), key);
+  }
+
+  double Threshold() const {
+    return by_priority_.size() > k_ ? std::prev(by_priority_.end())->first
+                                    : initial_;
+  }
+  std::vector<std::pair<double, uint64_t>> Members() const {
+    std::vector<std::pair<double, uint64_t>> out(by_priority_.begin(),
+                                                 by_priority_.end());
+    if (out.size() > k_) out.resize(k_);
+    return out;
+  }
+  double Estimate() const {
+    return static_cast<double>(Members().size()) / Threshold();
+  }
+
+ private:
+  size_t k_;
+  double initial_;
+  std::map<double, uint64_t> by_priority_;
+};
+
+// Exact agreement: size, threshold, estimate and members.
+::testing::AssertionResult MatchesReference(const KmvSketch& sketch,
+                                            const KmvReference& ref) {
+  const auto members = ref.Members();
+  if (sketch.size() != members.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << sketch.size() << " vs " << members.size();
+  }
+  if (sketch.Threshold() != ref.Threshold()) {
+    return ::testing::AssertionFailure() << "threshold " << sketch.Threshold()
+                                         << " vs " << ref.Threshold();
+  }
+  if (sketch.Estimate() != ref.Estimate()) {
+    return ::testing::AssertionFailure() << "estimate " << sketch.Estimate()
+                                         << " vs " << ref.Estimate();
+  }
+  if (sketch.members() != members) {
+    return ::testing::AssertionFailure() << "members differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<uint64_t> ZipfKeys(size_t n, uint64_t seed) {
+  ZipfGenerator zipf(1 << 12, 1.1, seed);
+  std::vector<uint64_t> keys(n);
+  for (auto& key : keys) key = zipf.Next();
+  return keys;
+}
+
+constexpr size_t kReferenceKs[] = {1, 2, 64, 1024};
+
+TEST(KmvReferenceOracle, AddKeyMatchesAfterEveryKey) {
+  const std::vector<uint64_t> keys = ZipfKeys(6000, 101);
+  for (const size_t k : kReferenceKs) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    KmvSketch sketch(k, 1.0, 11);
+    KmvReference ref(k, 1.0);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      sketch.AddKey(keys[i]);
+      ref.AddKey(keys[i], 11);
+      ASSERT_TRUE(MatchesReference(sketch, ref)) << "key " << i;
+    }
+  }
+}
+
+TEST(KmvReferenceOracle, AddKeysMatchesAfterEveryChunk) {
+  const std::vector<uint64_t> keys = ZipfKeys(20000, 102);
+  for (const size_t k : kReferenceKs) {
+    for (const size_t chunk : {1u, 63u, 64u, 1000u}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " chunk=" << chunk);
+      KmvSketch sketch(k, 1.0, 12);
+      KmvReference ref(k, 1.0);
+      for (size_t i = 0; i < keys.size(); i += chunk) {
+        const size_t len = std::min(chunk, keys.size() - i);
+        sketch.AddKeys(std::span(keys).subspan(i, len));
+        for (size_t j = i; j < i + len; ++j) ref.AddKey(keys[j], 12);
+        ASSERT_TRUE(MatchesReference(sketch, ref)) << "offset " << i;
+      }
+    }
+  }
+}
+
+TEST(KmvReferenceOracle, InitialThresholdCapsTheThreshold) {
+  const std::vector<uint64_t> keys = ZipfKeys(8000, 103);
+  for (const size_t k : kReferenceKs) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    KmvSketch sketch(k, 0.25, 13);
+    KmvReference ref(k, 0.25);
+    for (size_t i = 0; i < keys.size(); i += 500) {
+      sketch.AddKeys(std::span(keys).subspan(i, 500));
+      for (size_t j = i; j < i + 500; ++j) ref.AddKey(keys[j], 13);
+      ASSERT_TRUE(MatchesReference(sketch, ref)) << "offset " << i;
+    }
+  }
+}
+
+TEST(KmvReferenceOracle, EqualPriorityKeepsTheFirstKey) {
+  {
+    KmvSketch sketch(4);
+    EXPECT_TRUE(sketch.OfferPriority(0.5, 1));
+    EXPECT_TRUE(sketch.OfferPriority(0.5, 2));
+    EXPECT_EQ(sketch.members(),
+              (std::vector<std::pair<double, uint64_t>>{{0.5, 1}}));
+  }
+  // Priorities from a 16-value grid with fresh keys: ties between the
+  // canonical entries and new arrivals (read after every offer) and
+  // ties inside one run of unread arrivals across compactions (read
+  // only at the end).
+  for (const size_t k : kReferenceKs) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    Xoshiro256 rng(104);
+    KmvSketch stepwise(k), unread(k);
+    KmvReference ref(k, 1.0);
+    for (uint64_t key = 0; key < 3000; ++key) {
+      const double p = static_cast<double>(rng.NextBelow(16) + 1) / 17.0;
+      stepwise.OfferPriority(p, key);
+      unread.OfferPriority(p, key);
+      ref.Offer(p, key);
+      ASSERT_TRUE(MatchesReference(stepwise, ref)) << "key " << key;
+    }
+    EXPECT_TRUE(MatchesReference(unread, ref));
+  }
+}
+
+TEST(KmvReferenceOracle, MergesOfOverlappingInputsMatch) {
+  // Five inputs over overlapping slices of one Zipf stream, merged into
+  // an accumulator that already holds keys of its own. The inputs are
+  // never read before a merge, so MergeMany and Gather see raw tails.
+  const std::vector<uint64_t> keys = ZipfKeys(20000, 105);
+  const std::vector<uint64_t> own = ZipfKeys(700, 106);
+  const uint64_t salt = 14;
+  for (const size_t k : kReferenceKs) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    KmvReference ref(k, 1.0);
+    for (const uint64_t key : own) ref.AddKey(key, salt);
+    KmvSketch acc(k, 1.0, salt);
+    acc.AddKeys(own);
+    std::vector<KmvSketch> inputs;
+    for (size_t i = 0; i < 5; ++i) {
+      const auto slice = std::span(keys).subspan(i * 3000, 8000);
+      inputs.emplace_back(k, 1.0, salt);
+      inputs.back().AddKeys(slice);
+      for (const uint64_t key : slice) ref.AddKey(key, salt);
+    }
+    // Every path merges its own copies: a read canonicalizes.
+    const std::vector<KmvSketch> raw = inputs;
+
+    std::vector<KmvSketch> copies = raw;
+    KmvSketch pairwise = acc;
+    for (const KmvSketch& in : copies) pairwise.Merge(in);
+    EXPECT_TRUE(MatchesReference(pairwise, ref)) << "Merge";
+
+    copies = raw;
+    std::vector<const KmvSketch*> ptrs;
+    for (const KmvSketch& in : copies) ptrs.push_back(&in);
+    KmvSketch many = acc;
+    many.MergeMany(ptrs);
+    EXPECT_TRUE(MatchesReference(many, ref)) << "MergeMany";
+
+    copies = raw;
+    KmvSketch gathered = acc;
+    for (const KmvSketch& in : copies) gathered.Gather(in);
+    gathered.PurgeAboveThreshold();
+    EXPECT_TRUE(MatchesReference(gathered, ref)) << "Gather";
+
+    copies = raw;
+    std::vector<std::string> frames;
+    for (const KmvSketch& in : copies) {
+      frames.push_back(in.SerializeToString());
+    }
+    const std::vector<std::string_view> views(frames.begin(), frames.end());
+    KmvSketch framed = acc;
+    ASSERT_TRUE(framed.MergeManyFrames(views));
+    EXPECT_TRUE(MatchesReference(framed, ref)) << "MergeManyFrames";
+    EXPECT_EQ(framed.SerializeToString(), pairwise.SerializeToString());
+  }
+}
+
+TEST(KmvReferenceOracle, IngestContinuesAfterDeserialize) {
+  const std::vector<uint64_t> keys = ZipfKeys(16000, 107);
+  const uint64_t salt = 15;
+  for (const size_t k : kReferenceKs) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    KmvSketch original(k, 1.0, salt);
+    KmvReference ref(k, 1.0);
+    const auto first = std::span(keys).first(6000);
+    original.AddKeys(first);
+    for (const uint64_t key : first) ref.AddKey(key, salt);
+    const std::string frame = original.SerializeToString();
+    auto restored = KmvSketch::Deserialize(std::string_view(frame));
+    ASSERT_TRUE(restored.has_value());
+    ASSERT_TRUE(MatchesReference(*restored, ref));
+    for (size_t i = first.size(); i < keys.size(); i += 97) {
+      const auto chunk =
+          std::span(keys).subspan(i, std::min<size_t>(97, keys.size() - i));
+      original.AddKeys(chunk);
+      restored->AddKeys(chunk);
+      for (const uint64_t key : chunk) ref.AddKey(key, salt);
+      ASSERT_TRUE(MatchesReference(*restored, ref)) << "offset " << i;
+    }
+    EXPECT_EQ(restored->SerializeToString(), original.SerializeToString());
   }
 }
 

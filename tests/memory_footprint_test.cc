@@ -3,7 +3,9 @@
 // ingest between compactions, visibly dropping at compaction and at
 // checkpoint log-truncation, and nonzero/growing across every sampler,
 // sketch, and front-end family that reports it.
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,9 +82,10 @@ TEST(MemoryFootprint, SketchFamiliesReportGrowthUnderIngest) {
   std::vector<uint64_t> keys(512);
   for (auto& k : keys) k = rng.Next();
 
-  // Hash-backed families model the bucket array, so an empty instance
+  // GroupDistinct's maps model their bucket arrays, so an empty instance
   // reports a small constant rather than exactly zero; growth is the
-  // contract.
+  // contract. KMV and Theta hold only store columns (exact, see
+  // KmvIsItsColumns).
   KmvSketch kmv(32, 1.0, 7);
   const size_t kmv_empty = kmv.MemoryFootprint();
   kmv.AddKeys(keys);
@@ -100,6 +103,35 @@ TEST(MemoryFootprint, SketchFamiliesReportGrowthUnderIngest) {
   const size_t groups_empty = groups.MemoryFootprint();
   for (uint64_t i = 0; i < 400; ++i) groups.Add(i % 8, rng.Next());
   EXPECT_GT(groups.MemoryFootprint(), groups_empty);
+}
+
+TEST(MemoryFootprint, KmvIsItsColumns) {
+  // A KMV state is its store's two columns and nothing else: 16 bytes
+  // per buffered entry, so exactly 16 * size() once canonical.
+  constexpr size_t kEntry = sizeof(double) + sizeof(uint64_t);
+  EXPECT_EQ(KmvSketch(64, 1.0, 7).MemoryFootprint(), 0u);
+  EXPECT_EQ(ThetaSketch(64, 7).MemoryFootprint(), 0u);
+
+  Xoshiro256 rng(37);
+  std::vector<uint64_t> keys(5000);
+  for (auto& key : keys) key = rng.NextBelow(3000);  // heavy duplicates
+  KmvSketch kmv(64, 1.0, 7);
+  ThetaSketch theta(64, 7);
+  for (size_t i = 0; i < keys.size(); i += 100) {
+    const auto chunk = std::span(keys).subspan(i, 100);
+    kmv.AddKeys(chunk);
+    theta.AddKeys(chunk);
+    ASSERT_EQ(kmv.MemoryFootprint(), kEntry * kmv.store().BufferedSize());
+    const size_t retained = kmv.size();  // a read leaves no tail
+    ASSERT_EQ(kmv.store().BufferedSize(), retained);
+    ASSERT_EQ(kmv.MemoryFootprint(), kEntry * retained);
+    ASSERT_EQ(theta.size(), kmv.size());
+    ASSERT_EQ(theta.MemoryFootprint(), kEntry * theta.size());
+  }
+  const auto restored =
+      KmvSketch::Deserialize(std::string_view(kmv.SerializeToString()));
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->MemoryFootprint(), kEntry * restored->size());
 }
 
 TEST(MemoryFootprint, SamplerFamiliesReportGrowthUnderIngest) {

@@ -239,10 +239,9 @@ TEST(LogSpan, InPlaceAllowed) {
 
 // --- End-to-end: vectorized ingest parity across dispatch levels ------
 
-// The full keyed-ingest pipeline (HashedBatchOffer through
-// VisitHashedCandidates) must produce an identical sampler state at
-// every dispatch level, for every tail length 0..63 relative to the
-// 64-wide block size.
+// The full keyed-ingest pipeline (HashedBatchOffer) must produce an
+// identical sampler state at every dispatch level, for every tail length
+// 0..63 relative to the 64-wide block size.
 TEST(DispatchParity, HashedIngestIdenticalAtEveryLevelAndTail) {
   std::vector<uint64_t> keys(3 * 64 + 63);
   Xoshiro256 rng(0x1234u);
