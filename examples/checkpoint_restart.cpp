@@ -31,8 +31,7 @@ int main() {
   // cadence instead of growing with the stream.
   AgentNode agent(/*id=*/1, /*k=*/1024, /*salt=*/2022,
                   cluster::RetryPolicy{});
-  agent.ConfigureCheckpoint({path, /*every_epochs=*/4096,
-                             /*prefer_mmap=*/true});
+  agent.ConfigureCheckpoint({path, /*every_epochs=*/4096});
 
   Xoshiro256 rng(7);
   std::vector<uint64_t> batch(512);
@@ -100,8 +99,7 @@ int main() {
   // CheckpointWriter is what guarantees the file stays whole.)
   AgentNode skeptic(/*id=*/2, /*k=*/1024, /*salt=*/2022,
                     cluster::RetryPolicy{});
-  skeptic.ConfigureCheckpoint({path, /*every_epochs=*/1u << 30,
-                               /*prefer_mmap=*/true});
+  skeptic.ConfigureCheckpoint({path, /*every_epochs=*/1u << 30});
   Xoshiro256 rng2(7);
   for (int b = 0; b < 50; ++b) {
     for (auto& k : batch) k = rng2.NextBelow(40000);

@@ -32,7 +32,7 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     if (checkpoints) {
       agents_.back()->ConfigureCheckpoint(
           {config.checkpoint_dir + "/agent_" + std::to_string(id) + ".ckp",
-           config.checkpoint_every_epochs, config.checkpoint_prefer_mmap});
+           config.checkpoint_every_epochs});
     }
     switch (config.workload) {
       case ClusterConfig::Workload::kZipf:

@@ -76,7 +76,6 @@ struct ClusterConfig {
   // directory must exist and be writable; one file per agent.
   uint64_t checkpoint_every_epochs = 0;
   std::string checkpoint_dir;
-  bool checkpoint_prefer_mmap = true;
 
   // Drain-phase safety valve for RunUntilQuiescent.
   uint64_t max_ticks = 1 << 16;

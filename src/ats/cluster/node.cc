@@ -166,9 +166,7 @@ void AgentNode::MaybeRestart(uint64_t now) {
     uint64_t restored_epoch = 0;
     const persist::CheckpointFault fault = persist::RestoreFromCheckpoint(
         checkpoint_policy_.path, persist::SchemeKind::kKmv, &restored,
-        &restored_epoch,
-        checkpoint_policy_.prefer_mmap ? persist::OpenMode::kPreferMmap
-                                       : persist::OpenMode::kBuffered);
+        &restored_epoch);
     const bool consistent = fault == persist::CheckpointFault::kNone &&
                             restored.k() == k_ &&
                             restored.hash_salt() == hash_salt_ &&

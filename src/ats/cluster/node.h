@@ -78,7 +78,6 @@ struct RetryPolicy {
 struct CheckpointPolicy {
   std::string path;
   uint64_t every_epochs = 0;
-  bool prefer_mmap = true;  // restore through the zero-copy open path
 
   bool enabled() const { return every_epochs > 0 && !path.empty(); }
 };
@@ -258,7 +257,7 @@ class AgentNode {
   void Crash(uint64_t now, uint64_t down_ticks);
   // Restarts once the outage elapses, under a bumped incarnation.
   // With a configured checkpoint: restore the last durable checkpoint
-  // (through the mmap or buffered open path per the policy), then
+  // (mapped, with the buffered read as fallback), then
   // replay only the log suffix past its epoch. Any checkpoint fault --
   // torn file, flipped byte, wrong family, missing file -- fails closed
   // to a full replay of the remaining durable log. Both paths rebuild

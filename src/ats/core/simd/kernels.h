@@ -19,6 +19,9 @@
 namespace ats::simd::internal {
 
 const KernelTable& ScalarKernels();
+// The scalar hash_priority_mask64, which the SSE2 table shares.
+uint64_t ScalarHashPriorityMask64(const uint64_t* keys, uint64_t salt,
+                                  double bound, double* priorities_out);
 #if ATS_SIMD_X86
 const KernelTable& Sse2Kernels();
 const KernelTable& Avx2Kernels();

@@ -22,6 +22,12 @@ uint64_t ScalarPrefilterMask64(const double* priorities, double bound) {
   return mask;
 }
 
+void ScalarLogSpan(const double* x, double* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) out[i] = FastLog(x[i]);
+}
+
+}  // namespace
+
 uint64_t ScalarHashPriorityMask64(const uint64_t* keys, uint64_t salt,
                                   double bound, double* priorities_out) {
   uint64_t mask = 0;
@@ -32,12 +38,6 @@ uint64_t ScalarHashPriorityMask64(const uint64_t* keys, uint64_t salt,
   }
   return mask;
 }
-
-void ScalarLogSpan(const double* x, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = FastLog(x[i]);
-}
-
-}  // namespace
 
 const KernelTable& ScalarKernels() {
   static constexpr KernelTable kTable{

@@ -41,45 +41,15 @@ SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
 }
 
 void SlidingWindowSampler::EraseDropped() {
-  // The erased positions vanish, so the expired items among them are
-  // checked against the cached top two first. No log entry sits before
-  // boundary_, so each shifts with its items.
-  CheckExpiredTopTwo();
+  // No log entry sits before boundary_, so each shifts with its items.
   ATS_DCHECK(log_.empty() || log_.front().position >= boundary_);
   items_.erase(items_.begin(),
                items_.begin() + static_cast<std::ptrdiff_t>(head_));
   boundary_ -= head_;
-  if (top_checked_ != kNoTopTwo) top_checked_ -= head_;
   const auto shift = static_cast<uint32_t>(head_);
   for (LoggedAccept& e : log_) e.position -= shift;
   heap_.clear();
   head_ = 0;
-}
-
-void SlidingWindowSampler::CheckExpiredTopTwo() {
-  if (top_checked_ == kNoTopTwo) return;
-  for (size_t i = top_checked_; i < boundary_; ++i) {
-    if (items_[i].priority >= top2_) {
-      top_checked_ = kNoTopTwo;
-      return;
-    }
-  }
-  top_checked_ = boundary_;
-}
-
-void SlidingWindowSampler::RescanTopTwo() {
-  top1_ = 0.0;
-  top2_ = 0.0;
-  DropExpiredTop();
-  if (!heap_.empty()) {
-    top1_ = items_[heap_[0]].priority;
-    top2_ = HeapSecond();
-  } else {
-    for (size_t i = boundary_; i < items_.size(); ++i) {
-      NoteTopInsert(items_[i].priority);
-    }
-  }
-  top_checked_ = boundary_;
 }
 
 void SlidingWindowSampler::ExpireLogged(double cutoff) {
@@ -188,23 +158,32 @@ bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
   // and m2 the second largest current priority, that is m1 if the
   // newcomer is above m1, otherwise max(m2, priority) -- so the newcomer
   // is stored iff priority < m2, and then T_n = m2.
-  CheckExpiredTopTwo();
-  if (top_checked_ == kNoTopTwo) RescanTopTwo();
-  if (!(priority < top2_)) return false;
-  const double initial_threshold = top2_;
-
-  // The insertion pushes |C| above k: every current threshold drops to
-  // min(T_i, T_n), which the log records, and the (first) largest-
-  // priority item -- the heap's current root -- is evicted. A built
-  // heap holds every current item; it is rebuilt once k/2 expired
-  // entries have piled up, which bounds it (and the shift below) at
-  // 1.5k entries.
+  //
+  // The heap holds every current item, so m1 is its root and m2 the
+  // larger root child once expired entries have left the top. It is
+  // built on the first full-sample arrival and rebuilt once more than
+  // k/2 expired entries have piled up, which bounds it (and the shift
+  // below) at 1.5k entries.
   if (heap_.empty() || heap_.size() - (items_.size() - boundary_) > k_ / 2) {
     BuildHeap();
   }
-  DropExpiredTop();
+  double second;
+  if (heap_.size() >= 3 &&
+      std::min({heap_[0], heap_[1], heap_[2]}) >= boundary_) {
+    // The common case, a few compares: no expired entry at the top.
+    second = std::max(items_[heap_[1]].priority, items_[heap_[2]].priority);
+  } else {
+    DropExpiredTop();
+    second = HeapSecond();
+  }
+  if (!(priority < second)) return false;
+  const double initial_threshold = second;
+
+  // The insertion pushes |C| above k: every current threshold drops to
+  // min(T_i, T_n), which the log records, and the (first) largest-
+  // priority item -- the heap's root, now current -- is evicted.
   const uint32_t evict = heap_[0];
-  ATS_DCHECK(items_[evict].priority == top1_);
+  ATS_DCHECK(evict >= boundary_);
   items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(evict));
   // Positions past the evictee move down one; order among them holds.
   for (uint32_t& p : heap_) p -= p > evict ? 1 : 0;
@@ -218,13 +197,6 @@ bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
     log_.pop_back();
   }
   log_.push_back({position, initial_threshold});
-  // The old second is the new largest, so the new second is the
-  // largest current entry below the root.
-  DropExpiredTop();
-  ATS_DCHECK(items_[heap_[0]].priority == top2_);
-  top1_ = top2_;
-  top2_ = HeapSecond();
-  top_checked_ = boundary_;
   ++epoch_;
   return true;
 }
@@ -528,8 +500,8 @@ SlidingWindowSampler SlidingWindowSampler::Fold::Finish() && {
   acc_.last_time_ = now_;
   ++acc_.epoch_;
   // The expired union, every run cut at the final drop, then the current
-  // set, each merged into time order; the cached top two describe the
-  // old current set.
+  // set, each merged into time order. The accumulator was settled when
+  // the fold opened, so it carries no heap or log.
   const double cut_drop = now_ - 2.0 * acc_.window_;
   size_t expired = 0;
   for (Run& run : runs_) {
@@ -544,7 +516,6 @@ SlidingWindowSampler SlidingWindowSampler::Fold::Finish() && {
   MergeRuns(current_.data(), current_runs_, items.data() + expired);
   acc_.head_ = 0;
   acc_.boundary_ = expired;
-  acc_.top_checked_ = kNoTopTwo;
   return std::move(acc_);
 }
 

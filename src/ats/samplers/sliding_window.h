@@ -34,28 +34,27 @@
 // past boundary_. The same item record is the wire entry and the merge
 // fold's buffer entry.
 //
-// Cost model: T_n at a full sample needs only the largest and second-
-// largest current priority, which the sampler caches and maintains under
-// updates (an accept updates them in O(log k); expiry invalidates them
-// only when an expiring item is one of the two -- checked at the next
-// full-sample arrival or dropped-prefix erase, off the inlined expiry
-// path; a merge always invalidates). A rejected arrival -- the bulk of a
-// saturated stream -- is therefore a few compares. An accepted one makes
-// no pass that branches per item. By Theorem 9 the eviction rule's
+// Cost model: T_n at a full sample needs only the second-largest
+// current priority, and the eviction needs the largest. One index
+// answers both: a max-heap of item positions ordered by (priority
+// descending, position ascending), so its root is the first-arrived
+// maximum and the larger root child the second largest. Expired entries
+// leave it lazily as they reach the top, or all at once when more than
+// k/2 of them have piled up and the heap is rebuilt. A rejected arrival
+// -- the bulk of a saturated stream -- is therefore a few compares while
+// the root and its children are current, and an O(log k) pop of each
+// expired top entry otherwise. An accepted one makes no pass that
+// branches per item. By Theorem 9 the eviction rule's
 // min-update of every current threshold composes: an item's threshold is
 // its own initial threshold min-composed with the accepts that came
 // after it. So an accept only logs (its position, T_n) in a suffix-
 // minima log, and the threshold is materialized when the item expires
 // (in time order, so the log trims from the front), when a query or a
 // merge settles the sampler, and on read by SerializeTo and the merge
-// fold. The evictee and the new top two come from a max-heap of item
-// positions ordered by (priority descending, position ascending), so the
-// first-arrived maximum is evicted; expired entries leave it lazily as
-// they reach the top, or all at once when k/2 of them have piled up and
-// the heap is rebuilt. The eviction stays one positional erase, after
-// which one branch-free pass shifts the heap and log positions past the
-// evictee; the rest is O(log k). The heap is built on the first full-
-// sample accept and released by queries, merges and dropped-prefix
+// fold. The eviction stays one positional erase of the heap's root,
+// after which one branch-free pass shifts the heap and log positions past
+// the evictee; the rest is O(log k). The heap is built on the first full-
+// sample arrival and released by queries, merges and dropped-prefix
 // erases, so snapshots and query copies carry none.
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
@@ -123,9 +122,9 @@ class SlidingWindowSampler {
   /// arrival path is a handful of compares and one push_back,
   /// and the call overhead itself is measurable against the deque
   /// baseline it is benchmarked against (BM_WindowArriveBoundary). At a
-  /// full sample a rejected arrival is O(1) too (the cached top two
-  /// priorities give its threshold); an accept pays O(log k) heap work
-  /// plus the positional erase (see ArriveAtFullSample).
+  /// full sample a rejected arrival is a few compares too (the eviction
+  /// heap's root children give its threshold); an accept pays O(log k)
+  /// heap work plus the positional erase (see ArriveAtFullSample).
   bool Arrive(double time, uint64_t id) {
     ATS_DCHECK(time >= last_time_);
     ExpireUntil(time);
@@ -140,7 +139,6 @@ class SlidingWindowSampler {
     items_.push_back(StoredItem{id, time, priority, 1.0});
     if (!heap_.empty()) PushHeap(items_.size() - 1);
     ++epoch_;
-    NoteTopInsert(priority);
     return true;
   }
 
@@ -168,8 +166,9 @@ class SlidingWindowSampler {
   /// Live heap bytes of the windowed state (util/memory.h convention):
   /// the item vector, including the fewer than k dropped items not yet
   /// erased (they occupy real bytes until the deferred erase runs), plus
-  /// the eviction heap and the accept log while a saturated sample is
-  /// ingesting (a query releases both). O(1) -- never advances expiry.
+  /// the eviction heap (built at the first full-sample arrival) and the
+  /// accept log while a saturated sample is ingesting (a query releases
+  /// both). O(1) -- never advances expiry.
   size_t MemoryFootprint() const {
     return VectorFootprint(items_) + VectorFootprint(heap_) +
            VectorFootprint(log_);
@@ -287,9 +286,8 @@ class SlidingWindowSampler {
   // past two windows only advance head_, and the dropped prefix is
   // erased in one batch once it reaches k, so one arrival at the
   // rate == k boundary costs two compares and two increments here
-  // (BM_WindowArriveBoundary). Newly expired items are checked against
-  // the cached top two later, off this inlined path (see
-  // CheckExpiredTopTwo).
+  // (BM_WindowArriveBoundary). Newly expired items stay in the eviction
+  // heap until they reach its top (see ArriveAtFullSample).
   void ExpireUntil(double now) {
     if (now > last_time_) last_time_ = now;
     const double cutoff = last_time_ - window_;
@@ -326,34 +324,14 @@ class SlidingWindowSampler {
   // the heap; nothing observable changes.
   void Settle();
 
-  // The saturated-sample arrival path. The initial threshold comes from
-  // the cached top two live priorities, so a reject is a few compares
-  // (plus an O(log k) heap read, or an O(k) scan before the heap is
-  // built, when the cache was invalidated). An accept erases the
-  // evictee, the heap's root, sinks its own position into the root's
-  // slot, logs its threshold and reads the new top two off the heap.
-  // Out of line: the accept path does the heap work.
+  // The saturated-sample arrival path. The initial threshold is the
+  // eviction heap's second-largest current priority: the larger root
+  // child, a few compares while the root and both children are current,
+  // otherwise read after popping the expired entries off the top (O(log
+  // k) each). The heap is built here if absent (O(k)). An accept erases
+  // the evictee, the heap's root, sinks its own position into the root's
+  // slot and logs its threshold. Out of line: it does the heap work.
   bool ArriveAtFullSample(double time, double priority, uint64_t id);
-  // Folds an appended live priority into the cached top two. Harmless
-  // while the cache is invalid (the next rescan overwrites it).
-  void NoteTopInsert(double priority) {
-    if (priority > top1_) {
-      top2_ = top1_;
-      top1_ = priority;
-    } else if (priority > top2_) {
-      top2_ = priority;
-    }
-  }
-  // Invalidates the cached top two if an item expired since the last
-  // check has a priority >= the cached second (only such an item can be
-  // one of the two), then records the expired items as checked. The
-  // cached values only grow between checks (NoteTopInsert), so an
-  // expired item below the current second was never one of the cached
-  // two.
-  void CheckExpiredTopTwo();
-  // Recomputes the cached top two: from the heap once it is built,
-  // otherwise by a scan of the current items.
-  void RescanTopTwo();
   // Erases the dropped prefix [0, head_): one memmove of the stored
   // items, amortized O(1) per dropped item since it runs once head_
   // reaches k. Log positions shift with the items; the heap, which may
@@ -435,23 +413,11 @@ class SlidingWindowSampler {
   std::vector<StoredItem> items_;
   size_t head_ = 0;
   size_t boundary_ = 0;
-  // Largest and second-largest current priority (0 where C(t) has fewer
-  // items), exactly what a scan of C(t) would return, once the expired
-  // items past top_checked_ have been checked. Maintained by every
-  // accepted insert, invalidated by expiry of a top-two item and by
-  // merges, and recomputed by RescanTopTwo on the next full-sample
-  // arrival. top_checked_ is the index in items_ up to which expired
-  // items have been checked against the cache; kNoTopTwo means there is
-  // no valid cache (the state after construction, Deserialize and
-  // merges).
-  static constexpr size_t kNoTopTwo = ~size_t{0};
-  double top1_ = 0.0;
-  double top2_ = 0.0;
-  size_t top_checked_ = kNoTopTwo;
-  // The eviction index: every current item's position, plus expired
-  // ones not yet dropped at the top, as a max-heap by Above. An accept
-  // rebuilds it once more than k/2 expired entries have piled up. Empty
-  // means not built; once built, every stored arrival is pushed.
+  // The one priority index: every current item's position, plus expired
+  // ones not yet popped off the top, as a max-heap by Above. A full-
+  // sample arrival builds it if absent and rebuilds it once more than
+  // k/2 expired entries have piled up. Empty means not built; once
+  // built, every stored arrival is pushed.
   std::vector<uint32_t> heap_;
   // The suffix-minima log of full-sample accepts: entry (p, T_n) lowers
   // the threshold of every item positioned before p. Positions are non-

@@ -273,7 +273,7 @@ TEST(MemoryFootprint, AgentLogDominatesThenDropsAtCheckpointTruncation) {
                            cluster::RetryPolicy{});
   const std::string dir = ::testing::TempDir();
   agent.ConfigureCheckpoint({dir + "ats_footprint_agent.ckp",
-                             /*every_epochs=*/1, /*prefer_mmap=*/true});
+                             /*every_epochs=*/1});
 
   Xoshiro256 rng(47);
   std::vector<uint64_t> keys(256);

@@ -274,17 +274,18 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
 
 // After the first five points come three at deep saturation (the window
 // holds >= 32k arrivals, so nearly every arrival is a full-sample reject
-// and the cached top two priorities carry the threshold): k = 256 is the
-// per-shard regime of the window_monitor benchmark; k = 2 and k = 1 keep
-// the second-largest (or missing second) priority at the eviction edge.
-// The last three query after every arrival, so expired items leave the
-// current set between nearly every pair of arrivals while top-two items
-// keep expiring. The sparse k = 3 point (about two arrivals per window
-// per sample slot) keeps the sample dipping below k: underfull arrivals
-// refill it with no full-sample arrival in between, and the next top-two
-// item to expire sits below the old checked index -- which is why the
-// dropped-prefix erase must shift that index with the items (and must
-// leave an invalid cache invalid). The dense k = 2048
+// and the eviction heap's root children carry the threshold): k = 256 is
+// the per-shard regime of the window_monitor benchmark; k = 2 and k = 1
+// keep the second-largest (or missing second) priority at the eviction
+// edge, and with fewer than three current items every full-sample
+// arrival takes the heap's expiry-checked read. The last three query
+// after every arrival, so expired items leave the current set between
+// nearly every pair of arrivals while the largest priorities keep
+// expiring. The sparse k = 3 point (about two arrivals per window per
+// sample slot) keeps the sample dipping below k: underfull arrivals
+// refill it with no full-sample arrival in between, and the dropped-
+// prefix erase releases the heap between full-sample arrivals, so the
+// next one rebuilds it. The dense k = 2048
 // point (two arrivals per sample slot per window) meets a full sample on
 // about half its arrivals and accepts most of those, so nearly every
 // accept is a capacity eviction. The burst points round arrival times
@@ -497,6 +498,35 @@ TEST(WindowContinuation, RestoredThresholdsNeverActAsLoggedAccepts) {
   ReferenceWindowSampler reference(*view);
   ASSERT_NO_FATAL_FAILURE(
       ExpectSameContinuation(*restored, reference, 60.0, 3.0, 51));
+}
+
+TEST(WindowContinuation, ExpiredHeapTopLeavesBeforeTheRejectBound) {
+  // One large priority among tiny ones: a full-sample arrival is
+  // accepted only below 0.0003, and none is before item 1 expires at
+  // 10.1, so no accept evicts it. It stays the root of the eviction heap
+  // (built at the first arrival) while an underfull arrival refills the
+  // sample, and the next full-sample arrival must pop it before reading
+  // the second-largest current priority: read below an expired root,
+  // the bound is the largest current priority, and a later arrival
+  // under it is wrongly accepted.
+  const std::vector<SlidingWindowSampler::StoredItem> current = {
+      {1, 9.1, 0.9, 1.0},
+      {2, 9.2, 0.0003, 1.0},
+      {3, 9.5, 0.0001, 1.0},
+      {4, 9.6, 0.0002, 1.0}};
+  const std::string frame = GoldenSwn1Frame(
+      4, 1.0, 10.0,
+      {0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb,
+       0x2545f4914f6cdd1d},
+      current,
+      std::vector<SlidingWindowSampler::StoredItem>{});
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  ASSERT_TRUE(view.has_value());
+  auto restored = SlidingWindowSampler::Deserialize(std::string_view(frame));
+  ASSERT_TRUE(restored.has_value());
+  ReferenceWindowSampler reference(*view);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSameContinuation(*restored, reference, 60.0, 3.0, 52));
 }
 
 TEST(DecayWire, RoundTripPreservesSampleAndRngStream) {
@@ -791,18 +821,18 @@ TEST_P(TimeAxisMergeSweep, DecayMergeManyFramesEqualsDeserializeChain) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TimeAxisMergeSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// The cached top two live priorities are representation, not state: the
-// SWN1 frame does not carry them, and a deserialized sampler starts
-// without them. A merged sampler, its wire twin and a plain copy must
-// therefore keep producing byte-identical frames as arrivals and queries
-// continue; a cache left stale by the merge shows up as a divergence.
+// The eviction heap is representation, not state: the SWN1 frame does
+// not carry it, and a deserialized sampler starts without it. A merged
+// sampler, its wire twin and a plain copy must therefore keep producing
+// byte-identical frames as arrivals and queries continue; an index left
+// stale by the merge shows up as a divergence.
 TEST(TimeAxisMerge, MergedWireTwinAndCopyStayByteIdenticalUnderIngest) {
   const double window = 1.0;
   const size_t num_shards = 3;
   for (size_t k : {1u, 2u, 16u, 64u}) {
     // Disjoint key partitions: ids routed to the shards or, every
     // (num_shards + 1)-th, to the accumulator itself, so the accumulator
-    // is saturated -- its cache in use -- when the merge lands.
+    // is saturated -- its eviction heap built -- when the merge lands.
     std::vector<SlidingWindowSampler> shards;
     for (size_t s = 0; s < num_shards; ++s) {
       shards.emplace_back(k, window, 40 + s);
