@@ -32,10 +32,7 @@ FrameFault DecodeEnvelope(std::string_view bytes, EnvelopeView* out) {
   ByteReader r(bytes);
   const uint32_t magic = *r.ReadU32();
   if (magic != kEnvelopeMagic) return FrameFault::kBadMagic;
-  const uint32_t version = *r.ReadU32();
-  if (version == 0 || version > kEnvelopeVersion) {
-    return FrameFault::kBadVersion;
-  }
+  if (*r.ReadU32() != kEnvelopeVersion) return FrameFault::kBadVersion;
   const uint32_t kind = *r.ReadU32();
   const uint64_t sender = *r.ReadU64();
   const uint64_t incarnation = *r.ReadU64();

@@ -13,7 +13,7 @@
 // docs/WIRE_FORMAT.md):
 //
 //   magic   u32 = 0x454e5631 ("ENV1")
-//   version u32 = 1
+//   version u32 = 2
 //   kind    u32   (0 = data, 1 = ack)
 //   sender  u64   node id of the originator
 //   incarnation u64   restart generation of the sender (crash recovery)
@@ -21,7 +21,8 @@
 //   epoch   u64   stream position the payload snapshot covers
 //   payload_len u64
 //   payload bytes (a whole serialized sketch frame; empty for acks)
-//   checksum u32  FNV-1a over every preceding byte
+//   checksum u32  FrameChecksum (util/serialize.h) over every preceding
+//                 byte
 //
 // For an ack, (incarnation, seq, epoch) name the DATA envelope being
 // acknowledged and `sender` is the acknowledging aggregator.
@@ -37,7 +38,7 @@
 namespace ats::cluster {
 
 inline constexpr uint32_t kEnvelopeMagic = 0x454e5631;  // "ENV1"
-inline constexpr uint32_t kEnvelopeVersion = 1;
+inline constexpr uint32_t kEnvelopeVersion = 2;
 
 // Fixed prefix before the payload: magic, version, kind (u32 each) +
 // sender, incarnation, seq, epoch, payload_len (u64 each).
@@ -75,7 +76,7 @@ std::string EncodeEnvelope(EnvelopeKind kind, uint64_t sender,
 //                   declared payload length + checksum (short read:
 //                   retry-able, the sender's retransmission will parse)
 //   kBadMagic    -- not an envelope
-//   kBadVersion  -- version 0 or above kEnvelopeVersion
+//   kBadVersion  -- any version but kEnvelopeVersion
 //   kCorruptBody -- bytes beyond the declared length (framing junk), an
 //                   unknown kind, or a checksum mismatch (poison: no
 //                   retry of these bytes can succeed)

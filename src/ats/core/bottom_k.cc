@@ -4,7 +4,7 @@
 
 namespace {
 constexpr uint32_t kPrioritySamplerMagic = 0x50534d32;  // "PSM2"
-constexpr uint32_t kPrioritySamplerVersion = 1;
+constexpr uint32_t kPrioritySamplerVersion = 2;
 }  // namespace
 
 namespace ats {

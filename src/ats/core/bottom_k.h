@@ -244,7 +244,7 @@ class BottomK {
 
   // The BTK2 validator: parses one bare (un-checksummed) body -- exactly
   // the bytes SerializeTo appends -- off `r` into a FrameView. Rejects
-  // truncation, foreign magic or future version, k < 1, NaN threshold,
+  // truncation, foreign magic or another version, k < 1, NaN threshold,
   // count > k, an entry at/above the threshold, or an invalid payload.
   // Container formats embedding a sample region (PrioritySampler,
   // TimeDecaySampler, MultiObjectiveSampler) hand their nested bytes here.
@@ -340,7 +340,7 @@ class BottomK {
 
  private:
   static constexpr uint32_t kMagic = 0x42544b32;  // "BTK2"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
 
   SampleStore<Payload> store_;
 };

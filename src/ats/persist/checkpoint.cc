@@ -59,10 +59,7 @@ CheckpointFault DecodeCheckpoint(std::string_view bytes,
   ByteReader r(bytes);
   const uint32_t magic = *r.ReadU32();
   if (magic != kCheckpointMagic) return CheckpointFault::kBadMagic;
-  const uint32_t version = *r.ReadU32();
-  if (version == 0 || version > kCheckpointVersion) {
-    return CheckpointFault::kBadVersion;
-  }
+  if (*r.ReadU32() != kCheckpointVersion) return CheckpointFault::kBadVersion;
   const uint32_t kind = *r.ReadU32();
   if (kind < kMinSchemeKind || kind > kMaxSchemeKind) {
     return CheckpointFault::kBadKind;

@@ -7,12 +7,13 @@
 //
 //   offset  size  field
 //        0     4  magic      "CKP1" (0x31504b43 little-endian)
-//        4     4  version    1
+//        4     4  version    2
 //        8     4  scheme_kind  which sketch family the payload frames
 //       12     8  epoch      stream position the payload covers
 //       20     8  payload_len
 //       28     -  payload    one whole-buffer sketch frame, verbatim
-//     28+L     4  checksum   FNV-1a over ALL preceding bytes
+//     28+L     4  checksum   FrameChecksum (util/serialize.h) over ALL
+//                            preceding bytes
 //
 // Durability contract (CheckpointWriter::Write): the bytes are written
 // to `path + ".tmp"`, fsync'd, renamed over `path`, and the parent
@@ -76,7 +77,7 @@ enum class CheckpointFault : uint8_t {
   kIoError,      // open/stat/read/map failed; no bytes to classify
   kTruncated,    // shorter than the header, or than the declared length
   kBadMagic,     // not a CKP1 file
-  kBadVersion,   // version 0 or from the future
+  kBadVersion,   // any version but kCheckpointVersion
   kBadKind,      // scheme_kind outside [kMin, kMax], or not the expected
   kCorruptBody,  // length/checksum/trailing-byte damage
   kBadPayload,   // wrapper intact; sketch frame failed family validation
@@ -85,7 +86,7 @@ enum class CheckpointFault : uint8_t {
 const char* CheckpointFaultName(CheckpointFault fault);
 
 inline constexpr uint32_t kCheckpointMagic = 0x31504b43u;  // "CKP1"
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 inline constexpr size_t kCheckpointHeaderSize =
     3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);  // 28
 // Header plus the trailing checksum: file size minus payload size.
@@ -106,7 +107,7 @@ struct CheckpointInfo {
 // Validates a checkpoint image and extracts its fields. Classification
 // is outermost-defect-first, and this order is normative (the fuzz
 // sweep pins it): fewer bytes than the 28-byte header -> kTruncated;
-// foreign magic -> kBadMagic; version 0 or > kCheckpointVersion ->
+// foreign magic -> kBadMagic; any version but kCheckpointVersion ->
 // kBadVersion; scheme_kind outside [kMinSchemeKind, kMaxSchemeKind] ->
 // kBadKind; fewer bytes than
 // header + payload_len + checksum -> kTruncated; MORE bytes than

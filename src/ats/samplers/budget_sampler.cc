@@ -10,7 +10,7 @@ namespace ats {
 namespace {
 
 constexpr uint32_t kBudgetMagic = 0x31544742;  // "BGT1"
-constexpr uint32_t kBudgetVersion = 1;
+constexpr uint32_t kBudgetVersion = 2;
 
 bool PriorityLess(const BudgetSampler::Item& a,
                   const BudgetSampler::Item& b) {

@@ -6,7 +6,7 @@
 
 namespace {
 constexpr uint32_t kMultiObjectiveMagic = 0x31424f4d;  // "MOB1"
-constexpr uint32_t kMultiObjectiveVersion = 1;
+constexpr uint32_t kMultiObjectiveVersion = 2;
 }  // namespace
 
 namespace ats {

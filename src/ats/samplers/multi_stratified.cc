@@ -12,7 +12,7 @@ namespace ats {
 namespace {
 
 constexpr uint32_t kStratifiedMagic = 0x3153534d;  // "MSS1"
-constexpr uint32_t kStratifiedVersion = 1;
+constexpr uint32_t kStratifiedVersion = 2;
 
 }  // namespace
 

@@ -12,7 +12,7 @@
 namespace {
 
 constexpr uint32_t kWindowMagic = 0x53574e31;  // "SWN1"
-constexpr uint32_t kWindowVersion = 1;
+constexpr uint32_t kWindowVersion = 2;
 
 // Field offsets inside one 32-byte wire entry (id, time, priority,
 // threshold; see docs/WIRE_FORMAT.md).

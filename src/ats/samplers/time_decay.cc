@@ -9,7 +9,7 @@
 
 namespace {
 constexpr uint32_t kDecayMagic = 0x54444b31;  // "TDK1"
-constexpr uint32_t kDecayVersion = 1;
+constexpr uint32_t kDecayVersion = 2;
 }  // namespace
 
 namespace ats {

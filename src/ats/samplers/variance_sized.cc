@@ -10,7 +10,7 @@ namespace ats {
 namespace {
 
 constexpr uint32_t kVarianceMagic = 0x315a5356;  // "VSZ1"
-constexpr uint32_t kVarianceVersion = 1;
+constexpr uint32_t kVarianceVersion = 2;
 
 // Entry-level wire validation: the summand must be finite, the weight a
 // positive finite double (priorities divide by it), and the priority a

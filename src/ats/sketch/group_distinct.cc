@@ -6,7 +6,7 @@
 
 namespace {
 constexpr uint32_t kGroupDistinctMagic = 0x47445332;  // "GDS2"
-constexpr uint32_t kGroupDistinctVersion = 1;
+constexpr uint32_t kGroupDistinctVersion = 2;
 }  // namespace
 
 namespace ats {

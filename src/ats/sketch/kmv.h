@@ -207,7 +207,7 @@ class KmvSketch {
   }
 
   // Typed rejection reason: the structural cause (truncated / foreign
-  // magic / future version / checksum), or kCorruptBody when the frame is
+  // magic / other version / checksum), or kCorruptBody when the frame is
   // structurally sound but ViewBody rejects a field or entry. kNone iff
   // the frame parses on every path. Lets transports and aggregators count
   // rejections per cause and distinguish retry-able short reads from
@@ -215,7 +215,7 @@ class KmvSketch {
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   static constexpr uint32_t kWireMagic = 0x4b4d5632;  // "KMV2"
-  static constexpr uint32_t kWireVersion = 1;
+  static constexpr uint32_t kWireVersion = 2;
   // Bytes of a KMV2 frame that do not depend on the entry count: magic
   // and version, k, salt, initial threshold, threshold, count, checksum.
   static constexpr size_t kFrameOverhead =

@@ -4,7 +4,7 @@
 
 namespace {
 constexpr uint32_t kLcsMagic = 0x4c435332;  // "LCS2"
-constexpr uint32_t kLcsVersion = 1;
+constexpr uint32_t kLcsVersion = 2;
 }  // namespace
 
 namespace ats {

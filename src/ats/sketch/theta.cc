@@ -7,7 +7,7 @@
 
 namespace {
 constexpr uint32_t kThetaMagic = 0x54485432;  // "THT2"
-constexpr uint32_t kThetaVersion = 1;
+constexpr uint32_t kThetaVersion = 2;
 }  // namespace
 
 namespace ats {

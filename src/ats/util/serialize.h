@@ -23,7 +23,8 @@
 // shell over it, so all of them accept exactly the same frames:
 //   * DeserializeView = ViewSketchFrame (checksum, then ViewBody);
 //   * Deserialize     = ViewBody, then materialize the view;
-//   * DiagnoseFrame   = DiagnoseSketchFrame (ClassifyFrameBytes, then view);
+//   * DiagnoseFrame   = DiagnoseSketchFrame (ClassifyFrameBytes, then
+//                       ViewBody on the verified body);
 //   * MergeManyFrames = VetFrames (every view, all-or-nothing), then apply.
 #ifndef ATS_UTIL_SERIALIZE_H_
 #define ATS_UTIL_SERIALIZE_H_
@@ -115,17 +116,15 @@ inline void WriteSketchHeader(ByteWriter& w, uint32_t magic,
   w.WriteU32(version);
 }
 
-// Consumes and validates a header. Returns the version on success;
-// nullopt on truncation, foreign magic, version 0, or a version newer
-// than `max_version` (a reader never parses formats from the future).
-inline std::optional<uint32_t> ReadSketchHeader(ByteReader& r,
-                                                uint32_t magic,
-                                                uint32_t max_version) {
+// Consumes and validates a header: false on truncation, foreign magic,
+// or any version other than `version`. Each family has exactly one
+// reader, for its current version; older and newer frames are rejected.
+inline bool ReadSketchHeader(ByteReader& r, uint32_t magic,
+                             uint32_t version) {
   const auto m = r.ReadU32();
-  if (!m || *m != magic) return std::nullopt;
+  if (!m || *m != magic) return false;
   const auto v = r.ReadU32();
-  if (!v || *v == 0 || *v > max_version) return std::nullopt;
-  return v;
+  return v && *v == version;
 }
 
 // --- PRNG state fields ------------------------------------------------
@@ -178,7 +177,7 @@ enum class FrameFault : uint8_t {
   kNone = 0,     // frame is valid
   kTruncated,    // fewer bytes than the format requires (short read)
   kBadMagic,     // frame is not from this family
-  kBadVersion,   // version 0 or from the future
+  kBadVersion,   // any version but the reader's current one
   kCorruptBody,  // structurally framed but checksum/field/entry invalid
 };
 
@@ -193,14 +192,43 @@ constexpr const char* FrameFaultName(FrameFault fault) {
   return "unknown";
 }
 
-// FNV-1a over a byte span; the whole-buffer framing below appends it so
-// any flipped byte is caught, not only the ones field validation can see.
+// The one wire checksum (normative spec, constants and test vectors in
+// docs/WIRE_FORMAT.md). The bytes are read as little-endian u32 words
+// dealt round-robin to eight lanes; a final partial block is zero-padded.
+// Every lane step and every fold step is a bijection of the running state
+// for a fixed word and of the word for a fixed state, so a change
+// confined to one 4-byte word always changes the result. The eight lanes
+// are independent chains, so the loop runs at multiply throughput rather
+// than latency (plain C++: the same code on every target).
 inline uint32_t FrameChecksum(std::string_view bytes) {
-  uint32_t h = 2166136261u;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 16777619u;
+  constexpr size_t kLanes = 8;
+  constexpr size_t kBlock = kLanes * sizeof(uint32_t);
+  const auto step = [](uint32_t h, uint32_t word) {
+    h = (h ^ word) * 0x9e3779b1u;
+    return h ^ (h >> 15);
+  };
+  std::array<uint32_t, kLanes> lanes;
+  for (size_t i = 0; i < kLanes; ++i) {
+    lanes[i] = 0x85ebca77u * static_cast<uint32_t>(i + 1);
   }
+  const auto absorb = [&](const char* block) {
+    std::array<uint32_t, kLanes> words;
+    std::memcpy(words.data(), block, kBlock);
+    for (size_t i = 0; i < kLanes; ++i) lanes[i] = step(lanes[i], words[i]);
+  };
+  size_t pos = 0;
+  for (; pos + kBlock <= bytes.size(); pos += kBlock) {
+    absorb(bytes.data() + pos);
+  }
+  if (pos < bytes.size()) {
+    char tail[kBlock] = {};
+    std::memcpy(tail, bytes.data() + pos, bytes.size() - pos);
+    absorb(tail);
+  }
+  const uint64_t length = bytes.size();
+  uint32_t h = step(0xc2b2ae3du, static_cast<uint32_t>(length));
+  h = step(h, static_cast<uint32_t>(length >> 32));
+  for (const uint32_t lane : lanes) h = step(h, lane);
   return h;
 }
 
@@ -248,53 +276,61 @@ std::optional<T> DeserializeSketch(std::string_view bytes) {
 }
 
 // Structural triage of a whole-buffer frame against a family's magic and
-// version ceiling, in header order: too short to even hold the 8-byte
-// header plus the trailing checksum -> kTruncated; foreign magic ->
-// kBadMagic; version 0 or above `max_version` -> kBadVersion; checksum
-// mismatch -> kCorruptBody. A bare sketch frame carries no declared
-// length, so a mid-body short read is indistinguishable from flipped
-// bytes here and reports kCorruptBody; the transport envelope
-// (cluster/envelope.h) declares its payload length and is where short
-// reads classify as kTruncated. Returns kNone when the structural layers
-// pass -- body-level field validation may still reject the frame, which
-// DiagnoseSketchFrame below reports as kCorruptBody.
+// current version, in the normative order (docs/WIRE_FORMAT.md): too
+// short to even hold the 8-byte header plus the trailing checksum ->
+// kTruncated; foreign magic -> kBadMagic; any other version ->
+// kBadVersion; checksum mismatch -> kCorruptBody. The header is read
+// before the checksum, so an old-version frame is named as such whatever
+// checksum it carries. A bare sketch frame carries no declared length,
+// so a mid-body short read is indistinguishable from flipped bytes here
+// and reports kCorruptBody; the transport envelope (cluster/envelope.h)
+// declares its payload length and is where short reads classify as
+// kTruncated. Returns kNone when the structural layers pass -- body-level
+// field validation may still reject the frame, which DiagnoseSketchFrame
+// below reports as kCorruptBody.
 inline FrameFault ClassifyFrameBytes(std::string_view frame, uint32_t magic,
-                                     uint32_t max_version) {
+                                     uint32_t version) {
   constexpr size_t kHeaderAndChecksum = 3 * sizeof(uint32_t);
   if (frame.size() < kHeaderAndChecksum) return FrameFault::kTruncated;
   ByteReader r(frame);
-  const auto m = r.ReadU32();
-  if (*m != magic) return FrameFault::kBadMagic;
-  const auto v = r.ReadU32();
-  if (*v == 0 || *v > max_version) return FrameFault::kBadVersion;
+  if (*r.ReadU32() != magic) return FrameFault::kBadMagic;
+  if (*r.ReadU32() != version) return FrameFault::kBadVersion;
   if (!CheckedFrameBody(frame)) return FrameFault::kCorruptBody;
   return FrameFault::kNone;
 }
 
 // --- Frame views (see the file comment) -------------------------------
 
-// Whole-buffer view: checksum verified and stripped, then ViewBody must
-// consume the body exactly (trailing bytes are a framing error).
+// ViewBody over one bare body, which it must consume exactly (trailing
+// bytes are a framing error).
 template <typename T>
-std::optional<typename T::FrameView> ViewSketchFrame(std::string_view frame) {
-  const auto body = CheckedFrameBody(frame);
-  if (!body) return std::nullopt;
-  ByteReader r(*body);
+std::optional<typename T::FrameView> ViewWholeBody(std::string_view body) {
+  ByteReader r(body);
   auto view = T::ViewBody(r);
   if (!view || !r.AtEnd()) return std::nullopt;
   return view;
 }
 
+// Whole-buffer view: checksum verified and stripped, then the body view.
+template <typename T>
+std::optional<typename T::FrameView> ViewSketchFrame(std::string_view frame) {
+  const auto body = CheckedFrameBody(frame);
+  if (!body) return std::nullopt;
+  return ViewWholeBody<T>(*body);
+}
+
 // Typed rejection reason through the family's one validator: the
 // structural cause from ClassifyFrameBytes first, then kCorruptBody iff
-// DeserializeView rejects the body -- kNone iff every parse path accepts.
+// ViewBody rejects the already-verified body -- kNone iff every parse
+// path accepts. One checksum pass per verdict.
 template <typename T>
 FrameFault DiagnoseSketchFrame(std::string_view frame, uint32_t magic,
-                               uint32_t max_version) {
-  const FrameFault f = ClassifyFrameBytes(frame, magic, max_version);
+                               uint32_t version) {
+  const FrameFault f = ClassifyFrameBytes(frame, magic, version);
   if (f != FrameFault::kNone) return f;
-  return T::DeserializeView(frame).has_value() ? FrameFault::kNone
-                                               : FrameFault::kCorruptBody;
+  const std::string_view body = frame.substr(0, frame.size() - 4);
+  return ViewWholeBody<T>(body).has_value() ? FrameFault::kNone
+                                            : FrameFault::kCorruptBody;
 }
 
 // The vetting half of every MergeManyFrames: views every frame and checks

@@ -21,7 +21,7 @@ namespace ats::conformance {
 // Checksum-repaired structural mutations of a whole-buffer frame, blind
 // to the family layout: for each 8-byte-aligned word past the 8-byte
 // header, +1 and -1 (as a u64, so count fields shift by one too), a swap
-// with the next word, and a copy over the next word. The trailing FNV-1a
+// with the next word, and a copy over the next word. The trailing frame
 // checksum is recomputed, so every mutation reaches the body validators;
 // mutations that leave the frame unchanged are dropped.
 inline std::vector<std::string> StructuralMutations(std::string_view frame) {

@@ -6,6 +6,7 @@
 // sampler states across every frame family).
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -29,8 +30,10 @@
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/samplers/variance_sized.h"
+#include "ats/sketch/group_distinct.h"
 #include "ats/sketch/kmv.h"
 #include "ats/sketch/lcs_merge.h"
+#include "ats/sketch/theta.h"
 #include "ats/util/stats.h"
 #include "tests/conformance/structural_mutations.h"
 
@@ -358,9 +361,10 @@ std::vector<FrameKindEntry> FrameKindRegistry() {
 }
 
 // Every strict prefix and every single-bit flip of `frame` must be
-// rejected by both `parse_eager` and `parse_view` (the FNV-1a frame
-// checksum chain is bijective per byte, so ANY one-byte change alters
-// it); the intact frame must parse through both.
+// rejected by both `parse_eager` and `parse_view` (every step of the
+// frame checksum is a bijection of its lane state and of its input word,
+// so ANY change confined to one 4-byte word alters it); the intact frame
+// must parse through both.
 template <typename ParseEager, typename ParseView>
 void ExpectHostileBytesFailCleanly(const std::string& frame,
                                    ParseEager&& parse_eager,
@@ -443,6 +447,90 @@ TEST_P(FuzzSweep, RegisteredFrameKindsRejectTruncatedMergeTails) {
     corrupt.resize(corrupt.size() - 1 - GetParam() % 8);
     EXPECT_FALSE(entry.parse_eager(corrupt));
     EXPECT_FALSE(entry.parse_view(corrupt));
+  }
+}
+
+// FNV-1a-32, the checksum that version-1 frames carried.
+uint32_t VersionOneChecksum(std::string_view bytes) {
+  uint32_t h = 2166136261u;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 16777619u;
+  }
+  return h;
+}
+
+using ChecksumFn = uint32_t (*)(std::string_view);
+
+// `frame` with its version field (bytes 4..8) set to 1 and its trailing
+// checksum recomputed by `checksum`.
+std::string AsVersionOne(std::string frame, ChecksumFn checksum) {
+  const uint32_t version = 1;
+  std::memcpy(frame.data() + 4, &version, sizeof(version));
+  const size_t body = frame.size() - sizeof(uint32_t);
+  const uint32_t sum = checksum(std::string_view(frame).substr(0, body));
+  std::memcpy(frame.data() + body, &sum, sizeof(sum));
+  return frame;
+}
+
+TEST_P(FuzzSweep, VersionOneFramesAreTypedBadVersionOnEveryReader) {
+  // One reader per family: a version-1 header is a protocol mismatch
+  // (kBadVersion), never a corrupt body, whether it carries the FNV-1a
+  // tail it was written with or a tail that is valid under the current
+  // checksum. The nullopt parsers reject it too.
+  const ChecksumFn tails[] = {VersionOneChecksum, FrameChecksum};
+  for (const FrameKindEntry& entry : FrameKindRegistry()) {
+    SCOPED_TRACE(entry.name);
+    const std::string frame = entry.make_frame(GetParam() * 67 + 19);
+    ASSERT_EQ(entry.diagnose(frame), FrameFault::kNone);
+    for (const ChecksumFn tail : tails) {
+      const std::string old = AsVersionOne(frame, tail);
+      EXPECT_EQ(entry.diagnose(old), FrameFault::kBadVersion);
+      EXPECT_FALSE(entry.parse_eager(old));
+      EXPECT_FALSE(entry.parse_view(old));
+    }
+  }
+  // The families without a view or a typed diagnosis: Theta, LCS and
+  // grouped distinct reject through their one eager parser.
+  Xoshiro256 rng(GetParam() * 71 + 23);
+  ThetaSketch theta(16, 3);
+  KmvSketch kmv(16, 1.0, 3);
+  GroupDistinctSketch grouped(/*m=*/2, /*k=*/8, /*hash_salt=*/3);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t key = rng.Next();
+    theta.AddKey(key);
+    kmv.AddKey(key);
+    grouped.Add(key % 5, key);
+  }
+  const LcsSketch lcs = LcsSketch::FromKmv(kmv);
+  for (const ChecksumFn tail : tails) {
+    EXPECT_FALSE(ThetaSketch::Deserialize(
+                     AsVersionOne(theta.SerializeToString(), tail))
+                     .has_value());
+    EXPECT_FALSE(
+        LcsSketch::Deserialize(AsVersionOne(lcs.SerializeToString(), tail))
+            .has_value());
+    EXPECT_FALSE(GroupDistinctSketch::Deserialize(
+                     AsVersionOne(grouped.SerializeToString(), tail))
+                     .has_value());
+  }
+
+  // The envelope and the checkpoint wrap a current frame; only their
+  // own version field is set to 1.
+  KmvSketch sketch(8, 1.0, /*hash_salt=*/0x5eed);
+  for (int i = 0; i < 100; ++i) sketch.AddKey(rng.Next());
+  const std::string payload = sketch.SerializeToString();
+  const std::string envelope = cluster::EncodeEnvelope(
+      cluster::EnvelopeKind::kData, /*sender=*/3, /*incarnation=*/0,
+      /*seq=*/GetParam(), /*epoch=*/100, payload);
+  const std::string image = persist::EncodeCheckpoint(
+      persist::SchemeKind::kKmv, /*epoch=*/100, payload);
+  for (const ChecksumFn tail : tails) {
+    cluster::EnvelopeView view;
+    EXPECT_EQ(cluster::DecodeEnvelope(AsVersionOne(envelope, tail), &view),
+              FrameFault::kBadVersion);
+    EXPECT_EQ(persist::DecodeCheckpoint(AsVersionOne(image, tail), nullptr),
+              persist::CheckpointFault::kBadVersion);
   }
 }
 

@@ -5,7 +5,6 @@
 #include "ats/sketch/kmv.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <iterator>
 #include <map>
@@ -21,6 +20,7 @@
 #include "ats/sketch/theta.h"
 #include "ats/util/stats.h"
 #include "ats/workload/zipf.h"
+#include "tests/wire_reference.h"
 
 namespace ats {
 namespace {
@@ -401,28 +401,13 @@ TEST(KmvReferenceOracle, IngestContinuesAfterDeserialize) {
 // A reference encoder written from docs/WIRE_FORMAT.md's KMV2 table
 // alone, sharing no code with the library's writer: little-endian fields
 // appended byte by byte, entries ordered by std::sort on priority, and
-// FNV-1a-32 over the body. The library's bucketed ordering and one-pass
-// entry copy must reproduce it byte for byte.
+// the byte-level reference frame checksum (tests/wire_reference.h). The
+// library's bucketed ordering and one-pass entry copy must reproduce it
+// byte for byte.
 
-void PutLe(std::string& out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  PutLe(out, std::bit_cast<uint64_t>(v), 8);
-}
-
-std::string WithChecksum(std::string body) {
-  uint32_t h = 2166136261u;
-  for (const unsigned char c : body) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  PutLe(body, h, 4);
-  return body;
-}
+using wire_reference::PutF64;
+using wire_reference::PutLe;
+using wire_reference::WithChecksum;
 
 // The retained (priority, key) pairs from the raw store columns, sorted
 // by priority with std::sort.
@@ -443,7 +428,7 @@ std::vector<std::pair<double, uint64_t>> ReferenceOrder(const KmvSketch& s) {
 std::string ReferenceKmv2Body(const KmvSketch& s) {
   std::string body;
   PutLe(body, 0x4b4d5632, 4);  // "KMV2"
-  PutLe(body, 1, 4);
+  PutLe(body, 2, 4);
   PutLe(body, s.k(), 8);
   PutLe(body, s.hash_salt(), 8);
   PutF64(body, s.store().initial_threshold());
@@ -599,7 +584,7 @@ TEST(KmvGolden, EmbeddingFramesStayByteIdentical) {
     }
     std::string body;
     PutLe(body, 0x54485432, 4);  // "THT2"
-    PutLe(body, 1, 4);
+    PutLe(body, 2, 4);
     PutLe(body, 0, 4);  // stream mode
     body += ReferenceKmv2Body(kmv);
     const std::string frame = theta.SerializeToString();

@@ -1,6 +1,8 @@
 // Tests for sketch serialization (ats/util/serialize.h plumbing through
 // KmvSketch and LcsSketch): round trips, cross-node merge-after-ship, and
 // corrupt-input rejection.
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -13,6 +15,7 @@
 #include "ats/sketch/lcs_merge.h"
 #include "ats/sketch/theta.h"
 #include "ats/util/serialize.h"
+#include "tests/wire_reference.h"
 
 namespace ats {
 namespace {
@@ -140,16 +143,116 @@ TEST(SketchHeader, RoundTripAndVersionGate) {
   WriteSketchHeader(w, 0x41424344, 2);
   {
     ByteReader r(w.bytes());
-    EXPECT_EQ(ReadSketchHeader(r, 0x41424344, 3).value(), 2u);
+    EXPECT_TRUE(ReadSketchHeader(r, 0x41424344, 2));
+    EXPECT_TRUE(r.AtEnd());
   }
   {
     ByteReader r(w.bytes());  // foreign magic
-    EXPECT_FALSE(ReadSketchHeader(r, 0x44434241, 3).has_value());
+    EXPECT_FALSE(ReadSketchHeader(r, 0x44434241, 2));
   }
   {
     ByteReader r(w.bytes());  // reader too old for version 2
-    EXPECT_FALSE(ReadSketchHeader(r, 0x41424344, 1).has_value());
+    EXPECT_FALSE(ReadSketchHeader(r, 0x41424344, 1));
   }
+  {
+    ByteReader r(w.bytes());  // one reader per version: no older frames
+    EXPECT_FALSE(ReadSketchHeader(r, 0x41424344, 3));
+  }
+}
+
+// --- The frame checksum ----------------------------------------------
+
+// The first n bytes of 00 01 02 ... (byte i is i mod 256).
+std::string CountingBytes(size_t n) {
+  std::string bytes(n, '\0');
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>(i % 256);
+  return bytes;
+}
+
+TEST(FrameChecksum, KnownAnswersFromWireFormat) {
+  // docs/WIRE_FORMAT.md "Frame checksum" test vectors: every tail length
+  // of a 32-byte block (n = 0..31), then a full block plus a tail.
+  constexpr std::array<uint32_t, 41> kVectors = {
+      0x764f86ca, 0x45cb76aa, 0xfaf37de3, 0x13f4c1ae, 0xe1e9a2e0,
+      0x10201a9c, 0x97e22a6a, 0x92090aed, 0xb4bdfec7, 0x829cef0a,
+      0xd1f8b8f5, 0x634b46cc, 0x846739be, 0x65d3867d, 0x60a8971e,
+      0xc27ecd01, 0x3f30d816, 0x3f416d88, 0x6b501b30, 0xa17b2150,
+      0xc2a52bb6, 0xe0deb0d2, 0xe9d9be25, 0x3b191f1b, 0x657a006c,
+      0x7f78dcaf, 0x2958ff01, 0xdd283d96, 0x1863b1db, 0x64814518,
+      0x63304958, 0x61890fbf, 0x95d5357b, 0x4b1fa6a1, 0xb4bc24db,
+      0x643750bd, 0x7b13efe7, 0x78880657, 0x81cf2658, 0xe7f5e2b6,
+      0xc1516c7f};
+  for (size_t n = 0; n < kVectors.size(); ++n) {
+    const std::string bytes = CountingBytes(n);
+    EXPECT_EQ(FrameChecksum(bytes), kVectors[n]) << "n = " << n;
+    EXPECT_EQ(wire_reference::Checksum(bytes), kVectors[n]) << "n = " << n;
+  }
+}
+
+TEST(FrameChecksum, EveryByteValueAtEveryPositionIsCaught) {
+  // A change confined to one 4-byte word always alters the checksum, so
+  // every one of the 255 other values of every byte of a ~300-byte frame
+  // (checksum bytes included) is rejected.
+  KmvSketch sketch(16, 1.0, 9);
+  for (uint64_t i = 0; i < 1000; ++i) sketch.AddKey(i);
+  std::string frame = sketch.SerializeToString();
+  ASSERT_EQ(frame.size(), 308u);
+  ASSERT_TRUE(CheckedFrameBody(frame).has_value());
+  size_t accepted = 0;
+  for (size_t pos = 0; pos < frame.size(); ++pos) {
+    for (int x = 1; x < 256; ++x) {
+      frame[pos] = static_cast<char>(frame[pos] ^ x);
+      accepted += CheckedFrameBody(frame).has_value();
+      frame[pos] = static_cast<char>(frame[pos] ^ x);
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+}
+
+TEST(FrameChecksum, KmvFrameFlipsTruncationsAndWordSwapsAreCaught) {
+  // A k = 256 KMV2 frame: every bit flip, every strict prefix, and every
+  // swap of two unequal 8-byte words of the body (133,902 swaps) fails
+  // the checksum.
+  KmvSketch sketch(256, 1.0, 7);
+  Xoshiro256 rng(1);
+  for (int i = 0; i < 20000; ++i) sketch.AddKey(rng.Next());
+  std::string frame = sketch.SerializeToString();
+  ASSERT_EQ(frame.size(), 52u + 16u * 256u);
+  ASSERT_TRUE(CheckedFrameBody(frame).has_value());
+
+  size_t accepted_flips = 0;
+  for (size_t bit = 0; bit < 8 * frame.size(); ++bit) {
+    const char mask = static_cast<char>(1 << (bit % 8));
+    frame[bit / 8] ^= mask;
+    accepted_flips += CheckedFrameBody(frame).has_value();
+    frame[bit / 8] ^= mask;
+  }
+  EXPECT_EQ(accepted_flips, 0u);
+
+  size_t accepted_prefixes = 0;
+  for (size_t len = 0; len < frame.size(); ++len) {
+    accepted_prefixes +=
+        CheckedFrameBody(std::string_view(frame).substr(0, len)).has_value();
+  }
+  EXPECT_EQ(accepted_prefixes, 0u);
+
+  const size_t body = frame.size() - sizeof(uint32_t);
+  const size_t words = body / 8;
+  size_t swaps = 0;
+  size_t accepted_swaps = 0;
+  for (size_t a = 0; a < words; ++a) {
+    for (size_t b = a + 1; b < words; ++b) {
+      char* wa = frame.data() + 8 * a;
+      char* wb = frame.data() + 8 * b;
+      if (std::equal(wa, wa + 8, wb)) continue;
+      std::swap_ranges(wa, wa + 8, wb);
+      ++swaps;
+      accepted_swaps += CheckedFrameBody(frame).has_value();
+      std::swap_ranges(wa, wa + 8, wb);
+    }
+  }
+  EXPECT_GT(swaps, words * (words - 1) / 2 * 9 / 10);
+  EXPECT_EQ(accepted_swaps, 0u);
 }
 
 TEST(ThetaSerialize, StreamModeRoundTrip) {

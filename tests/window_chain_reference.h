@@ -45,7 +45,7 @@ inline std::string EncodeWindowFrame(
     const std::vector<SlidingWindowSampler::StoredItem>& expired) {
   ByteWriter w;
   w.WriteU32(0x53574e31);  // "SWN1"
-  w.WriteU32(1);
+  w.WriteU32(2);
   w.WriteU64(k);
   w.WriteDouble(window);
   w.WriteDouble(last_time);

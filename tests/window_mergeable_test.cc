@@ -11,7 +11,6 @@
 // window_chain_reference.h, since Merge itself runs the same fold.
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include "ats/workload/arrivals.h"
 #include "tests/sharded_reference.h"
 #include "tests/window_chain_reference.h"
+#include "tests/wire_reference.h"
 
 namespace ats {
 namespace {
@@ -164,27 +164,12 @@ void ExpectSameItems(const std::vector<SlidingWindowSampler::StoredItem>& a,
 
 // The SWN1 golden encoder, written from docs/WIRE_FORMAT.md alone and
 // sharing no code with the library's writer: little-endian fields
-// appended byte by byte and FNV-1a-32 over the body.
+// appended byte by byte and the byte-level reference frame checksum
+// (tests/wire_reference.h).
 
-void PutLe(std::string& out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  PutLe(out, std::bit_cast<uint64_t>(v), 8);
-}
-
-std::string WithChecksum(std::string body) {
-  uint32_t h = 2166136261u;
-  for (const unsigned char c : body) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  PutLe(body, h, 4);
-  return body;
-}
+using wire_reference::PutF64;
+using wire_reference::PutLe;
+using wire_reference::WithChecksum;
 
 // header | k u64 | window f64 | last_time f64 | rng 4 x u64
 //        | current_count u64 | expired_count u64
@@ -196,7 +181,7 @@ std::string GoldenSwn1Frame(size_t k, double window, double last_time,
                             const Region& current, const Region& expired) {
   std::string body;
   PutLe(body, 0x53574e31, 4);  // "SWN1"
-  PutLe(body, 1, 4);
+  PutLe(body, 2, 4);
   PutLe(body, k, 8);
   PutF64(body, window);
   PutF64(body, last_time);

@@ -12,7 +12,12 @@ in docs/WIRE_FORMAT.md:
   * each SchemeKind value must have a ``| <kind> |`` row in the CKP1
     kind table,
   * the documented kBadKind bound must match [kMinSchemeKind,
-    kMaxSchemeKind] from checkpoint.h.
+    kMaxSchemeKind] from checkpoint.h,
+  * every magic's version constant (``k<Prefix>Version`` beside
+    ``k<Prefix>Magic`` in the same file) must equal the version the
+    document gives it: the family table's "current version" column, and
+    the ``version u32 = N`` field and ``version ≠ N`` rejection row of
+    the section that names it.
 
 Exits non-zero listing every gap, so the blocking wire-spec CI job
 fails when a new frame lands without its spec.  Run from anywhere:
@@ -37,26 +42,50 @@ CHECKPOINT_H = SRC / "persist" / "checkpoint.h"
 MAGIC_RE = re.compile(
     r"\bk\w*Magic\s*=\s*(0x[0-9a-fA-F]{8})u?\s*;"
     r"(?:\s*//\s*\"(\w{4})\")?")
+VERSION_RE = r"\bk{prefix}Version\s*=\s*(\d+)u?\s*;"
+TABLE_VERSION_RE = re.compile(
+    r"^\|[^|\n]*\|\s*`0x[0-9a-fA-F]{8}`\s*\|\s*`(\w{4})`\s*\|\s*(\d+)\s*\|",
+    re.MULTILINE)
+FIELD_VERSION_RE = re.compile(r"version u32 = (\d+)|version ≠ (\d+)")
 ENUM_RE = re.compile(r"enum class SchemeKind[^{]*\{(.*?)\};", re.DOTALL)
 ENUMERATOR_RE = re.compile(r"\bk(\w+)\s*=\s*(\d+)")
 BOUND_RE = re.compile(r"\bk(Min|Max)SchemeKind\s*=\s*(\d+)\s*;")
 
 
 def collect_magics():
-    magics = {}    # ascii tag -> (hex literal, declaring file)
+    # ascii tag -> (hex literal, declaring file, version constant or None)
+    magics = {}
     unnamed = []   # (hex literal, declaring file) with no tag comment
     for path in sorted(SRC.rglob("*")):
         if path.suffix not in (".h", ".cc"):
             continue
-        for match in MAGIC_RE.finditer(path.read_text()):
+        text = path.read_text()
+        for match in MAGIC_RE.finditer(text):
             hex_literal = match.group(1).lower()
             name = match.group(2)
             origin = path.relative_to(REPO)
             if name is None:
                 unnamed.append((hex_literal, origin))
-            else:
-                magics.setdefault(name, (hex_literal, origin))
+                continue
+            prefix = re.match(r"k(\w*)Magic", match.group(0)).group(1)
+            found = re.search(VERSION_RE.format(prefix=prefix), text)
+            version = int(found.group(1)) if found else None
+            magics.setdefault(name, (hex_literal, origin, version))
     return magics, unnamed
+
+
+def documented_versions(doc, name):
+    """Every version the document gives the tag `name`."""
+    versions = [int(v) for tag, v in TABLE_VERSION_RE.findall(doc)
+                if tag == name]
+    section = None
+    for line in doc.splitlines():
+        if line.startswith("## "):
+            section = name in line
+        elif section:
+            for field, row in FIELD_VERSION_RE.findall(line):
+                versions.append(int(field or row))
+    return versions
 
 
 def collect_scheme_kinds():
@@ -84,7 +113,7 @@ def main():
         problems.append(
             f"{origin}: magic {hex_literal} has no // \"XXXX\" tag comment "
             f"(the checker needs it to match the doc section)")
-    for name, (hex_literal, origin) in sorted(magics.items()):
+    for name, (hex_literal, origin, version) in sorted(magics.items()):
         if name not in headings:
             problems.append(
                 f"{name} ({origin}): no '## ...{name}...' section heading "
@@ -93,6 +122,20 @@ def main():
             problems.append(
                 f"{name} ({origin}): magic {hex_literal} not documented "
                 f"in {DOC.relative_to(REPO)}")
+        if version is None:
+            problems.append(
+                f"{name} ({origin}): no version constant beside the magic "
+                f"(expected k<Prefix>Version = N for k<Prefix>Magic)")
+            continue
+        documented = documented_versions(doc, name)
+        if not documented:
+            problems.append(
+                f"{name} ({origin}): version {version} not documented "
+                f"(family table row or 'version u32 = N' field)")
+        for v in sorted(set(documented) - {version}):
+            problems.append(
+                f"{name} ({origin}): documented version {v}, but the "
+                f"source constant is {version}")
 
     kinds, lo, hi = collect_scheme_kinds()
     if not kinds:
@@ -114,8 +157,8 @@ def main():
         for p in problems:
             print(f"  - {p}")
         return 1
-    print(f"check_wire_docs: {len(magics)} frame magics and "
-          f"{len(kinds)} scheme kinds all documented")
+    print(f"check_wire_docs: {len(magics)} frame magics with their "
+          f"versions and {len(kinds)} scheme kinds all documented")
     return 0
 
 
