@@ -26,6 +26,11 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
   history_.resize(config.num_agents);
   const bool checkpoints = config.checkpoint_every_epochs > 0 &&
                            !config.checkpoint_dir.empty();
+  // One immutable CDF-plus-guide table serves every Zipf agent.
+  const std::shared_ptr<const ZipfTable> zipf_table =
+      config.workload == ClusterConfig::Workload::kZipf
+          ? ZipfTable::Make(config.universe, config.zipf_s)
+          : nullptr;
   for (uint64_t id = 0; id < config.num_agents; ++id) {
     agents_.push_back(std::make_unique<AgentNode>(
         id, config.k, config.hash_salt, config.retry));
@@ -36,8 +41,7 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     }
     switch (config.workload) {
       case ClusterConfig::Workload::kZipf:
-        zipf_.push_back(std::make_unique<ZipfGenerator>(
-            config.universe, config.zipf_s, AgentSeed(config.seed, id)));
+        zipf_.emplace_back(zipf_table, AgentSeed(config.seed, id));
         break;
       case ClusterConfig::Workload::kPitmanYor:
         pitman_yor_.push_back(std::make_unique<PitmanYorStream>(
@@ -93,7 +97,7 @@ void ClusterSim::IngestTick() {
     for (auto& key : keys) {
       switch (config_.workload) {
         case ClusterConfig::Workload::kZipf:
-          key = zipf_[id]->Next();
+          key = zipf_[id].Next();
           break;
         case ClusterConfig::Workload::kPitmanYor:
           key = pitman_yor_[id]->Next();

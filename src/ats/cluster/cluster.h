@@ -183,8 +183,9 @@ class ClusterSim {
   std::vector<std::unique_ptr<AggregatorNode>> aggregators_;
   // parent_of_[node id] = destination node id for upward frames.
   std::vector<uint64_t> parent_of_;
-  // Workload state, one generator per agent (Zipf/PY are stateful).
-  std::vector<std::unique_ptr<ZipfGenerator>> zipf_;
+  // Workload state, one generator per agent (Zipf/PY are stateful; the
+  // Zipf generators share one table).
+  std::vector<ZipfGenerator> zipf_;
   std::vector<std::unique_ptr<PitmanYorStream>> pitman_yor_;
   std::vector<Xoshiro256> uniform_rng_;
   uint64_t naive_reship_bytes_ = 0;

@@ -40,13 +40,16 @@ std::vector<SampleEntry> PrioritySampler::Sample() const {
 
 std::vector<SampleEntry> MakeWeightedSample(
     const SampleStore<PrioritySampler::Item>& store) {
-  std::vector<SampleEntry> out;
-  out.reserve(store.size());
+  // Each accessor canonicalizes (an out-of-line call), so read the
+  // canonical columns once.
   const double t = store.Threshold();
-  for (size_t i = 0; i < store.size(); ++i) {
-    const PrioritySampler::Item& item = store.payloads()[i];
+  const std::vector<double>& priorities = store.priorities();
+  const std::vector<PrioritySampler::Item>& items = store.payloads();
+  std::vector<SampleEntry> out;
+  out.reserve(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
     out.push_back(
-        MakeWeightedEntry(item.key, item.weight, store.priorities()[i], t));
+        MakeWeightedEntry(items[i].key, items[i].weight, priorities[i], t));
   }
   return out;
 }

@@ -8,26 +8,13 @@ namespace ats {
 
 namespace {
 
-double Inclusion(const SampleEntry& e) {
-  const double pi = e.InclusionProbability();
-  ATS_CHECK_MSG(pi > 0.0, "sample entry with zero inclusion probability");
-  return pi;
-}
+double Inclusion(const SampleEntry& e) { return internal::HtInclusion(e); }
 
 }  // namespace
 
 double HtTotal(std::span<const SampleEntry> sample) {
   double total = 0.0;
   for (const SampleEntry& e : sample) total += e.value / Inclusion(e);
-  return total;
-}
-
-double HtSubsetSum(std::span<const SampleEntry> sample,
-                   const std::function<bool(uint64_t)>& in_subset) {
-  double total = 0.0;
-  for (const SampleEntry& e : sample) {
-    if (in_subset(e.key)) total += e.value / Inclusion(e);
-  }
   return total;
 }
 

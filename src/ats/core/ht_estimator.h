@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ats/core/threshold.h"
+#include "ats/util/check.h"
 
 namespace ats {
 
@@ -22,10 +23,28 @@ namespace ats {
 // sum over sampled i of value_i / pi_i (Corollary 3).
 double HtTotal(std::span<const SampleEntry> sample);
 
+namespace internal {
+// pi_i = F_i(T_i), checked positive: every HT term divides by it.
+inline double HtInclusion(const SampleEntry& e) {
+  const double pi = e.InclusionProbability();
+  ATS_CHECK_MSG(pi > 0.0, "sample entry with zero inclusion probability");
+  return pi;
+}
+}  // namespace internal
+
 // HT estimate of a subset sum: only entries whose key satisfies `in_subset`
 // contribute (the "zero out items outside the subset" device of [12]).
-double HtSubsetSum(std::span<const SampleEntry> sample,
-                   const std::function<bool(uint64_t)>& in_subset);
+// `in_subset` is any callable bool(uint64_t) -- a lambda, a function
+// pointer or a std::function -- called directly, not through a type-erased
+// wrapper.
+template <typename Pred>
+double HtSubsetSum(std::span<const SampleEntry> sample, Pred&& in_subset) {
+  double total = 0.0;
+  for (const SampleEntry& e : sample) {
+    if (in_subset(e.key)) total += e.value / internal::HtInclusion(e);
+  }
+  return total;
+}
 
 // HT estimate of the number of (weighted) items: sum of 1/pi_i.
 double HtCount(std::span<const SampleEntry> sample);

@@ -3,6 +3,7 @@
 #include "ats/core/bottom_k.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,6 +186,45 @@ TEST(PrioritySampler, CoordinatedSamplesShareItems) {
   };
   EXPECT_EQ(keys(a), keys(b));
   EXPECT_NE(keys(a), keys(c));
+}
+
+TEST(PrioritySampler, WeightedSampleOfBufferedStoreMatchesCanonicalCopy) {
+  // MakeWeightedSample on a store mid-ingest (more than k buffered, not
+  // canonical) must produce the entries of a canonicalized copy, field
+  // for field, at several points between compactions.
+  constexpr size_t kK = 64;
+  Xoshiro256 rng(33);
+  SampleStore<PrioritySampler::Item> store(kK);
+  size_t checked = 0;
+  for (uint64_t key = 0; key < 5000; ++key) {
+    const double w = 0.1 + rng.NextDouble();
+    store.Offer(PriorityDist::WeightedUniform(w).Sample(rng),
+                PrioritySampler::Item{key, w});
+    if (key % 97 != 0 || store.BufferedSize() <= kK) continue;
+    SampleStore<PrioritySampler::Item> canonical = store;
+    canonical.Canonicalize();
+    const double t = canonical.Threshold();
+    std::vector<SampleEntry> expected;
+    for (size_t i = 0; i < canonical.size(); ++i) {
+      const PrioritySampler::Item& item = canonical.payloads()[i];
+      expected.push_back(MakeWeightedEntry(item.key, item.weight,
+                                           canonical.priorities()[i], t));
+    }
+    const std::vector<SampleEntry> got = MakeWeightedSample(store);
+    ASSERT_EQ(got.size(), expected.size());
+    const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].key, expected[i].key) << i;
+      ASSERT_EQ(bits(got[i].value), bits(expected[i].value)) << i;
+      ASSERT_EQ(bits(got[i].priority), bits(expected[i].priority)) << i;
+      ASSERT_EQ(bits(got[i].threshold), bits(expected[i].threshold)) << i;
+      ASSERT_EQ(got[i].dist.family(), expected[i].dist.family()) << i;
+      ASSERT_EQ(bits(got[i].dist.weight()), bits(expected[i].dist.weight()))
+          << i;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 10u);
 }
 
 TEST(BottomK, SelfMergeIsANoOp) {

@@ -2,7 +2,9 @@
 // sums under fixed thresholds, and agreement with closed forms.
 #include "ats/core/ht_estimator.h"
 
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,6 +94,38 @@ TEST(HtEstimator, SubsetSumFiltersByKey) {
   const double est =
       HtSubsetSum(sample, [](uint64_t k) { return k == 2; });
   EXPECT_DOUBLE_EQ(est, 40.0);  // 20 / 0.5
+}
+
+bool KeyIsOdd(uint64_t key) { return (key & 1) != 0; }
+
+TEST(HtEstimator, SubsetSumIsBitIdenticalForEveryCallableKind) {
+  // A fixed weighted sample at threshold 0.05, whose weights leave
+  // pi = min(0.05 w, 1) both below and at 1, with values drawn apart from
+  // the weights so that value / pi rounds differently from other forms.
+  Xoshiro256 rng(21);
+  std::vector<SampleEntry> sample;
+  for (uint64_t key = 0; key < 4096; ++key) {
+    const double w = 0.01 + 30.0 * rng.NextDouble();
+    sample.push_back(MakeWeightedEntry(key, w, rng.NextDouble() / w, 0.05));
+    sample.back().value = 100.0 * rng.NextDouble();
+  }
+  // The summation as a plain loop: entries in order, one division each.
+  double reference = 0.0;
+  for (const SampleEntry& e : sample) {
+    if (KeyIsOdd(e.key)) reference += e.value / e.InclusionProbability();
+  }
+  const std::function<bool(uint64_t)> erased = KeyIsOdd;
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  EXPECT_EQ(bits(HtSubsetSum(sample, KeyIsOdd)), bits(reference));
+  EXPECT_EQ(bits(HtSubsetSum(sample, &KeyIsOdd)), bits(reference));
+  EXPECT_EQ(bits(HtSubsetSum(sample, erased)), bits(reference));
+  EXPECT_EQ(bits(HtSubsetSum(sample,
+                             [](uint64_t key) { return KeyIsOdd(key); })),
+            bits(reference));
+  const uint64_t mask = 1;
+  EXPECT_EQ(bits(HtSubsetSum(sample,
+                             [&mask](uint64_t key) { return (key & mask); })),
+            bits(reference));
 }
 
 TEST(HtEstimator, CountUsesInverseInclusion) {

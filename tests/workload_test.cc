@@ -1,11 +1,13 @@
 // Tests for the workload generators (ats/workload/).
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ats/core/random.h"
 #include "ats/util/stats.h"
 #include "ats/workload/arrivals.h"
 #include "ats/workload/pitman_yor.h"
@@ -77,6 +79,102 @@ TEST(Zipf, ExponentZeroIsUniform) {
   std::vector<int64_t> counts(10, 0);
   for (int i = 0; i < 100000; ++i) ++counts[zipf.Next()];
   EXPECT_LT(ChiSquareUniform(counts), ChiSquareCritical999(9));
+}
+
+// The inverse-CDF Zipf draw in its plain form: the CDF built exactly as
+// the generator documents it, searched with one full binary search. The
+// guide table must return the same item for every u.
+std::vector<double> ReferenceZipfCdf(size_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    total += std::pow(static_cast<double>(i + 1), -s);
+    cdf[i] = total;
+  }
+  for (double& c : cdf) c /= total;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+uint64_t ReferenceZipfDraw(const std::vector<double>& cdf, double u) {
+  return static_cast<uint64_t>(std::upper_bound(cdf.begin(), cdf.end(), u) -
+                               cdf.begin());
+}
+
+struct ZipfCase {
+  size_t n;
+  double s;
+};
+
+// n = 1, s = 0, universes that are not powers of two, and one that is.
+constexpr ZipfCase kZipfCases[] = {{1, 1.1},      {1, 0.0},
+                                   {10, 0.0},     {3, 2.0},
+                                   {1000, 0.8},   {100000, 1.5},
+                                   {1 << 20, 1.1}};
+
+TEST(Zipf, DrawsMatchPlainBinarySearch) {
+  constexpr int kDraws = 1'000'000;
+  for (const ZipfCase& c : kZipfCases) {
+    const std::vector<double> cdf = ReferenceZipfCdf(c.n, c.s);
+    ZipfGenerator zipf(c.n, c.s, 17);
+    Xoshiro256 rng(17);
+    int mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      mismatches += zipf.Next() != ReferenceZipfDraw(cdf, rng.NextDouble());
+    }
+    EXPECT_EQ(mismatches, 0) << "n " << c.n << " s " << c.s;
+  }
+}
+
+TEST(Zipf, BucketEdgesResolveLikePlainBinarySearch) {
+  // u exactly on an edge j/m, just below it, and exactly on a CDF value:
+  // the inputs where a guide off by one would pick a neighbouring item.
+  for (const ZipfCase& c : kZipfCases) {
+    const std::vector<double> cdf = ReferenceZipfCdf(c.n, c.s);
+    const auto table = ZipfTable::Make(c.n, c.s);
+    const size_t m = std::bit_ceil(c.n);
+    int mismatches = 0;
+    for (size_t j = 0; j < m; ++j) {
+      const double edge = static_cast<double>(j) / static_cast<double>(m);
+      mismatches += table->Lookup(edge) != ReferenceZipfDraw(cdf, edge);
+      if (j > 0) {
+        const double below = std::nextafter(edge, 0.0);
+        mismatches += table->Lookup(below) != ReferenceZipfDraw(cdf, below);
+      }
+    }
+    for (size_t i = 0; i + 1 < c.n; ++i) {
+      mismatches += table->Lookup(cdf[i]) != ReferenceZipfDraw(cdf, cdf[i]);
+    }
+    const double top = std::nextafter(1.0, 0.0);
+    mismatches += table->Lookup(top) != ReferenceZipfDraw(cdf, top);
+    EXPECT_EQ(mismatches, 0) << "n " << c.n << " s " << c.s;
+  }
+}
+
+TEST(Zipf, SharedTableDrawsLikePrivateTables) {
+  const auto table = ZipfTable::Make(100000, 1.1);
+  ZipfGenerator shared_a(table, 5), shared_b(table, 6);
+  ZipfGenerator private_a(100000, 1.1, 5), private_b(100000, 1.1, 6);
+  for (int i = 0; i < 200000; ++i) {
+    ASSERT_EQ(shared_a.Next(), private_a.Next()) << "draw " << i;
+    ASSERT_EQ(shared_b.Next(), private_b.Next()) << "draw " << i;
+  }
+}
+
+TEST(Zipf, ProbabilityAndUniverseFollowTheCdf) {
+  for (const ZipfCase& c : kZipfCases) {
+    const std::vector<double> cdf = ReferenceZipfCdf(c.n, c.s);
+    const ZipfGenerator zipf(c.n, c.s, 1);
+    ASSERT_EQ(zipf.universe(), c.n);
+    ASSERT_EQ(ZipfTable::Make(c.n, c.s)->universe(), c.n);
+    int mismatches = 0;
+    for (size_t i = 0; i < c.n; ++i) {
+      const double expected = i == 0 ? cdf[0] : cdf[i] - cdf[i - 1];
+      mismatches += std::bit_cast<uint64_t>(zipf.Probability(i)) !=
+                    std::bit_cast<uint64_t>(expected);
+    }
+    EXPECT_EQ(mismatches, 0) << "n " << c.n << " s " << c.s;
+  }
 }
 
 TEST(Arrivals, ConstantRateMatchesExpectation) {
