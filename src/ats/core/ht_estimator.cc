@@ -1,36 +1,28 @@
 #include "ats/core/ht_estimator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ats/util/check.h"
 
 namespace ats {
 
-namespace {
+using internal::HtInclusion;
 
-double Inclusion(const SampleEntry& e) { return internal::HtInclusion(e); }
-
-}  // namespace
+double internal::HtHalfWidth95(double variance) {
+  return 1.96 * std::sqrt(std::max(0.0, variance));
+}
 
 double HtTotal(std::span<const SampleEntry> sample) {
-  double total = 0.0;
-  for (const SampleEntry& e : sample) total += e.value / Inclusion(e);
-  return total;
+  return HtEstimate(sample, AllKeys{}, EntryValue{}).estimate;
 }
 
 double HtCount(std::span<const SampleEntry> sample) {
-  double total = 0.0;
-  for (const SampleEntry& e : sample) total += 1.0 / Inclusion(e);
-  return total;
+  return HtEstimate(sample, AllKeys{}, UnitValue{}).estimate;
 }
 
 double HtVarianceEstimate(std::span<const SampleEntry> sample) {
-  double v = 0.0;
-  for (const SampleEntry& e : sample) {
-    const double pi = Inclusion(e);
-    v += e.value * e.value * (1.0 - pi) / (pi * pi);
-  }
-  return v;
+  return HtEstimate(sample, AllKeys{}, EntryValue{}).variance;
 }
 
 double FixedThresholdVariance(std::span<const double> values,
@@ -45,19 +37,15 @@ double FixedThresholdVariance(std::span<const double> values,
   return v;
 }
 
-double HtConfidenceHalfWidth95(std::span<const SampleEntry> sample) {
-  return 1.96 * std::sqrt(HtVarianceEstimate(sample));
-}
-
 double PairwiseHtSum(
     std::span<const SampleEntry> sample,
     const std::function<double(const SampleEntry&, const SampleEntry&)>& h) {
   double total = 0.0;
   for (size_t i = 0; i < sample.size(); ++i) {
-    const double pi = Inclusion(sample[i]);
+    const double pi = HtInclusion(sample[i]);
     for (size_t j = 0; j < sample.size(); ++j) {
       if (i == j) continue;
-      total += h(sample[i], sample[j]) / (pi * Inclusion(sample[j]));
+      total += h(sample[i], sample[j]) / (pi * HtInclusion(sample[j]));
     }
   }
   return total;
@@ -70,14 +58,14 @@ double TripleHtSum(
   double total = 0.0;
   const size_t m = sample.size();
   for (size_t i = 0; i < m; ++i) {
-    const double pi = Inclusion(sample[i]);
+    const double pi = HtInclusion(sample[i]);
     for (size_t j = 0; j < m; ++j) {
       if (j == i) continue;
-      const double pij = pi * Inclusion(sample[j]);
+      const double pij = pi * HtInclusion(sample[j]);
       for (size_t k = 0; k < m; ++k) {
         if (k == i || k == j) continue;
         total += h(sample[i], sample[j], sample[k]) /
-                 (pij * Inclusion(sample[k]));
+                 (pij * HtInclusion(sample[k]));
       }
     }
   }
@@ -91,17 +79,17 @@ double QuadrupleHtSum(
   double total = 0.0;
   const size_t m = sample.size();
   for (size_t i = 0; i < m; ++i) {
-    const double pi = Inclusion(sample[i]);
+    const double pi = HtInclusion(sample[i]);
     for (size_t j = 0; j < m; ++j) {
       if (j == i) continue;
-      const double pij = pi * Inclusion(sample[j]);
+      const double pij = pi * HtInclusion(sample[j]);
       for (size_t k = 0; k < m; ++k) {
         if (k == i || k == j) continue;
-        const double pijk = pij * Inclusion(sample[k]);
+        const double pijk = pij * HtInclusion(sample[k]);
         for (size_t l = 0; l < m; ++l) {
           if (l == i || l == j || l == k) continue;
           total += h(sample[i], sample[j], sample[k], sample[l]) /
-                   (pijk * Inclusion(sample[l]));
+                   (pijk * HtInclusion(sample[l]));
         }
       }
     }

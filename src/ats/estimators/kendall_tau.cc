@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ats/core/ht_estimator.h"
 #include "ats/util/check.h"
 
 namespace ats {
@@ -170,7 +171,7 @@ std::vector<PairedSampleEntry> MakePairedSample(
     PairedSampleEntry p;
     p.x = x[e.key];
     p.y = y[e.key];
-    p.inclusion_probability = e.InclusionProbability();
+    p.inclusion_probability = internal::HtInclusion(e);
     out.push_back(p);
   }
   return out;

@@ -1,49 +1,23 @@
 #include "ats/estimators/subset_sum.h"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 namespace ats {
 
-namespace {
-
-EstimateWithError FromEntries(std::span<const SampleEntry> entries) {
-  EstimateWithError out;
-  out.estimate = HtTotal(entries);
-  out.variance = HtVarianceEstimate(entries);
-  out.ci_half_width = 1.96 * std::sqrt(std::max(0.0, out.variance));
-  return out;
-}
-
-std::vector<SampleEntry> Filter(
-    std::span<const SampleEntry> sample,
-    const std::function<bool(uint64_t)>& in_subset) {
-  std::vector<SampleEntry> out;
-  for (const SampleEntry& e : sample) {
-    if (in_subset(e.key)) out.push_back(e);
-  }
-  return out;
-}
-
-}  // namespace
-
 EstimateWithError EstimateTotal(std::span<const SampleEntry> sample) {
-  return FromEntries(sample);
+  return HtEstimate(sample, AllKeys{}, EntryValue{});
 }
 
 EstimateWithError EstimateSubsetSum(
     std::span<const SampleEntry> sample,
     const std::function<bool(uint64_t)>& in_subset) {
-  return FromEntries(Filter(sample, in_subset));
+  return HtEstimate(sample, in_subset, EntryValue{});
 }
 
 EstimateWithError EstimateSubsetCount(
     std::span<const SampleEntry> sample,
     const std::function<bool(uint64_t)>& in_subset) {
-  std::vector<SampleEntry> counted = Filter(sample, in_subset);
-  for (SampleEntry& e : counted) e.value = 1.0;
-  return FromEntries(counted);
+  return HtEstimate(sample, in_subset, UnitValue{});
 }
 
 double EstimateSubsetMean(std::span<const SampleEntry> sample,

@@ -1,10 +1,10 @@
 // Subset-sum estimation over adaptive threshold samples (Sections 2.2,
 // 2.5.1, 2.6.1; Duffield et al. [12]).
 //
-// Thin, task-oriented wrappers over the core HT machinery: population and
-// subset totals, counts, means (ratio estimator), variance estimates and
-// normal confidence intervals, plus the classic priority-sampling form
-// sum of max(w_i, 1/tau).
+// Thin, task-oriented wrappers over the core HT pass (HtEstimate):
+// population and subset totals and counts with their variance estimates and
+// normal confidence intervals, subset means (ratio estimator), plus the
+// classic priority-sampling form sum of max(w_i, 1/tau).
 #ifndef ATS_ESTIMATORS_SUBSET_SUM_H_
 #define ATS_ESTIMATORS_SUBSET_SUM_H_
 
@@ -15,12 +15,6 @@
 #include "ats/core/threshold.h"
 
 namespace ats {
-
-struct EstimateWithError {
-  double estimate = 0.0;
-  double variance = 0.0;       // unbiased variance estimate
-  double ci_half_width = 0.0;  // ~95% normal CI half width
-};
 
 // Population total with variance estimate and CI.
 EstimateWithError EstimateTotal(std::span<const SampleEntry> sample);

@@ -20,10 +20,10 @@ double FallingFactorial(int64_t n, int d) {
 double UStatistic1(std::span<const SampleEntry> sample,
                    int64_t population_size, const Kernel1& h) {
   ATS_CHECK(population_size >= 1);
-  double total = 0.0;
-  for (const SampleEntry& e : sample) {
-    total += h(e.value) / e.InclusionProbability();
-  }
+  const double total =
+      HtEstimate(sample, AllKeys{},
+                 [&h](const SampleEntry& e) { return h(e.value); })
+          .estimate;
   return total / static_cast<double>(population_size);
 }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "ats/core/bottom_k.h"
-#include "ats/estimators/distinct.h"
 #include "ats/estimators/kendall_tau.h"
 #include "ats/estimators/moments.h"
 #include "ats/estimators/subset_sum.h"
@@ -75,6 +74,15 @@ TEST(SubsetSum, MeanRatioEstimatorIsConsistent) {
     est.Add(EstimateSubsetMean(sample, [](uint64_t) { return true; }));
   }
   EXPECT_NEAR(est.mean(), truth, 0.1);
+}
+
+TEST(SubsetSumDeathTest, CountAbortsOnZeroInclusionProbability) {
+  // A threshold <= 0 gives pi = 0: a subset count must abort on it, not
+  // return inf.
+  const std::vector<SampleEntry> sample = {
+      MakeUniformEntry(0, 1.0, 0.1, 0.5), MakeUniformEntry(1, 1.0, 0.1, -1.0)};
+  EXPECT_DEATH(EstimateSubsetCount(sample, [](uint64_t k) { return k == 1; }),
+               "zero inclusion probability");
 }
 
 TEST(SubsetSum, PrioritySamplingFormulaMatchesHt) {
@@ -163,6 +171,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, KendallTauHtTest,
                                            TauParam{0.6, 0.3},
                                            TauParam{-0.5, 0.5},
                                            TauParam{0.9, 0.25}));
+
+TEST(KendallTauDeathTest, PairedSampleAbortsOnZeroInclusionProbability) {
+  const std::vector<SampleEntry> sample = {
+      MakeUniformEntry(0, 1.0, 0.1, 0.5), MakeUniformEntry(1, 2.0, 0.1, 0.0)};
+  const std::vector<double> x = {1.0, 2.0}, y = {2.0, 1.0};
+  EXPECT_DEATH(MakePairedSample(sample, x, y), "zero inclusion probability");
+}
 
 TEST(KendallTau, BottomKSampleGivesUnbiasedTau) {
   // Bottom-k thresholds are fully substitutable, so the pairwise pseudo-HT
@@ -280,9 +295,9 @@ TEST(Distinct, WeightedSampleEstimatesPopulation) {
     PrioritySampler sampler(100, 700 + static_cast<uint64_t>(t));
     for (size_t i = 0; i < n; ++i) sampler.Add(i, spend[i]);
     const auto sample = sampler.Sample();
-    users_est.Add(EstimateDistinct(sample));
-    subset_est.Add(EstimateDistinctInSubset(
-        sample, [](uint64_t k) { return k % 4 == 0; }));
+    users_est.Add(HtCount(sample));
+    subset_est.Add(EstimateSubsetCount(
+        sample, [](uint64_t k) { return k % 4 == 0; }).estimate);
   }
   EXPECT_NEAR(users_est.mean(), double(n),
               4.0 * users_est.StdDev() / std::sqrt(double(trials)));

@@ -2,14 +2,19 @@
 // sums under fixed thresholds, and agreement with closed forms.
 #include "ats/core/ht_estimator.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ats/core/random.h"
+#include "ats/estimators/subset_sum.h"
+#include "ats/estimators/ustatistic.h"
 #include "ats/util/stats.h"
 
 namespace ats {
@@ -234,11 +239,197 @@ TEST(HtEstimator, ConfidenceIntervalCoversTruth) {
   for (int t = 0; t < trials; ++t) {
     const auto sample = DrawFixedThresholdSample(values, weights, 0.3, rng);
     const double est = HtTotal(sample);
-    const double hw = HtConfidenceHalfWidth95(sample);
+    const double hw =
+        HtEstimate(sample, AllKeys{}, EntryValue{}).ci_half_width;
     if (std::abs(est - truth) <= hw) ++covered;
   }
   // Nominal 95%; allow slack for normal approximation error.
   EXPECT_GT(covered, static_cast<int>(0.90 * trials));
+}
+
+// --- Bit-identity with separate passes -----------------------------------
+
+// The first-order estimators written as separate passes: one loop each for
+// the total, the count and the variance; subset estimates over a filtered
+// copy; counts over a copy whose values are rewritten to 1. HtEstimate
+// folds them into one loop and must reproduce every one of them bit for
+// bit.
+namespace separate_passes {
+
+double Total(std::span<const SampleEntry> sample) {
+  double total = 0.0;
+  for (const SampleEntry& e : sample) {
+    total += e.value / e.InclusionProbability();
+  }
+  return total;
+}
+
+double Count(std::span<const SampleEntry> sample) {
+  double total = 0.0;
+  for (const SampleEntry& e : sample) total += 1.0 / e.InclusionProbability();
+  return total;
+}
+
+double Variance(std::span<const SampleEntry> sample) {
+  double v = 0.0;
+  for (const SampleEntry& e : sample) {
+    const double pi = e.InclusionProbability();
+    v += e.value * e.value * (1.0 - pi) / (pi * pi);
+  }
+  return v;
+}
+
+EstimateWithError FromEntries(std::span<const SampleEntry> entries) {
+  EstimateWithError out;
+  out.estimate = Total(entries);
+  out.variance = Variance(entries);
+  out.ci_half_width = 1.96 * std::sqrt(std::max(0.0, out.variance));
+  return out;
+}
+
+std::vector<SampleEntry> Filter(
+    std::span<const SampleEntry> sample,
+    const std::function<bool(uint64_t)>& in_subset) {
+  std::vector<SampleEntry> out;
+  for (const SampleEntry& e : sample) {
+    if (in_subset(e.key)) out.push_back(e);
+  }
+  return out;
+}
+
+EstimateWithError SubsetSum(std::span<const SampleEntry> sample,
+                            const std::function<bool(uint64_t)>& in_subset) {
+  return FromEntries(Filter(sample, in_subset));
+}
+
+EstimateWithError SubsetCount(std::span<const SampleEntry> sample,
+                              const std::function<bool(uint64_t)>& in_subset) {
+  std::vector<SampleEntry> counted = Filter(sample, in_subset);
+  for (SampleEntry& e : counted) e.value = 1.0;
+  return FromEntries(counted);
+}
+
+double SubsetMean(std::span<const SampleEntry> sample,
+                  const std::function<bool(uint64_t)>& in_subset) {
+  const double sum = SubsetSum(sample, in_subset).estimate;
+  const double count = SubsetCount(sample, in_subset).estimate;
+  return count > 0.0 ? sum / count : 0.0;
+}
+
+double UStatistic1(std::span<const SampleEntry> sample,
+                   int64_t population_size, const Kernel1& h) {
+  double total = 0.0;
+  for (const SampleEntry& e : sample) {
+    total += h(e.value) / e.InclusionProbability();
+  }
+  return total / static_cast<double>(population_size);
+}
+
+}  // namespace separate_passes
+
+// A sample of `n` entries from one priority family. Most entries share a
+// finite threshold; about one in sixteen carries kInfiniteThreshold, and
+// the family parameters leave some finite-threshold entries at pi = 1.
+std::vector<SampleEntry> DrawMixedSample(PriorityFamily family, size_t n,
+                                         Xoshiro256& rng) {
+  std::vector<SampleEntry> out;
+  for (uint64_t key = 0; key < n; ++key) {
+    SampleEntry e;
+    e.key = key;
+    e.value = 200.0 * rng.NextDouble() - 50.0;
+    switch (family) {
+      case PriorityFamily::kUniform:
+        e.dist = PriorityDist::Uniform();
+        e.threshold = 0.01 + 1.2 * rng.NextDouble();  // pi = 1 above 1
+        break;
+      case PriorityFamily::kWeightedUniform:
+        e.dist = PriorityDist::WeightedUniform(0.01 + 30.0 * rng.NextDouble());
+        e.threshold = 0.05;  // pi = 1 for weights >= 20
+        break;
+      case PriorityFamily::kExponential:
+        e.dist = PriorityDist::Exponential(0.1 + 5.0 * rng.NextDouble());
+        e.threshold = 0.3;
+        break;
+    }
+    e.priority = e.dist.Sample(rng);
+    if (rng.NextBelow(16) == 0) e.threshold = kInfiniteThreshold;
+    out.push_back(e);
+  }
+  return out;
+}
+
+TEST(HtEstimator, OnePassIsBitIdenticalToSeparatePasses) {
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  const auto same = [&bits](const EstimateWithError& got,
+                            const EstimateWithError& want) {
+    return bits(got.estimate) == bits(want.estimate) &&
+           bits(got.variance) == bits(want.variance) &&
+           bits(got.ci_half_width) == bits(want.ci_half_width);
+  };
+  const std::function<bool(uint64_t)> none = [](uint64_t) { return false; };
+  const std::function<bool(uint64_t)> some = [](uint64_t key) {
+    return (key * 0x9E3779B97F4A7C15ull) >> 61 < 3;  // about 3/8
+  };
+  const std::function<bool(uint64_t)> all = [](uint64_t) { return true; };
+  const Kernel1 h = [](double x) { return x * x - 3.0 * x; };
+
+  Xoshiro256 rng(33);
+  int comparisons = 0, mismatches = 0, unit_pi = 0, infinite = 0;
+  const auto check = [&](bool ok, const std::string& what) {
+    ++comparisons;
+    if (!ok) ++mismatches;
+    EXPECT_TRUE(ok) << what;
+  };
+  for (PriorityFamily family :
+       {PriorityFamily::kUniform, PriorityFamily::kWeightedUniform,
+        PriorityFamily::kExponential}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{63},
+                     size_t{1000}, size_t{4096}, size_t{4096}}) {
+      const std::vector<SampleEntry> sample = DrawMixedSample(family, n, rng);
+      for (const SampleEntry& e : sample) {
+        unit_pi += e.InclusionProbability() == 1.0;
+        infinite += e.threshold == kInfiniteThreshold;
+      }
+      const std::string tag = "family " +
+                              std::to_string(static_cast<int>(family)) +
+                              ", n " + std::to_string(n) + ": ";
+      check(bits(HtTotal(sample)) == bits(separate_passes::Total(sample)),
+            tag + "HtTotal");
+      check(bits(HtCount(sample)) == bits(separate_passes::Count(sample)),
+            tag + "HtCount");
+      check(bits(HtVarianceEstimate(sample)) ==
+                bits(separate_passes::Variance(sample)),
+            tag + "HtVarianceEstimate");
+      check(same(EstimateTotal(sample), separate_passes::FromEntries(sample)),
+            tag + "EstimateTotal");
+      check(bits(UStatistic1(sample, 5000, h)) ==
+                bits(separate_passes::UStatistic1(sample, 5000, h)),
+            tag + "UStatistic1");
+      for (const auto* pred : {&none, &some, &all}) {
+        const std::string ptag =
+            tag + (pred == &none ? "none" : pred == &some ? "some" : "all") +
+            " ";
+        const EstimateWithError sum = separate_passes::SubsetSum(sample, *pred);
+        check(bits(HtSubsetSum(sample, *pred)) == bits(sum.estimate),
+              ptag + "HtSubsetSum");
+        check(same(EstimateSubsetSum(sample, *pred), sum),
+              ptag + "EstimateSubsetSum");
+        check(same(HtEstimate(sample, *pred, EntryValue{}), sum),
+              ptag + "HtEstimate sum");
+        check(same(EstimateSubsetCount(sample, *pred),
+                   separate_passes::SubsetCount(sample, *pred)),
+              ptag + "EstimateSubsetCount");
+        check(bits(EstimateSubsetMean(sample, *pred)) ==
+                  bits(separate_passes::SubsetMean(sample, *pred)),
+              ptag + "EstimateSubsetMean");
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << comparisons;
+  EXPECT_EQ(comparisons, 3 * 7 * (5 + 3 * 5));
+  // The families and thresholds above must reach both pi = 1 forms.
+  EXPECT_GT(unit_pi, 1000);
+  EXPECT_GT(infinite, 1000);
 }
 
 }  // namespace

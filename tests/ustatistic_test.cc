@@ -133,5 +133,14 @@ TEST(UStatistic, Degree4MatchesMomentFormulation) {
   EXPECT_TRUE(std::isfinite(via_generic));
 }
 
+TEST(UStatisticDeathTest, ZeroInclusionProbabilityAborts) {
+  // A threshold of 0 gives pi = F(0) = 0; the degree-1 estimate must stop
+  // there rather than return inf.
+  const std::vector<SampleEntry> sample = {
+      MakeUniformEntry(0, 1.0, 0.1, 0.5), MakeUniformEntry(1, 2.0, 0.1, 0.0)};
+  EXPECT_DEATH(UStatistic1(sample, 10, [](double x) { return x; }),
+               "zero inclusion probability");
+}
+
 }  // namespace
 }  // namespace ats
